@@ -53,7 +53,6 @@ func main() {
 	cons := core.Constraints{Deadline: units.FromHours(24), Budget: 350}
 	scanEng := core.NewPaperEngine(galaxy.App{})
 	idxEng := core.NewPaperEngine(galaxy.App{})
-	idxEng.SetUseIndex(true)
 
 	run := func(name string, fn func() error) benchRow {
 		start := time.Now()
@@ -71,7 +70,7 @@ func main() {
 	}
 
 	buildStart := time.Now()
-	if !idxEng.IndexActive() {
+	if _, ok := idxEng.Frontier(); !ok {
 		log.Fatal("frontier index did not build")
 	}
 	buildRow := benchRow{
@@ -117,9 +116,6 @@ func main() {
 			return err
 		}),
 		run("AnalyzePerHourIndexedPaper", func() error {
-			if !idxEng.IndexActive() {
-				return fmt.Errorf("index inactive under per-hour billing")
-			}
 			_, err := idxEng.Analyze(p, cons, core.Options{})
 			return err
 		}),
@@ -172,7 +168,6 @@ func main() {
 		return snapshot.Save(snapPath, idxEng)
 	})
 	coldEng := core.NewPaperEngine(galaxy.App{})
-	coldEng.SetUseIndex(true)
 	// The restore is cheap enough to repeat, so take the best of five:
 	// the gate compares an inherently noisy one-shot wall-clock pair,
 	// and a single scheduler hiccup on a loaded CI box must not read as

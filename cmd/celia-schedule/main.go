@@ -78,7 +78,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	eng.SetUseIndex(true)
 	switch *billing {
 	case "persecond":
 		eng.SetBilling(model.PerSecond)

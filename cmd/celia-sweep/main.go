@@ -26,34 +26,13 @@ import (
 	"repro/internal/workload"
 )
 
-var (
-	csvOut   bool
-	useIndex bool
-)
-
-// newEngine builds a paper engine, opted into the frontier index unless
-// -index=false: the sweeps re-solve the same catalog under dozens of
-// (demand, deadline) pairs, exactly the workload the demand-invariant
-// index amortizes. The index matches the exhaustive scan bit-for-bit;
-// -index=false falls back to the decomposed search, which can name a
-// different (never cheaper) representative when costs tie within an ulp.
-func newEngine(app workload.App) *core.Engine {
-	eng := core.NewPaperEngine(app)
-	eng.SetUseIndex(useIndex)
-	if useIndex {
-		if reason := eng.IndexBypassReason(); reason != "" {
-			log.Printf("warning: frontier index bypassed for %s: %s", app.Name(), reason)
-		}
-	}
-	return eng
-}
+var csvOut bool
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("celia-sweep: ")
 	exp := flag.String("exp", "fig4", "experiment: fig4, fig5, fig6, obs3")
 	flag.BoolVar(&csvOut, "csv", false, "emit CSV instead of aligned tables")
-	flag.BoolVar(&useIndex, "index", true, "answer sweep queries from the frontier index (one build per engine)")
 	flag.Parse()
 
 	switch *exp {
@@ -89,8 +68,8 @@ func fig4() {
 		eng *core.Engine
 		p   workload.Params
 	}{
-		{newEngine(galaxy.App{}), workload.Params{N: 65536, A: 8000}},
-		{newEngine(sand.App{}), workload.Params{N: 8192e6, A: 0.32}},
+		{core.NewPaperEngine(galaxy.App{}), workload.Params{N: 65536, A: 8000}},
+		{core.NewPaperEngine(sand.App{}), workload.Params{N: 8192e6, A: 0.32}},
 	}
 	for _, c := range cases {
 		res, err := sweep.Census(c.eng, c.p, units.FromHours(24), 350, 0)
@@ -141,7 +120,7 @@ func scalingTable(title string, res sweep.ScalingResult) *report.Table {
 }
 
 func fig5() {
-	engG := newEngine(galaxy.App{})
+	engG := core.NewPaperEngine(galaxy.App{})
 	resG, err := sweep.MinCostCurve(engG, workload.Params{A: 1000}, true, "n",
 		[]float64{32768, 65536, 131072, 262144}, sweep.Deadlines())
 	if err != nil {
@@ -149,7 +128,7 @@ func fig5() {
 	}
 	write(scalingTable("Figure 5(a): galaxy min cost vs n (s=1000)", resG))
 
-	engS := newEngine(sand.App{})
+	engS := core.NewPaperEngine(sand.App{})
 	resS, err := sweep.MinCostCurve(engS, workload.Params{A: 0.32}, true, "n",
 		[]float64{1024e6, 2048e6, 4096e6, 8192e6}, sweep.Deadlines())
 	if err != nil {
@@ -160,7 +139,7 @@ func fig5() {
 }
 
 func fig6() {
-	engG := newEngine(galaxy.App{})
+	engG := core.NewPaperEngine(galaxy.App{})
 	resG, err := sweep.MinCostCurve(engG, workload.Params{N: 65536}, false, "s",
 		[]float64{1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000}, sweep.Deadlines())
 	if err != nil {
@@ -175,7 +154,7 @@ func fig6() {
 		fmt.Println()
 	}
 
-	engS := newEngine(sand.App{})
+	engS := core.NewPaperEngine(sand.App{})
 	resS, err := sweep.MinCostCurve(engS, workload.Params{N: 8192e6}, false, "t",
 		[]float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0}, sweep.Deadlines())
 	if err != nil {
@@ -186,7 +165,7 @@ func fig6() {
 }
 
 func obs3() {
-	engG := newEngine(galaxy.App{})
+	engG := core.NewPaperEngine(galaxy.App{})
 	g, err := sweep.Tightening(engG, workload.Params{N: 262144, A: 1000}, sweep.Deadlines())
 	if err != nil {
 		log.Fatal(err)
@@ -203,7 +182,7 @@ func obs3() {
 	fmt.Printf("galaxy: cutting the deadline %.0f%% raises cost %.0f%% (paper: 67%% -> +40%%)\n\n",
 		g.DeadlineCutPct, g.CostRisePct)
 
-	engS := newEngine(sand.App{})
+	engS := core.NewPaperEngine(sand.App{})
 	s, err := sweep.Tightening(engS, workload.Params{N: 8192e6, A: 0.32}, []units.Hours{24, 48})
 	if err != nil {
 		log.Fatal(err)

@@ -22,6 +22,9 @@ func main() {
 	log.SetFlags(0)
 
 	engine := core.NewPaperEngine(sand.App{})
+	// Each MaxAccuracy below is a bisection of ~20 searches: publish the
+	// frontier index once so they read it instead of scanning the space.
+	engine.Frontier()
 	const candidates = 2048e6 // 2,048 million candidate pairs
 
 	// (i) Quality vs budget at two deadlines.

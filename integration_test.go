@@ -89,7 +89,7 @@ func TestGroundTruthVsMeasuredEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	truth := core.NewPaperEngine(galaxy.App{})
+	truth := indexedPaperEngine(t, galaxy.App{})
 	p := workload.Params{N: 65536, A: 8000}
 	for _, h := range []float64{12, 24, 48} {
 		mt, okM, err := measured.MinCostForDeadline(p, units.FromHours(h))
@@ -119,7 +119,7 @@ func TestGroundTruthVsMeasuredEngines(t *testing.T) {
 // frontier configurations on the simulator preserves their time
 // ordering.
 func TestSelectorAgainstSimulatorFrontier(t *testing.T) {
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := indexedPaperEngine(t, galaxy.App{})
 	p := workload.Params{N: 16384, A: 1000}
 	an, err := eng.Analyze(p, core.Constraints{Deadline: units.FromHours(24), Budget: 50}, core.Options{})
 	if err != nil {
@@ -148,7 +148,7 @@ func TestSelectorAgainstSimulatorFrontier(t *testing.T) {
 // top of one frontier: uncertainty-aware robust selection and the
 // spot-market recommendation.
 func TestRobustAndSpotComposition(t *testing.T) {
-	eng := core.NewPaperEngine(galaxy.App{})
+	eng := indexedPaperEngine(t, galaxy.App{})
 	p := workload.Params{N: 65536, A: 8000}
 	deadline := units.FromHours(24)
 

@@ -30,21 +30,21 @@
 //     boundary and reported as 500 with the envelope, never a crash.
 //   - Responses carry an X-Cache header (hit, miss, or coalesced).
 //   - Query responses carry an X-Index header: "on" when the mounted
-//     engine answers this kind of query from its built frontier index
-//     (byte-identical to the exhaustive scan under every certified
-//     billing policy — per-second and per-hour alike), "degraded" when
-//     the app is in the declared degraded state (index unavailable,
-//     serving from the exhaustive scan until the background rebuild
-//     lands). Scan-backed answers distinguish why: "off-config" when
-//     the engine was deliberately opted out, "off-billing" when the
-//     billing policy is not certified index-monotone, "off-pair-cap"
-//     when the catalog did not compress under the pair cap, and plain
-//     "off" for Monte-Carlo kinds and before the lazy index build.
-//     Schedule responses report "on" whenever the billing-independent
-//     staircase exists, regardless of the per-query routing.
+//     engine answers this kind of query from its published frontier
+//     index (byte-identical to the exhaustive scan under every
+//     certified billing policy — per-second and per-hour alike),
+//     "degraded" when the app is in the declared degraded or building
+//     state (serving from the exhaustive scan until the background
+//     rebuild lands). Other scan-backed answers distinguish why:
+//     "off-billing" when the billing policy is not certified
+//     index-monotone, "off-pair-cap" when the catalog did not compress
+//     under the pair cap, and plain "off" for Monte-Carlo kinds and
+//     before the lazy index build. Schedule responses report "on"
+//     whenever the billing-independent staircase exists, regardless of
+//     the per-query routing.
 //   - GET /readyz reports per-app index lifecycle state (pending /
 //     building / built / degraded / bypassed, with the reason and the
-//     machine-readable bypass cause: config, billing, or pair-cap) in
+//     machine-readable bypass cause: billing or pair-cap) in
 //     its JSON body; the top-level status is "degraded" (still 200 —
 //     the app answers correctly, just slower) when any app serves from
 //     the scan in degraded mode, and 503 "draining" during shutdown.
@@ -235,10 +235,10 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 // frontier index, and the operator-facing reason when they are not.
 // The probe never triggers a build, so listing apps stays cheap.
 type AppIndexStatus struct {
-	IndexActive  bool   `json:"index_active"`
+	Indexed      bool   `json:"index_active"`
 	BypassReason string `json:"bypass_reason,omitempty"`
 	// BypassCause is the machine-readable counterpart of BypassReason:
-	// "config", "billing", or "pair-cap"; empty when the index serves.
+	// "billing" or "pair-cap"; empty when the index serves.
 	BypassCause string `json:"bypass_cause,omitempty"`
 }
 
@@ -248,11 +248,9 @@ func (s *Server) handleApps(w http.ResponseWriter, _ *http.Request) {
 	for _, name := range names {
 		eng, _ := s.fd.Engine(name)
 		reason := eng.IndexBypassReason()
-		st := AppIndexStatus{IndexActive: reason == "", BypassReason: reason}
+		st := AppIndexStatus{Indexed: reason == "", BypassReason: reason}
 		if reason != "" {
 			switch eng.IndexBypassCause() {
-			case core.BypassConfig:
-				st.BypassCause = "config"
 			case core.BypassBilling:
 				st.BypassCause = "billing"
 			case core.BypassPairCap:
@@ -315,16 +313,16 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, q serving.Query, 
 	_, _ = w.Write(body)
 }
 
-// indexHeader reports whether the answering engine holds a built
-// frontier index for this kind of query. IndexBuilt never triggers the
+// indexHeader reports whether the answering engine serves this kind of
+// query from a published frontier index. Nothing here triggers the
 // multi-second build, so cache hits stay pure memory reads; "on" means
 // the response either came from the index or is byte-identical to what
 // the index serves; "degraded" means the app is in a declared degraded
-// or rebuilding state and the response came from the exhaustive scan.
-// Scan-backed answers carry the bypass cause as a suffix —
-// "off-config", "off-billing", "off-pair-cap" — so a dashboard can
-// tell a deliberate opt-out from a capability gap; plain "off" covers
-// non-analytic kinds and the pre-build window.
+// or rebuilding state — the /readyz state, checked first — and the
+// response came from the exhaustive scan. Other scan-backed answers
+// carry the bypass cause as a suffix — "off-billing", "off-pair-cap"
+// — so a dashboard can tell which capability gap it is; plain "off"
+// covers non-analytic kinds and the pre-build window.
 func (s *Server) indexHeader(q serving.Query) string {
 	eng, ok := s.fd.Engine(q.App)
 	if !ok || !serving.AnalyticKind(q.Kind) {
@@ -338,16 +336,14 @@ func (s *Server) indexHeader(q serving.Query) string {
 		}
 		return "off"
 	}
-	if eng.IndexBuilt() {
-		return "on"
-	}
 	if st, ok := s.fd.IndexStatusFor(q.App); ok &&
 		(st.State == serving.IndexDegraded || st.State == serving.IndexBuilding) {
 		return "degraded"
 	}
+	if eng.FrontierBuilt() && eng.Billing().Indexable() {
+		return "on"
+	}
 	switch eng.IndexBypassCause() {
-	case core.BypassConfig:
-		return "off-config"
 	case core.BypassBilling:
 		return "off-billing"
 	case core.BypassPairCap:

@@ -19,11 +19,11 @@ import (
 	"repro/internal/workload"
 )
 
-// sharedEngines is reused across tests: NewFrontdoor opts engines into
-// the frontier index, and sharing lets the whole package pay each lazy
-// index build once rather than once per test — the builds dominate the
-// suite under -race otherwise. Tests needing cold or scan-backed
-// engines construct their own (see TestOverloadReturns429).
+// sharedEngines is reused across tests: a frontdoor builds each
+// engine's frontier index on its first leader compute, and sharing lets
+// the whole package pay each build once rather than once per test — the
+// builds dominate the suite under -race otherwise. Tests needing cold or
+// scan-backed engines construct their own (see TestOverloadReturns429).
 var sharedEngines = map[string]*core.Engine{
 	"galaxy": core.NewPaperEngine(galaxy.App{}),
 	"x264":   core.NewPaperEngine(x264.App{}),
@@ -104,7 +104,7 @@ func TestAppsEndpoint(t *testing.T) {
 		if !ok {
 			t.Fatalf("no index status for %s", name)
 		}
-		if !st.IndexActive || st.BypassReason != "" {
+		if !st.Indexed || st.BypassReason != "" {
 			t.Fatalf("%s index status = %+v, want active with no bypass", name, st)
 		}
 	}
@@ -122,10 +122,10 @@ func TestMinCostEndpoint(t *testing.T) {
 	if !resp.Feasible || resp.Best == nil {
 		t.Fatalf("response = %+v", resp)
 	}
-	// The exhaustive tie winner for the paper's spill scenario: the
-	// frontier index (certified against MinCostExhaustive) finds this
-	// family split one ulp cheaper than the decomposed search's
-	// [5 5 5 3 ...] — see the golden-index test in internal/core.
+	// Algorithm 1's tie winner for the paper's spill scenario: the same
+	// cluster as the paper's [5 5 5 3 ...], spelled with one m4.large
+	// and one m4.xlarge, whose float sum lands one ulp cheaper — see the
+	// golden-index test in internal/core.
 	want := []int{5, 5, 5, 1, 1, 0, 0, 0, 0}
 	for i, c := range want {
 		if resp.Best.Config[i] != c {
@@ -322,13 +322,14 @@ func TestCacheHitSecondRequest(t *testing.T) {
 // a census and asserts the next request is shed with 429 + Retry-After
 // instead of queueing.
 func TestOverloadReturns429(t *testing.T) {
-	// Fresh scan-backed engines: the occupying census must stay slow to
-	// reliably hold the only slot, and the shared engines may already
-	// serve analyze from their index in milliseconds.
+	// A scan-backed engine (its billing policy is not certified for the
+	// index): the occupying census must stay slow to reliably hold the
+	// only slot, and the shared engines may already serve analyze from
+	// their index in milliseconds.
 	fd, err := serving.NewFrontdoor(map[string]*core.Engine{
-		"galaxy": core.NewPaperEngine(galaxy.App{}),
+		"galaxy": billingEngine(model.Billing(7)),
 	}, serving.Config{
-		MaxConcurrent: 1, QueueDepth: -1, CacheBytes: -1, DisableIndex: true,
+		MaxConcurrent: 1, QueueDepth: -1, CacheBytes: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -538,10 +539,11 @@ func TestReadyzFlipsWhileDraining(t *testing.T) {
 	}
 }
 
-// TestIndexHeader asserts the X-Index contract: analytic queries on an
-// index-opted engine answer "on" once the lazy build has run —
-// including on cache hits, which must not trigger a build — while a
-// DisableIndex frontdoor stays scan-backed and answers "off-config".
+// TestIndexHeader asserts the X-Index contract: analytic queries answer
+// "on" once the lazy build has run — including on cache hits, which
+// must not trigger a build — while an engine whose billing policy the
+// index is not certified for stays scan-backed and answers
+// "off-billing".
 func TestIndexHeader(t *testing.T) {
 	ts := newTestServer(t)
 	body := []byte(`{"app":"galaxy","n":65536,"a":8000,"deadline_hours":24}`)
@@ -564,30 +566,7 @@ func TestIndexHeader(t *testing.T) {
 		t.Fatalf("repeat: X-Cache = %q, X-Index = %q, want hit/on", cache, idx)
 	}
 
-	fd, err := serving.NewFrontdoor(map[string]*core.Engine{
-		"galaxy": core.NewPaperEngine(galaxy.App{}),
-	}, serving.Config{DisableIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewServer(fd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scanTS := httptest.NewServer(s)
-	t.Cleanup(scanTS.Close)
-	if idx, _ := post(scanTS.URL); idx != "off-config" {
-		t.Fatalf("X-Index = %q with the index disabled, want off-config", idx)
-	}
-	if got := fd.Metrics().Counter("serving.index.bypass").Value(); got < 1 {
-		t.Fatalf("serving.index.bypass = %d after a scan-backed compute", got)
-	}
-	if got := fd.Metrics().Counter("serving.index.bypass_billing").Value(); got != 0 {
-		t.Fatalf("serving.index.bypass_billing = %d for a config opt-out, want 0", got)
-	}
-
-	// An uncertified billing policy surfaces as a capability gap: the
-	// header distinguishes it from the deliberate opt-out above.
+	// An uncertified billing policy surfaces as a capability gap.
 	bfd, err := serving.NewFrontdoor(map[string]*core.Engine{
 		"galaxy": billingEngine(model.Billing(7)),
 	}, serving.Config{})
@@ -603,13 +582,16 @@ func TestIndexHeader(t *testing.T) {
 	if idx, _ := post(billTS.URL); idx != "off-billing" {
 		t.Fatalf("X-Index = %q under an uncertified billing policy, want off-billing", idx)
 	}
+	if got := bfd.Metrics().Counter("serving.index.bypass").Value(); got < 1 {
+		t.Fatalf("serving.index.bypass = %d after a scan-backed compute", got)
+	}
 	if got := bfd.Metrics().Counter("serving.index.bypass_billing").Value(); got != 1 {
 		t.Fatalf("serving.index.bypass_billing = %d, want 1", got)
 	}
 }
 
-// billingEngine builds a paper engine opted into the index but running
-// an arbitrary billing policy.
+// billingEngine builds a paper engine running an arbitrary billing
+// policy.
 func billingEngine(b model.Billing) *core.Engine {
 	eng := core.NewPaperEngine(galaxy.App{})
 	eng.SetBilling(b)

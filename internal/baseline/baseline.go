@@ -1,5 +1,5 @@
 // Package baseline implements alternative configuration-selection
-// algorithms to compare CELIA's exhaustive/decomposed search against,
+// algorithms to compare CELIA's exhaustive scan and frontier index against,
 // mirroring the related-work approaches the paper cites: integer
 // programming formulations (Kokkinos [13], Sharma [24]) stand in as an
 // exact branch-and-bound over node counts, and the folk heuristic —

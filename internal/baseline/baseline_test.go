@@ -141,7 +141,7 @@ func TestGreedyFeasibleAndBounded(t *testing.T) {
 
 func TestBranchBoundOnPaperProblem(t *testing.T) {
 	// The paper setup: branch-and-bound must agree with CELIA's
-	// decomposed search on the Figure 4 problem.
+	// min-cost search on the Figure 4 problem.
 	eng := core.NewPaperEngine(galaxy.App{})
 	p := workload.Params{N: 65536, A: 8000}
 	deadline := units.FromHours(24)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/apps/galaxy"
@@ -36,8 +37,7 @@ func BenchmarkAnalyzeScanPaper(b *testing.B) {
 
 func BenchmarkAnalyzeIndexedPaper(b *testing.B) {
 	eng := NewPaperEngine(galaxy.App{})
-	eng.SetUseIndex(true)
-	if !eng.IndexActive() { // build outside the timed region
+	if _, ok := eng.Frontier(); !ok { // build outside the timed region
 		b.Fatal("index did not build")
 	}
 	b.ResetTimer()
@@ -62,8 +62,7 @@ func BenchmarkAnalyzePerHourScanPaper(b *testing.B) {
 func BenchmarkAnalyzePerHourIndexedPaper(b *testing.B) {
 	eng := NewPaperEngine(galaxy.App{})
 	eng.SetBilling(model.PerHour)
-	eng.SetUseIndex(true)
-	if !eng.IndexActive() { // build outside the timed region
+	if _, ok := eng.Frontier(); !ok { // build outside the timed region
 		b.Fatal("index did not build under per-hour billing")
 	}
 	b.ResetTimer()
@@ -92,7 +91,7 @@ func BenchmarkMinCostScanPaper(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := eng.scanSearch(d, benchCons(), objectiveCost); !ok {
+		if _, ok, err := eng.scanSearch(context.Background(), d, benchCons(), objectiveCost); err != nil || !ok {
 			b.Fatal("infeasible")
 		}
 	}
@@ -100,8 +99,7 @@ func BenchmarkMinCostScanPaper(b *testing.B) {
 
 func BenchmarkMinCostIndexedPaper(b *testing.B) {
 	eng := NewPaperEngine(galaxy.App{})
-	eng.SetUseIndex(true)
-	if !eng.IndexActive() {
+	if _, ok := eng.Frontier(); !ok {
 		b.Fatal("index did not build")
 	}
 	d, err := eng.Demand(benchParams)

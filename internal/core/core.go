@@ -7,20 +7,22 @@
 // deadline, minimum time within a budget, maximum accuracy within
 // both).
 //
-// Two search strategies are provided and proven equivalent by tests:
+// Every query takes one of two paths, proven equivalent by tests:
 //
-//   - Exhaustive: a parallel streaming scan of all S configurations
-//     (Eq. 1), exactly Algorithm 1. Guarantees every optimum, at ~10
-//     million model evaluations for the paper's space.
+//   - Frontier index (index.go): the demand-invariant (capacity, unit
+//     cost) pair table and its Pareto staircase, built once per catalog
+//     and published on the engine. Under a billing policy certified by
+//     model.Billing.Indexable, queries answer from it in
+//     O(|staircase| + spans·log) with the scan's exact floats and tie
+//     winners.
 //
-//   - Decomposed: per-category enumeration. Capacity (Eq. 3) and unit
-//     cost (Eq. 6) are additive across resource types, so any dominated
-//     within-category combination (another combination with no more
-//     cost and no less capacity) can be swapped out of a solution
-//     without losing feasibility or raising cost. Enumerating each
-//     category's combinations, pruning each to its (cost ↓, capacity ↑)
-//     Pareto set and merging across categories therefore preserves all
-//     optima at a small fraction of the evaluations.
+//   - Exhaustive scan: a parallel streaming scan of all S
+//     configurations (Eq. 1), exactly Algorithm 1 — the reference the
+//     index is certified against, and the answer whenever no index is
+//     published or the billing policy is not certified.
+//
+// A query never builds an index; it reads the published one or scans.
+// Frontier, FrontierCandidates, RebuildIndex and InstallIndex publish.
 package core
 
 import (
@@ -49,19 +51,15 @@ type Engine struct {
 	domain  workload.Domain
 	billing model.Billing
 
-	// Frontier-index state (see index.go): opt-in via SetUseIndex,
-	// built lazily under idxMu, published through an atomic pointer so
-	// queries never block on a rebuild and InstallIndex/RebuildIndex can
-	// swap a new index in under live traffic (zero-downtime catalog
-	// updates, snapshot restores). nil pointer = no usable index (not
-	// yet built, or the build overflowed). idxReady flips after a
-	// build/install completes so observers (response headers, telemetry)
-	// can check state without triggering the multi-second build
-	// themselves; idxTried flips after the first attempt either way.
-	useIndex bool
+	// Frontier-index state (see index.go): built at most once under
+	// idxMu by Frontier/FrontierCandidates, or swapped in by
+	// RebuildIndex/InstallIndex, and published through an atomic pointer
+	// that queries read without locking, so a rebuild or snapshot
+	// restore lands under live traffic. nil pointer = nothing published
+	// (not yet built, or the build overflowed); idxTried flips after the
+	// first build attempt either way.
 	idxMu    sync.Mutex
 	idx      atomic.Pointer[FrontierIndex]
-	idxReady atomic.Bool
 	idxTried atomic.Bool
 }
 
@@ -200,10 +198,15 @@ type Options struct {
 	SampleCap   int     // max sample size (default 4096)
 }
 
-// ctxPollMask throttles cancellation checks in the scan hot loops: each
-// worker consults ctx.Err() once per 8192 configurations, cheap enough
-// to be invisible in the scan benchmarks yet prompt enough that a
-// canceled multi-second walk returns within microseconds of real work.
+// ctxPollMask throttles cancellation checks in the scan hot loops: a
+// worker consults ctx.Err() at each configuration index that is a
+// multiple of 8192, once per 8192 configurations of its contiguous
+// chunk — cheap enough to be invisible in the scan benchmarks yet
+// prompt enough that a canceled multi-second walk returns within
+// microseconds of real work. Keying the poll on the index, not on a
+// per-worker counter, keeps the hot loops free of per-configuration
+// writes to per-worker state, which shares cache lines across workers
+// (a counter there made the argmin scan 2–3× slower).
 const ctxPollMask = 8192 - 1
 
 // errAborted wraps a context error so scan-path callers surface the
@@ -211,12 +214,12 @@ const ctxPollMask = 8192 - 1
 func errAborted(err error) error { return fmt.Errorf("core: query aborted: %w", err) }
 
 // Analyze runs Algorithm 1 over the entire space and Pareto-filters the
-// feasible set. An engine opted into the frontier index (SetUseIndex)
-// answers sampling-free censuses from the precomputed pair table
-// instead of re-walking the space — under per-second and per-hour
-// billing alike (model.Billing.Indexable); the two paths produce
-// byte-identical Analysis values (certified in index_test.go and the
-// per-billing property harness).
+// feasible set. An engine with a published frontier index answers
+// sampling-free censuses from the precomputed pair table instead of
+// re-walking the space — under per-second and per-hour billing alike
+// (model.Billing.Indexable); the two paths produce byte-identical
+// Analysis values (certified in index_test.go and the per-billing
+// property harness).
 func (e *Engine) Analyze(p workload.Params, cons Constraints, opts Options) (Analysis, error) {
 	return e.AnalyzeContext(context.Background(), p, cons, opts)
 }
@@ -296,7 +299,6 @@ func (e *Engine) scanCensus(ctx context.Context, an *Analysis, d units.Instructi
 	type shard struct {
 		stream   pareto.Stream2D
 		feasible uint64
-		seen     uint64
 		sample   []FrontierPoint
 	}
 	shards := make([]shard, workers)
@@ -306,23 +308,11 @@ func (e *Engine) scanCensus(ctx context.Context, an *Analysis, d units.Instructi
 		if stop.Load() {
 			return
 		}
-		if sh := &shards[worker]; sh.seen&ctxPollMask == ctxPollMask {
-			sh.seen++
-			if ctx.Err() != nil {
-				stop.Store(true)
-				return
-			}
-		} else {
-			sh.seen++
+		if idx&ctxPollMask == 0 && ctx.Err() != nil {
+			stop.Store(true)
+			return
 		}
-		var u units.Rate
-		var cu units.USDPerHour
-		for i := 0; i < t.Len(); i++ {
-			if m := t.Count(i); m > 0 {
-				u += units.Rate(m) * w[i]
-				cu += units.USDPerHour(m) * nodeCost[i]
-			}
-		}
+		u, cu := accumulate(t, w, nodeCost)
 		T := units.Time(d, u)
 		C := e.billCost(T, cu)
 		if T >= deadline || C >= budget {
@@ -349,41 +339,47 @@ func (e *Engine) scanCensus(ctx context.Context, an *Analysis, d units.Instructi
 	return merged.Frontier()
 }
 
-// searchBest routes a single-objective query to the frontier index
-// when it is active (opted in, billing certified index-monotone,
-// built) and to the decomposed search otherwise.
-func (e *Engine) searchBest(d units.Instructions, cons Constraints, obj objective) (model.Prediction, bool) {
-	pred, ok, _ := e.searchBestCtx(context.Background(), d, cons, obj)
-	return pred, ok
+// accumulate sums a tuple's capacity (Eq. 3) and unit cost (Eq. 6) in
+// catalog order. It is the one (u, c_u) loop: both scans and the index
+// build call it, so the pairs the index stores are the scan's floats by
+// construction. Small enough to inline into every hot loop.
+func accumulate(t config.Tuple, w []units.Rate, nodeCost []units.USDPerHour) (u units.Rate, cu units.USDPerHour) {
+	for i := 0; i < t.Len(); i++ {
+		if m := t.Count(i); m > 0 {
+			u += units.Rate(m) * w[i]
+			cu += units.USDPerHour(m) * nodeCost[i]
+		}
+	}
+	return u, cu
 }
 
-// searchBestCtx is searchBest with cooperative cancellation on the
-// scan fallback; the index and decomposed-merge paths are fast enough
-// to run to completion regardless.
-func (e *Engine) searchBestCtx(ctx context.Context, d units.Instructions, cons Constraints, obj objective) (model.Prediction, bool, error) {
+// searchBest routes a single-objective query to the published frontier
+// index when the billing policy is certified for it, and to the
+// exhaustive scan otherwise. It never builds an index.
+func (e *Engine) searchBest(ctx context.Context, d units.Instructions, cons Constraints, obj objective) (model.Prediction, bool, error) {
 	if idx := e.indexFor(); idx != nil {
 		pred, ok := idx.minSearch(e, d, cons, obj)
 		return pred, ok, nil
 	}
-	return e.decomposedSearchCtx(ctx, d, cons, obj)
+	return e.scanSearch(ctx, d, cons, obj)
 }
 
 // MinCostForDeadline finds the cheapest configuration whose predicted
-// time satisfies the deadline, from the frontier index when active and
-// the decomposed search otherwise. The second return is false when no
-// configuration can meet the deadline.
+// time satisfies the deadline, from the published frontier index when
+// there is one and the exhaustive scan otherwise. The second return is
+// false when no configuration can meet the deadline.
 func (e *Engine) MinCostForDeadline(p workload.Params, deadline units.Seconds) (model.Prediction, bool, error) {
 	return e.MinCostForDeadlineContext(context.Background(), p, deadline)
 }
 
 // MinCostForDeadlineContext is MinCostForDeadline with cooperative
-// cancellation on the scan fallback.
+// cancellation on the scan path.
 func (e *Engine) MinCostForDeadlineContext(ctx context.Context, p workload.Params, deadline units.Seconds) (model.Prediction, bool, error) {
 	d, err := e.Demand(p)
 	if err != nil {
 		return model.Prediction{}, false, err
 	}
-	return e.searchBestCtx(ctx, d, Constraints{Deadline: deadline}, objectiveCost)
+	return e.searchBest(ctx, d, Constraints{Deadline: deadline}, objectiveCost)
 }
 
 // MinTimeForBudget finds the fastest configuration whose predicted cost
@@ -393,73 +389,25 @@ func (e *Engine) MinTimeForBudget(p workload.Params, budget units.USD) (model.Pr
 }
 
 // MinTimeForBudgetContext is MinTimeForBudget with cooperative
-// cancellation on the scan fallback.
+// cancellation on the scan path.
 func (e *Engine) MinTimeForBudgetContext(ctx context.Context, p workload.Params, budget units.USD) (model.Prediction, bool, error) {
 	d, err := e.Demand(p)
 	if err != nil {
 		return model.Prediction{}, false, err
 	}
-	return e.searchBestCtx(ctx, d, Constraints{Budget: budget}, objectiveTime)
+	return e.searchBest(ctx, d, Constraints{Budget: budget}, objectiveTime)
 }
 
-// MinCostExhaustive is the exhaustive counterpart of MinCostForDeadline
-// (Algorithm 1 with a running minimum); used by tests and ablations to
-// certify the decomposition.
+// MinCostExhaustive is MinCostForDeadline answered by the exhaustive
+// scan (Algorithm 1 with a running minimum) even when an index is
+// published: the reference the index is certified against.
 func (e *Engine) MinCostExhaustive(p workload.Params, deadline units.Seconds) (model.Prediction, bool, error) {
 	d, err := e.Demand(p)
 	if err != nil {
 		return model.Prediction{}, false, err
 	}
-	w, nodeCost := e.caps.NodeArrays()
-	dl := Constraints{Deadline: deadline}.deadlineOrInf()
-	workers := runtime.GOMAXPROCS(0)
-	type best struct {
-		cost units.USD
-		t    config.Tuple
-		ok   bool
-	}
-	bests := make([]best, workers)
-	for i := range bests {
-		bests[i].cost = units.USD(math.Inf(1))
-	}
-	e.space.ForEachParallel(workers, func(worker int, t config.Tuple) {
-		var u units.Rate
-		var cu units.USDPerHour
-		for i := 0; i < t.Len(); i++ {
-			if m := t.Count(i); m > 0 {
-				u += units.Rate(m) * w[i]
-				cu += units.USDPerHour(m) * nodeCost[i]
-			}
-		}
-		T := units.Time(d, u)
-		if T >= dl {
-			return
-		}
-		C := e.billCost(T, cu)
-		b := &bests[worker]
-		//lint:allow floateq exact argmin tie: ulp-equal costs resolve lexicographically by tuple, deterministic either way
-		if C < b.cost || (C == b.cost && b.ok && lessTuple(t, b.t)) {
-			b.cost, b.t, b.ok = C, t, true
-		}
-	})
-	out := best{cost: units.USD(math.Inf(1))}
-	for _, b := range bests {
-		if !b.ok {
-			continue
-		}
-		//lint:allow floateq exact argmin tie: ulp-equal costs resolve lexicographically by tuple, deterministic either way
-		if b.cost < out.cost || (b.cost == out.cost && out.ok && lessTuple(b.t, out.t)) {
-			out = b
-		}
-	}
-	if !out.ok {
-		return model.Prediction{}, false, nil
-	}
-	return e.caps.PredictBilled(d, out.t, e.billing), true, nil
+	return e.scanSearch(context.Background(), d, Constraints{Deadline: deadline}, objectiveCost)
 }
-
-// lessTuple is a deterministic tie-break on equal objective values.
-func lessTuple(a, b config.Tuple) bool { return a.String() < b.String() }
 
 type objective int
 
@@ -468,210 +416,32 @@ const (
 	objectiveTime
 )
 
-// catCombo is one within-category combination with its aggregate
-// capacity and unit cost.
-type catCombo struct {
-	counts [3]uint8
-	u      units.Rate
-	cu     units.USDPerHour
-}
-
-// decomposedSearch merges per-category Pareto-pruned combinations. It
-// assumes the catalog groups into the three paper categories; for
-// other catalogs, callers should use the exhaustive path.
-func (e *Engine) decomposedSearch(d units.Instructions, cons Constraints, obj objective) (model.Prediction, bool) {
-	pred, ok, _ := e.decomposedSearchCtx(context.Background(), d, cons, obj)
-	return pred, ok
-}
-
-func (e *Engine) decomposedSearchCtx(ctx context.Context, d units.Instructions, cons Constraints, obj objective) (model.Prediction, bool, error) {
-	cat := e.caps.Catalog()
-	groups := make([][]int, 0, 3)
-	for _, c := range cat.CategoryNames() {
-		groups = append(groups, cat.ByCategory(c))
-	}
-	// The fast merge is shaped for the paper's 3-categories × ≤3-types
-	// structure; fall back to a full scan for other catalogs.
-	if len(groups) > 3 {
-		return e.scanSearchCtx(ctx, d, cons, obj)
-	}
-	for _, g := range groups {
-		if len(g) > 3 {
-			return e.scanSearchCtx(ctx, d, cons, obj)
-		}
-	}
-	w, nodeCost := e.caps.NodeArrays()
-
-	// Enumerate and prune each category.
-	pruned := make([][]catCombo, len(groups))
-	for g, idx := range groups {
-		var combos []catCombo
-		limits := make([]int, len(idx))
-		for k, i := range idx {
-			limits[k] = e.space.Max(i)
-		}
-		counts := make([]int, len(idx))
-		//lint:allow ctxflow bounded odometer over <=3 types of <=max-count each (a few dozen combos); the expensive scans it feeds poll ctx
-		for {
-			var cc catCombo
-			for k, i := range idx {
-				cc.counts[k] = uint8(counts[k])
-				cc.u += units.Rate(counts[k]) * w[i]
-				cc.cu += units.USDPerHour(counts[k]) * nodeCost[i]
-			}
-			combos = append(combos, cc)
-			// Odometer.
-			k := 0
-			for k < len(counts) {
-				if counts[k] < limits[k] {
-					counts[k]++
-					break
-				}
-				counts[k] = 0
-				k++
-			}
-			if k == len(counts) {
-				break
-			}
-		}
-		pruned[g] = pruneCombos(combos)
-	}
-
-	// Merge across categories.
-	deadline, budget := cons.deadlineOrInf(), cons.budgetOrInf()
-	bestVal := math.Inf(1)
-	var bestTuple config.Tuple
-	found := false
-	consider := func(u units.Rate, cu units.USDPerHour, mk func() config.Tuple) {
-		if u <= 0 {
-			return
-		}
-		T := units.Time(d, u)
-		C := e.billCost(T, cu)
-		if T >= deadline || C >= budget {
-			return
-		}
-		//lint:allow unitsafe objective value is cost ($) or time (s) by query kind; only compared against itself
-		v := float64(C)
-		if obj == objectiveTime {
-			//lint:allow unitsafe objective value is cost ($) or time (s) by query kind; only compared against itself
-			v = float64(T)
-		}
-		//lint:allow floateq exact argmin tie: ulp-equal costs resolve lexicographically by tuple, deterministic either way
-		if v < bestVal || (v == bestVal && found && lessTuple(mk(), bestTuple)) {
-			bestVal = v
-			bestTuple = mk()
-			found = true
-		}
-	}
-	for _, a := range pruned[0] {
-		for _, b := range orEmpty(pruned, 1) {
-			for _, c := range orEmpty(pruned, 2) {
-				a, b, c := a, b, c
-				consider(a.u+b.u+c.u, a.cu+b.cu+c.cu, func() config.Tuple {
-					return e.assemble(groups, [][3]uint8{a.counts, b.counts, c.counts})
-				})
-			}
-		}
-	}
-	if !found {
-		return model.Prediction{}, false, nil
-	}
-	return e.caps.PredictBilled(d, bestTuple, e.billing), true, nil
-}
-
-// orEmpty lets the merge loops run even when the catalog has fewer than
-// three categories.
-func orEmpty(pruned [][]catCombo, g int) []catCombo {
-	if g < len(pruned) {
-		return pruned[g]
-	}
-	return []catCombo{{}}
-}
-
-// assemble rebuilds a full tuple from per-category counts.
-func (e *Engine) assemble(groups [][]int, counts [][3]uint8) config.Tuple {
-	full := make([]int, e.space.Types())
-	for g, idx := range groups {
-		if g >= len(counts) {
-			break
-		}
-		for k, i := range idx {
-			full[i] = int(counts[g][k])
-		}
-	}
-	t, err := config.NewTuple(full)
-	if err != nil {
-		panic("core: assemble produced invalid tuple: " + err.Error()) // counts come from the space
-	}
-	return t
-}
-
-// pruneCombos keeps the (unit cost ↓, capacity ↑) Pareto set of a
-// category's combinations: any dominated combination can be exchanged
-// for a dominating one in a full configuration without raising cost or
-// losing capacity.
-func pruneCombos(combos []catCombo) []catCombo {
-	sort.Slice(combos, func(i, j int) bool {
-		if combos[i].cu != combos[j].cu {
-			return combos[i].cu < combos[j].cu
-		}
-		return combos[i].u > combos[j].u
-	})
-	var out []catCombo
-	bestU := units.Rate(math.Inf(-1))
-	for _, c := range combos {
-		if c.u > bestU {
-			out = append(out, c)
-			bestU = c.u
-		}
-	}
-	return out
-}
-
-// scanSearch is the general single-objective search over the whole
-// space, used when the catalog does not fit the decomposed merge.
-func (e *Engine) scanSearch(d units.Instructions, cons Constraints, obj objective) (model.Prediction, bool) {
-	pred, ok, _ := e.scanSearchCtx(context.Background(), d, cons, obj)
-	return pred, ok
-}
-
-func (e *Engine) scanSearchCtx(ctx context.Context, d units.Instructions, cons Constraints, obj objective) (model.Prediction, bool, error) {
+// scanSearch is the single-objective search over the whole space: the
+// minimal objective under both constraints, value ties broken by the
+// lexicographically least tuple (lessTupleFast).
+func (e *Engine) scanSearch(ctx context.Context, d units.Instructions, cons Constraints, obj objective) (model.Prediction, bool, error) {
 	w, nodeCost := e.caps.NodeArrays()
 	deadline, budget := cons.deadlineOrInf(), cons.budgetOrInf()
 	workers := runtime.GOMAXPROCS(0)
 	type best struct {
-		val  float64
-		t    config.Tuple
-		ok   bool
-		seen uint64
+		val float64
+		t   config.Tuple
+		ok  bool
 	}
 	bests := make([]best, workers)
 	for i := range bests {
 		bests[i].val = math.Inf(1)
 	}
 	var stop atomic.Bool
-	e.space.ForEachParallel(workers, func(worker int, t config.Tuple) {
+	e.space.ForEachParallelIndexed(workers, func(worker int, k uint64, t config.Tuple) {
 		if stop.Load() {
 			return
 		}
-		if b := &bests[worker]; b.seen&ctxPollMask == ctxPollMask {
-			b.seen++
-			if ctx.Err() != nil {
-				stop.Store(true)
-				return
-			}
-		} else {
-			b.seen++
+		if k&ctxPollMask == 0 && ctx.Err() != nil {
+			stop.Store(true)
+			return
 		}
-		var u units.Rate
-		var cu units.USDPerHour
-		for i := 0; i < t.Len(); i++ {
-			if m := t.Count(i); m > 0 {
-				u += units.Rate(m) * w[i]
-				cu += units.USDPerHour(m) * nodeCost[i]
-			}
-		}
+		u, cu := accumulate(t, w, nodeCost)
 		T := units.Time(d, u)
 		C := e.billCost(T, cu)
 		if T >= deadline || C >= budget {
@@ -685,7 +455,7 @@ func (e *Engine) scanSearchCtx(ctx context.Context, d units.Instructions, cons C
 		}
 		b := &bests[worker]
 		//lint:allow floateq exact argmin tie: ulp-equal costs resolve lexicographically by tuple, deterministic either way
-		if v < b.val || (v == b.val && b.ok && lessTuple(t, b.t)) {
+		if v < b.val || (v == b.val && b.ok && lessTupleFast(t, b.t)) {
 			b.val, b.t, b.ok = v, t, true
 		}
 	})
@@ -695,7 +465,7 @@ func (e *Engine) scanSearchCtx(ctx context.Context, d units.Instructions, cons C
 	out := best{val: math.Inf(1)}
 	for _, b := range bests {
 		//lint:allow floateq exact argmin tie: ulp-equal costs resolve lexicographically by tuple, deterministic either way
-		if b.ok && (b.val < out.val || (b.val == out.val && out.ok && lessTuple(b.t, out.t))) {
+		if b.ok && (b.val < out.val || (b.val == out.val && out.ok && lessTupleFast(b.t, out.t))) {
 			out = b
 		}
 	}
@@ -716,10 +486,11 @@ func (e *Engine) MaxAccuracy(n float64, cons Constraints, tol float64) (workload
 }
 
 // MaxAccuracyContext is MaxAccuracy with cooperative cancellation. The
-// bisection runs up to ~20 sequential searches; on a scan-fallback
-// engine that is the single most expensive query the serving path can
-// receive, so each probe checks ctx and the whole bisection aborts as
-// soon as the context is done.
+// bisection runs up to ~20 sequential searches; on an engine with no
+// published index that is ~20 full scans, the single most expensive
+// query the serving path can receive, so each probe checks ctx and the
+// whole bisection aborts as soon as the context is done. Callers that
+// bisect repeatedly should publish the index first (Frontier).
 func (e *Engine) MaxAccuracyContext(ctx context.Context, n float64, cons Constraints, tol float64) (workload.Params, model.Prediction, bool, error) {
 	if tol <= 0 {
 		tol = 1e-3
@@ -730,7 +501,7 @@ func (e *Engine) MaxAccuracyContext(ctx context.Context, n float64, cons Constra
 		if err != nil {
 			return model.Prediction{}, false, nil
 		}
-		return e.searchBestCtx(ctx, d, cons, objectiveCost)
+		return e.searchBest(ctx, d, cons, objectiveCost)
 	}
 	pred, ok, err := check(lo)
 	if err != nil {

@@ -11,7 +11,10 @@ import (
 
 // ExampleEngine_MinCostForDeadline reproduces the paper's Figure 6(a)
 // annotation: the cheapest configuration for galaxy(65536, 8000) at a
-// 24-hour deadline saturates the c4 category and spills into m4.
+// 24-hour deadline saturates the c4 category and spills into m4. The
+// paper writes the spill [5,5,5,3,0,0,0,0,0]; one m4.xlarge equals two
+// m4.large in vCPUs and price, and Algorithm 1's float argmin spells
+// the same cluster with one of each.
 func ExampleEngine_MinCostForDeadline() {
 	engine := core.NewPaperEngine(galaxy.App{})
 	pred, ok, err := engine.MinCostForDeadline(
@@ -20,7 +23,7 @@ func ExampleEngine_MinCostForDeadline() {
 		panic(err)
 	}
 	fmt.Printf("%v at %v\n", pred.Config, pred.Cost)
-	// Output: [5,5,5,3,0,0,0,0,0] at $97.49
+	// Output: [5,5,5,1,1,0,0,0,0] at $97.49
 }
 
 // ExampleEngine_Analyze runs Algorithm 1 over the full ten-million
@@ -41,9 +44,13 @@ func ExampleEngine_Analyze() {
 }
 
 // ExampleEngine_MaxAccuracy answers the elastic-application question:
-// how much accuracy does a fixed deadline and budget buy?
+// how much accuracy does a fixed deadline and budget buy? The answer is
+// a bisection of ~20 searches, so the engine publishes its frontier
+// index first: one build, then each search reads the index instead of
+// scanning the space.
 func ExampleEngine_MaxAccuracy() {
 	engine := core.NewPaperEngine(galaxy.App{})
+	engine.Frontier()
 	p, _, ok, err := engine.MaxAccuracy(65536,
 		core.Constraints{Deadline: units.FromHours(24), Budget: 50}, 1e-3)
 	if err != nil || !ok {

@@ -23,7 +23,7 @@
 // resolved per query by the same billing-aware billCost the scan uses,
 // which is how hour-boundary reorderings between demands are handled
 // exactly rather than precomputed away (see DESIGN.md §9). Billing
-// policies not certified by Indexable fall back to the exhaustive
+// policies not certified by Indexable are answered by the exhaustive
 // scan.
 package core
 
@@ -44,7 +44,7 @@ import (
 // maxIndexPairs caps the distinct (U, c_u) pair table. A catalog whose
 // capacities and prices never collide would make the "index" as large
 // as the space itself; past this cap the build aborts and every query
-// keeps using the scan. The paper's catalog compresses 10,077,695
+// is answered by the scan. The paper's catalog compresses 10,077,695
 // configurations to 657,394 pairs (15×) and a 118-entry staircase.
 // A variable only so the overflow path is testable without a
 // multi-million-configuration catalog.
@@ -56,8 +56,8 @@ var maxIndexPairs = int64(4 << 20)
 // produce bit-identical sums — so each pair carries everything the tie
 // breaks need: the population count, the smallest configuration index
 // (Stream2D keeps the first-inserted point on exact frontier ties, and
-// the scan inserts in ascending index order), and the lessTuple-minimal
-// member (the argmin queries break value ties lexicographically).
+// the scan inserts in ascending index order), and the lessTupleFast-
+// minimal member (the argmin queries break value ties lexicographically).
 type idxPair struct {
 	u       units.Rate
 	cu      units.USDPerHour
@@ -94,7 +94,7 @@ type FrontierIndex struct {
 	// prefix[i] is the configuration count of pairs[:i], so a
 	// cost-feasible prefix of a span counts in O(1) after the search.
 	prefix []uint64
-	// spanLess[i] is the lessTuple-minimal member of pairs[start..i]
+	// spanLess[i] is the lessTupleFast-minimal member of pairs[start..i]
 	// within i's span (running minimum, reset at each span start), and
 	// spanMinIdx[i] the minimal configuration index over the same
 	// prefix. Both resolve value ties, whose achievers are always a
@@ -177,10 +177,13 @@ func lessDecimal(ca, cb uint8, lastA, lastB bool) bool {
 	return lastB // b's ',' sorts below a's digit; its ']' above
 }
 
-// lessTupleFast is lessTuple without building the two strings; the
-// index build calls it once per duplicate-pair configuration (~10M
-// times on the paper space) and the snapshot decoder once per restored
-// pair. Equivalence to lessTuple is property-tested in index_test.go.
+// lessTupleFast is the deterministic tie-break on equal objective
+// values: a sorts before b exactly when a.String() < b.String() (the
+// bracket notation's byte order), decided without building the strings.
+// The scans call it on every value tie, the index build once per
+// duplicate-pair configuration (~10M times on the paper space), and the
+// snapshot decoder once per restored pair. The string order is its
+// property-tested oracle (index_test.go).
 func lessTupleFast(a, b config.Tuple) bool {
 	ma, mb := a.Len(), b.Len()
 	m := ma
@@ -220,14 +223,7 @@ func buildFrontierIndex(e *Engine) *FrontierIndex {
 		if aborted.Load() {
 			return
 		}
-		var u units.Rate
-		var cu units.USDPerHour
-		for i := 0; i < t.Len(); i++ {
-			if m := t.Count(i); m > 0 {
-				u += units.Rate(m) * w[i]
-				cu += units.USDPerHour(m) * nodeCost[i]
-			}
-		}
+		u, cu := accumulate(t, w, nodeCost)
 		sh := shards[worker]
 		key := pairKey{u, cu}
 		if agg, ok := sh[key]; ok {
@@ -377,7 +373,7 @@ func finishIndex(pairs []idxPair, total uint64) *FrontierIndex {
 	return x
 }
 
-// fillSpanMinima computes the running lessTuple / minimal-index minima
+// fillSpanMinima computes the running lessTupleFast / minimal-index minima
 // for every pair inside spans [lo, hi); spans touch disjoint pair
 // ranges, so concurrent calls over distinct span ranges never overlap.
 func (x *FrontierIndex) fillSpanMinima(lo, hi int) {
@@ -571,8 +567,8 @@ func (x *FrontierIndex) minSearch(e *Engine, d units.Instructions, cons Constrai
 
 // Candidate is one staircase step of the demand-invariant frontier:
 // an exact (capacity, unit cost) value pair together with a
-// deterministic representative configuration (the lessTuple-minimal
-// member of the step's cheapest pair). Under any Indexable billing
+// deterministic representative configuration (the lessTupleFast-
+// minimal member of the step's cheapest pair). Under any Indexable billing
 // policy every per-query optimum takes its (time, cost) values from
 // some candidate, whatever the demand — the property the schedule
 // solver builds on: one candidate table prices every timestep of a
@@ -594,14 +590,13 @@ func (x *FrontierIndex) Candidates() []Candidate {
 	return out
 }
 
-// FrontierCandidates builds the index if needed and returns its
-// staircase candidates regardless of the engine's billing policy or
-// index opt-in: the (U, c_u) pair table and its staircase depend only
-// on the catalog (billing enters at query-time pricing), so horizon
-// solvers can reuse one build even on engines whose billing is not
-// certified index-monotone (their per-query paths fall back to the
-// scan) and on engines that never opted their query surface in. ok is
-// false when the catalog does not compress under the pair cap.
+// FrontierCandidates returns the staircase candidates of the engine's
+// frontier index, building and publishing it first if needed (the same
+// at-most-once build as Frontier). The (U, c_u) pair table and its
+// staircase depend only on the catalog — billing enters at query-time
+// pricing — so horizon solvers reuse one build whatever the engine
+// bills. ok is false when the catalog does not compress under the pair
+// cap.
 func (e *Engine) FrontierCandidates() ([]Candidate, bool) {
 	idx := e.ensureIndex()
 	if idx == nil {
@@ -610,10 +605,13 @@ func (e *Engine) FrontierCandidates() ([]Candidate, bool) {
 	return idx.Candidates(), true
 }
 
-// Frontier returns the billing-independent frontier index object,
-// building it on first use regardless of the engine's query opt-in and
-// billing policy — the snapshot layer persists exactly this object. ok
-// is false when the catalog does not compress under the pair cap.
+// Frontier returns the engine's billing-independent frontier index,
+// building and publishing it on first use: the lazy at-most-once build.
+// Queries never build, so a caller about to issue many queries (a
+// sweep, a MaxAccuracy bisection, a server's first request) calls this
+// once to move them off the scan. The snapshot layer persists exactly
+// this object. ok is false when the catalog does not compress under the
+// pair cap.
 func (e *Engine) Frontier() (*FrontierIndex, bool) {
 	x := e.ensureIndex()
 	return x, x != nil
@@ -639,7 +637,6 @@ func (e *Engine) ensureIndex() *FrontierIndex {
 	x := buildFrontierIndex(e)
 	if x != nil {
 		e.idx.Store(x)
-		e.idxReady.Store(true)
 	}
 	e.idxTried.Store(true)
 	return x
@@ -648,11 +645,10 @@ func (e *Engine) ensureIndex() *FrontierIndex {
 // InstallIndex atomically publishes a prebuilt index — typically one
 // decoded from an on-disk snapshot — as this engine's frontier index.
 // In-flight queries keep the pointer they already loaded; new queries
-// see the installed index immediately. The index must cover exactly
-// this engine's configuration space; callers are responsible for
-// matching the catalog itself (internal/snapshot pins it with a
-// fingerprint). Installing does not flip the query surface on — the
-// engine still honors SetUseIndex and the billing certification gate.
+// under a certified billing policy answer from the installed index
+// immediately. The index must cover exactly this engine's configuration
+// space; callers are responsible for matching the catalog itself
+// (internal/snapshot pins it with a fingerprint).
 func (e *Engine) InstallIndex(x *FrontierIndex) error {
 	if x == nil {
 		return fmt.Errorf("core: install of nil index")
@@ -663,7 +659,6 @@ func (e *Engine) InstallIndex(x *FrontierIndex) error {
 	e.idxMu.Lock()
 	defer e.idxMu.Unlock()
 	e.idx.Store(x)
-	e.idxReady.Store(true)
 	e.idxTried.Store(true)
 	return nil
 }
@@ -688,96 +683,53 @@ func (e *Engine) RebuildIndex() (st IndexStats, err error) {
 	}
 	e.idxMu.Lock()
 	e.idx.Store(x)
-	e.idxReady.Store(true)
 	e.idxTried.Store(true)
 	e.idxMu.Unlock()
 	return x.Stats(), nil
 }
 
-// SetUseIndex opts the engine in (or out) of the frontier index. The
-// index is built lazily on the first routed query and reused by every
-// later one. Not safe to flip concurrently with queries: set it during
-// engine assembly, before serving.
-func (e *Engine) SetUseIndex(on bool) { e.useIndex = on }
-
-// UseIndex reports whether the engine is opted into the frontier index.
-func (e *Engine) UseIndex() bool { return e.useIndex }
-
-// indexFor returns the index when this query may be answered from it:
-// the engine opted in, the billing policy is certified index-monotone
-// (model.Billing.Indexable — per-second and per-hour both are), and
-// the build did not overflow maxIndexPairs.
+// indexFor returns the published index when this query may be answered
+// from it: the billing policy is certified index-monotone
+// (model.Billing.Indexable — per-second and per-hour both are) and an
+// index has been built, rebuilt, or installed. It never builds one.
 func (e *Engine) indexFor() *FrontierIndex {
-	if !e.useIndex || !e.billing.Indexable() {
+	if !e.billing.Indexable() {
 		return nil
 	}
-	return e.ensureIndex()
+	return e.idx.Load()
 }
 
-// IndexActive reports whether queries are currently answered from the
-// frontier index, building it if the engine opted in and it does not
-// exist yet.
-func (e *Engine) IndexActive() bool { return e.indexFor() != nil }
-
-// FrontierIndex exposes the engine's index (building it on first use);
-// ok is false when the engine is opted out, the billing policy is not
-// certified index-monotone, or the catalog did not compress under
-// maxIndexPairs.
-func (e *Engine) FrontierIndex() (*FrontierIndex, bool) {
-	idx := e.indexFor()
-	return idx, idx != nil
-}
-
-// IndexBuilt reports whether queries are currently routed to an
-// already-built index, without triggering the build: response headers
-// and telemetry probe this on paths (cache hits, bypassed engines)
-// that must not pay the build cost. The atomic load orders the idx
-// pointer read after the build's completing store.
-func (e *Engine) IndexBuilt() bool {
-	return e.useIndex && e.billing.Indexable() && e.idxReady.Load()
-}
-
-// FrontierBuilt reports whether the billing-independent pair table and
-// staircase exist (built by any path, including FrontierCandidates),
-// without triggering a build. Distinct from IndexBuilt: an opted-out
-// engine's per-query paths bypass the index, yet a horizon solve on it
-// is still index-backed.
-func (e *Engine) FrontierBuilt() bool { return e.idxReady.Load() }
+// FrontierBuilt reports whether a frontier index is published (built,
+// rebuilt, or installed), without triggering a build. Queries answer
+// from it exactly when this holds and the billing policy is certified
+// (model.Billing.Indexable); a horizon solve uses it whatever the
+// billing.
+func (e *Engine) FrontierBuilt() bool { return e.idx.Load() != nil }
 
 // BypassCause classifies why analytic queries on an engine are (or
-// would be) answered by the exhaustive scan instead of the frontier
-// index, so operators can tell a configuration choice from a
-// capability gap (the serving layer counts and labels them
-// separately).
+// would be) answered by the exhaustive scan even once an index is
+// requested — capability gaps the serving layer counts and labels.
 type BypassCause int
 
 const (
-	// BypassNone: the index path is active or will activate on the
-	// first routed query.
+	// BypassNone: queries answer from the index once one is published.
 	BypassNone BypassCause = iota
-	// BypassConfig: the engine was deliberately opted out
-	// (SetUseIndex(false) / serving's DisableIndex) — a config choice.
-	BypassConfig
 	// BypassBilling: the engine's billing policy is not certified
-	// index-monotone (model.Billing.Indexable) — a capability gap.
-	// Per-second and per-hour are both certified; only unknown future
-	// policies land here.
+	// index-monotone (model.Billing.Indexable). Per-second and per-hour
+	// are both certified; only unknown future policies land here.
 	BypassBilling
 	// BypassPairCap: the catalog did not compress under maxIndexPairs,
-	// so the build aborted — a capability gap.
+	// so the build aborted.
 	BypassPairCap
 )
 
 // IndexBypassCause reports the engine's bypass classification without
-// triggering a build. Opt-out is reported before billing: a
-// deliberately scan-backed engine stays "config" whatever it bills.
+// triggering a build.
 func (e *Engine) IndexBypassCause() BypassCause {
 	switch {
-	case !e.useIndex:
-		return BypassConfig
 	case !e.billing.Indexable():
 		return BypassBilling
-	case e.idxTried.Load() && !e.idxReady.Load():
+	case e.idxTried.Load() && e.idx.Load() == nil:
 		return BypassPairCap
 	default:
 		return BypassNone
@@ -786,13 +738,11 @@ func (e *Engine) IndexBypassCause() BypassCause {
 
 // IndexBypassReason explains why analytic queries on this engine are
 // (or would be) answered by the exhaustive scan instead of the
-// frontier index. It returns "" when the index path is active or will
-// activate on the first routed query, and never triggers a build
-// itself, so operators can probe it at startup for free.
+// frontier index. It returns "" when the index serves or will once
+// published, and never triggers a build itself, so operators can probe
+// it at startup for free.
 func (e *Engine) IndexBypassReason() string {
 	switch e.IndexBypassCause() {
-	case BypassConfig:
-		return "index disabled for this engine"
 	case BypassBilling:
 		return fmt.Sprintf("billing policy %s is not certified index-monotone; every query falls back to the exhaustive scan", e.billing)
 	case BypassPairCap:

@@ -18,7 +18,7 @@
 //	    u64 cu       unit-cost bits
 //	    u64 count    configurations aggregated into this pair
 //	    u64 minIdx   minimal configuration index of the pair
-//	    M × u8       lessTuple-minimal member's counts
+//	    M × u8       lessTupleFast-minimal member's counts
 //	}
 //
 // DecodeFrontierIndex is strict: any structural violation — wrong

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -24,6 +25,19 @@ func (d detSource) Int63() int64   { return int64(d.s.Uint64() >> 1) }
 func (d detSource) Seed(_ int64)   {}
 func (d detSource) Uint64() uint64 { return d.s.Uint64() }
 
+// scanTwin returns an engine over eng's catalog, demand model, space
+// and billing that never publishes an index, so every answer it gives
+// is the exhaustive scan's.
+func scanTwin(t *testing.T, eng *Engine) *Engine {
+	t.Helper()
+	twin, err := NewEngine(eng.caps, eng.dm, eng.space, eng.domain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin.SetBilling(eng.billing)
+	return twin
+}
+
 // TestIndexEqualsScanRandomized is the randomized certification of the
 // frontier index: across random catalogs, constraints (including
 // unconstrained and infeasible ones), the indexed Analyze and all
@@ -33,6 +47,10 @@ func TestIndexEqualsScanRandomized(t *testing.T) {
 	rng := rand.New(detSource{detrand.New(0xce11a)})
 	for trial := 0; trial < 30; trial++ {
 		eng := randomEngine(t, rng)
+		scan := scanTwin(t, eng)
+		if _, ok := eng.Frontier(); !ok {
+			t.Fatalf("trial %d: random catalog did not index", trial)
+		}
 		maxCap := 0.0
 		eng.Space().ForEach(func(tp config.Tuple) bool {
 			if u := float64(eng.Capacities().Capacity(tp)); u > maxCap {
@@ -57,18 +75,13 @@ func TestIndexEqualsScanRandomized(t *testing.T) {
 			Constraints{Deadline: 1e-9},
 		)
 		for ci, cons := range conss {
-			eng.SetUseIndex(false)
-			scanAn, err := eng.Analyze(p, cons, Options{})
+			scanAn, err := scan.Analyze(p, cons, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.SetUseIndex(true)
 			idxAn, err := eng.Analyze(p, cons, Options{})
 			if err != nil {
 				t.Fatal(err)
-			}
-			if !eng.IndexActive() {
-				t.Fatalf("trial %d: index inactive on a per-second engine", trial)
 			}
 			if !reflect.DeepEqual(idxAn, scanAn) {
 				t.Fatalf("trial %d cons %d: indexed Analysis %+v != scan %+v",
@@ -85,7 +98,10 @@ func TestIndexEqualsScanRandomized(t *testing.T) {
 			}
 			for _, obj := range []objective{objectiveCost, objectiveTime} {
 				got, okG := idx.minSearch(eng, dem, cons, obj)
-				want, okW := eng.scanSearch(dem, cons, obj)
+				want, okW, err := eng.scanSearch(context.Background(), dem, cons, obj)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if okG != okW || !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d cons %d obj %d: indexed (%+v, %v) != scan (%+v, %v)",
 						trial, ci, obj, got, okG, want, okW)
@@ -115,15 +131,13 @@ func TestIndexEqualsScanRandomized(t *testing.T) {
 				trial, len(re), len(payload))
 		}
 
-		// MaxAccuracy bisects over searchBest: index on and off must
-		// land on the same rung and prediction.
+		// MaxAccuracy bisects over searchBest: the indexed engine and its
+		// scan twin must land on the same rung and prediction.
 		cons := Constraints{Deadline: deadline, Budget: budget}
-		eng.SetUseIndex(false)
-		pS, predS, okS, err := eng.MaxAccuracy(math.Max(1, d/2), cons, 1e-3)
+		pS, predS, okS, err := scan.MaxAccuracy(math.Max(1, d/2), cons, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.SetUseIndex(true)
 		pI, predI, okI, err := eng.MaxAccuracy(math.Max(1, d/2), cons, 1e-3)
 		if err != nil {
 			t.Fatal(err)
@@ -139,9 +153,9 @@ func TestIndexEqualsScanRandomized(t *testing.T) {
 		// superset and every answer — census, frontier, argmin tuple,
 		// tie metadata — must match the scan bit for bit.
 		eng.SetBilling(model.PerHour)
-		eng.SetUseIndex(true)
-		if !eng.IndexActive() {
-			t.Fatalf("trial %d: index inactive under per-hour billing", trial)
+		scan.SetBilling(model.PerHour)
+		if eng.indexFor() == nil {
+			t.Fatalf("trial %d: index not serving under per-hour billing", trial)
 		}
 		dem, err := eng.Demand(p)
 		if err != nil {
@@ -149,12 +163,10 @@ func TestIndexEqualsScanRandomized(t *testing.T) {
 		}
 		idx := eng.indexFor()
 		for ci, cons := range conss {
-			eng.SetUseIndex(false)
-			scanAn, err := eng.Analyze(p, cons, Options{})
+			scanAn, err := scan.Analyze(p, cons, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng.SetUseIndex(true)
 			idxAn, err := eng.Analyze(p, cons, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -165,19 +177,20 @@ func TestIndexEqualsScanRandomized(t *testing.T) {
 			}
 			for _, obj := range []objective{objectiveCost, objectiveTime} {
 				got, okG := idx.minSearch(eng, dem, cons, obj)
-				want, okW := eng.scanSearch(dem, cons, obj)
+				want, okW, err := eng.scanSearch(context.Background(), dem, cons, obj)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if okG != okW || !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d cons %d obj %d: per-hour indexed (%+v, %v) != scan (%+v, %v)",
 						trial, ci, obj, got, okG, want, okW)
 				}
 			}
 		}
-		eng.SetUseIndex(false)
-		pHS, predHS, okHS, err := eng.MaxAccuracy(math.Max(1, d/2), cons, 1e-3)
+		pHS, predHS, okHS, err := scan.MaxAccuracy(math.Max(1, d/2), cons, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.SetUseIndex(true)
 		pHI, predHI, okHI, err := eng.MaxAccuracy(math.Max(1, d/2), cons, 1e-3)
 		if err != nil {
 			t.Fatal(err)
@@ -199,7 +212,6 @@ func TestIndexPerHourPairCapFallsBack(t *testing.T) {
 	defer func() { maxIndexPairs = old }()
 	rng := rand.New(detSource{detrand.New(0xce11a)})
 	eng := randomEngine(t, rng)
-	eng.SetUseIndex(true)
 	eng.SetBilling(model.PerHour)
 	maxCap := 0.0
 	eng.Space().ForEach(func(tp config.Tuple) bool {
@@ -218,12 +230,15 @@ func TestIndexPerHourPairCapFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, ok := eng.Frontier(); ok {
+		t.Fatal("index built past the pair cap")
+	}
 	got, err := eng.Analyze(p, cons, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.IndexActive() {
-		t.Fatal("index active past the pair cap")
+	if eng.FrontierBuilt() {
+		t.Fatal("index published past the pair cap")
 	}
 	if cause := eng.IndexBypassCause(); cause != BypassPairCap {
 		t.Fatalf("bypass cause = %d, want BypassPairCap", cause)

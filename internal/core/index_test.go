@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/apps/galaxy"
@@ -18,11 +20,32 @@ import (
 	"repro/internal/workload"
 )
 
-// indexedEngine is smallEngine opted into the frontier index.
+// indexedEngine is smallEngine with its frontier index published.
 func indexedEngine(t *testing.T, app workload.App, maxNodes int) *Engine {
 	t.Helper()
 	eng := smallEngine(t, app, maxNodes)
-	eng.SetUseIndex(true)
+	if _, ok := eng.Frontier(); !ok {
+		t.Fatal("small catalog did not index")
+	}
+	return eng
+}
+
+// paperIndexes builds one frontier index per paper application, once
+// per test binary: a paper-space build takes seconds (far longer under
+// -race), and an index is immutable, so tests share it.
+var paperIndexes sync.Map // app name → func() *FrontierIndex
+
+// indexedPaperEngine returns a fresh paper engine for app with the
+// shared index installed; its billing policy is the caller's to set.
+func indexedPaperEngine(t *testing.T, app workload.App) *Engine {
+	t.Helper()
+	build, _ := paperIndexes.LoadOrStore(app.Name(), sync.OnceValue(func() *FrontierIndex {
+		return buildFrontierIndex(NewPaperEngine(app))
+	}))
+	eng := NewPaperEngine(app)
+	if err := eng.InstallIndex(build.(func() *FrontierIndex)()); err != nil {
+		t.Fatal(err)
+	}
 	return eng
 }
 
@@ -55,7 +78,7 @@ func TestLessTupleFastMatchesLessTuple(t *testing.T) {
 		for i := range counts {
 			// Bias toward multi-digit counts: the string order of
 			// "[1,10]" vs "[1,2]" is where a naive numeric comparison
-			// would diverge from lessTuple.
+			// would diverge from the string order.
 			counts[i] = rng.Intn(256)
 		}
 		tp, err := config.NewTuple(counts)
@@ -69,18 +92,19 @@ func TestLessTupleFastMatchesLessTuple(t *testing.T) {
 		if trial%5 == 0 {
 			b = a // exercise the equal case
 		}
-		if got, want := lessTupleFast(a, b), lessTuple(a, b); got != want {
-			t.Fatalf("lessTupleFast(%v, %v) = %v, lessTuple = %v", a, b, got, want)
+		// The oracle is the bracket notation's byte order.
+		if got, want := lessTupleFast(a, b), a.String() < b.String(); got != want {
+			t.Fatalf("lessTupleFast(%v, %v) = %v, string order says %v", a, b, got, want)
 		}
-		if got, want := lessTupleFast(b, a), lessTuple(b, a); got != want {
-			t.Fatalf("lessTupleFast(%v, %v) = %v, lessTuple = %v", b, a, got, want)
+		if got, want := lessTupleFast(b, a), b.String() < a.String(); got != want {
+			t.Fatalf("lessTupleFast(%v, %v) = %v, string order says %v", b, a, got, want)
 		}
 	}
 	// The documented divergence trap: "[1,10,...]" sorts before
 	// "[1,2,...]" because ',' < '2' byte-wise.
 	a := config.MustTuple(1, 10)
 	b := config.MustTuple(1, 2)
-	if !lessTupleFast(a, b) || !lessTuple(a, b) {
+	if !lessTupleFast(a, b) || a.String() >= b.String() {
 		t.Fatalf("string order of %v vs %v not preserved", a, b)
 	}
 }
@@ -88,8 +112,8 @@ func TestLessTupleFastMatchesLessTuple(t *testing.T) {
 func TestIndexedAnalyzeMatchesScanSmall(t *testing.T) {
 	scanEng := smallEngine(t, galaxy.App{}, 2)
 	idxEng := indexedEngine(t, galaxy.App{}, 2)
-	if !idxEng.IndexActive() {
-		t.Fatal("index not active on a per-second engine that opted in")
+	if idxEng.indexFor() == nil {
+		t.Fatal("published index not serving a per-second engine")
 	}
 	p := workload.Params{N: 32768, A: 2000}
 	cases := []struct {
@@ -129,12 +153,11 @@ func TestIndexedArgminMatchesExhaustiveSmall(t *testing.T) {
 			label := fmt.Sprintf("deadline=%v budget=%v", deadline, budget)
 			cons := Constraints{Deadline: deadline, Budget: budget}
 			for _, obj := range []objective{objectiveCost, objectiveTime} {
-				want, okW := scanEng.scanSearch(d, cons, obj)
-				idx, ok := idxEng.FrontierIndex()
-				if !ok {
-					t.Fatal("no index")
+				want, okW, err := scanEng.scanSearch(context.Background(), d, cons, obj)
+				if err != nil {
+					t.Fatal(err)
 				}
-				got, okG := idx.minSearch(idxEng, d, cons, obj)
+				got, okG := idxEng.indexFor().minSearch(idxEng, d, cons, obj)
 				if okW != okG {
 					t.Fatalf("%s obj=%d: ok %v vs scan %v", label, obj, okG, okW)
 				}
@@ -144,8 +167,8 @@ func TestIndexedArgminMatchesExhaustiveSmall(t *testing.T) {
 			}
 		}
 	}
-	// The public entry points, including the exhaustive argmin used to
-	// certify Decomposed (identical tuple, not just identical cost).
+	// The public entry points against the exhaustive argmin (identical
+	// tuple, not just identical cost).
 	for _, deadline := range []units.Seconds{units.FromHours(12), units.FromHours(24)} {
 		gotP, okG, err := idxEng.MinCostForDeadline(p, deadline)
 		if err != nil {
@@ -229,15 +252,12 @@ func TestIndexPerHourBillingServes(t *testing.T) {
 	// so the same index serves it: queries stay routed, and they match
 	// the exhaustive per-hour argmin exactly — tuple included.
 	eng := indexedEngine(t, galaxy.App{}, 2)
-	if !eng.IndexActive() {
-		t.Fatal("per-second index inactive")
+	if eng.indexFor() == nil {
+		t.Fatal("per-second index not serving")
 	}
 	eng.SetBilling(model.PerHour)
-	if !eng.IndexActive() {
-		t.Fatal("index inactive under per-hour billing: ceil billing is certified index-monotone")
-	}
-	if _, ok := eng.FrontierIndex(); !ok {
-		t.Fatal("FrontierIndex withheld under per-hour billing")
+	if eng.indexFor() == nil {
+		t.Fatal("index not serving under per-hour billing: ceil billing is certified index-monotone")
 	}
 	p := workload.Params{N: 32768, A: 2000}
 	got, okG, err := eng.MinCostForDeadline(p, units.FromHours(24))
@@ -257,15 +277,15 @@ func TestIndexPerHourBillingServes(t *testing.T) {
 	// back to the already-built index when billing returns to a
 	// certified policy.
 	eng.SetBilling(model.Billing(7))
-	if eng.IndexActive() {
-		t.Fatal("index active under an uncertified billing policy")
+	if eng.indexFor() != nil {
+		t.Fatal("index serving an uncertified billing policy")
 	}
 	if cause := eng.IndexBypassCause(); cause != BypassBilling {
 		t.Fatalf("bypass cause = %d, want BypassBilling", cause)
 	}
 	eng.SetBilling(model.PerSecond)
-	if !eng.IndexActive() {
-		t.Fatal("index did not reactivate under per-second billing")
+	if eng.indexFor() == nil {
+		t.Fatal("index did not serve again under per-second billing")
 	}
 }
 
@@ -274,8 +294,7 @@ func TestIndexOverflowGuardFallsBack(t *testing.T) {
 	maxIndexPairs = 8
 	defer func() { maxIndexPairs = old }()
 	eng := smallEngine(t, galaxy.App{}, 1)
-	eng.SetUseIndex(true)
-	if eng.IndexActive() {
+	if _, ok := eng.Frontier(); ok || eng.FrontierBuilt() {
 		t.Fatal("index built past the pair cap")
 	}
 	// Queries still answer, via the scan.
@@ -302,10 +321,9 @@ func TestIndexGoldenPaperSpace(t *testing.T) {
 	// exhaustive census byte for byte, and the index's shape must match
 	// the recorded compression (EXPERIMENTS.md pins the census values).
 	scanEng := NewPaperEngine(galaxy.App{})
-	idxEng := NewPaperEngine(galaxy.App{})
-	idxEng.SetUseIndex(true)
+	idxEng := indexedPaperEngine(t, galaxy.App{})
 
-	idx, ok := idxEng.FrontierIndex()
+	idx, ok := idxEng.Frontier()
 	if !ok {
 		t.Fatal("paper engine refused to build the index")
 	}
@@ -335,13 +353,10 @@ func TestIndexGoldenPaperSpace(t *testing.T) {
 
 	// The paper's annotated spill point via the index. The exhaustive
 	// scan's winner is [5,5,5,1,1,0,0,0,0]: within the type-3/type-4
-	// instance family (exact 2× vCPU/price scaling) the two spellings
-	// are the same machine mix, but the float accumulation of the
-	// (1,1) split rounds one ulp cheaper, so it is the true float
-	// argmin. The decomposed path prunes it inside its category table
-	// and lands on [5,5,5,3,0,0,0,0,0] one ulp above — a pre-existing
-	// ulp-level divergence of the decomposed path, not an index
-	// regression; the index certifies against the exhaustive scan.
+	// instance family (exact 2× vCPU/price scaling) it is the same
+	// machine mix as the paper's [5,5,5,3,0,0,0,0,0], but the float
+	// accumulation of the (1,1) split rounds one ulp cheaper, so it is
+	// the true float argmin.
 	pred, okP, err := idxEng.MinCostForDeadline(p, units.FromHours(24))
 	if err != nil || !okP {
 		t.Fatal(okP, err)
@@ -356,14 +371,6 @@ func TestIndexGoldenPaperSpace(t *testing.T) {
 	if !reflect.DeepEqual(pred, exh) {
 		t.Errorf("indexed mincost %+v != exhaustive %+v", pred, exh)
 	}
-	dec, okD, err := scanEng.MinCostForDeadline(p, units.FromHours(24))
-	if err != nil || !okD {
-		t.Fatal(okD, err)
-	}
-	if dec.Config.String() != "[5,5,5,3,0,0,0,0,0]" || dec.Cost <= pred.Cost {
-		t.Errorf("decomposed pick %s at $%v changed; the documented ulp gap to the index's $%v no longer holds",
-			dec.Config, dec.Cost, pred.Cost)
-	}
 }
 
 func TestIndexGoldenPaperSpaceSand(t *testing.T) {
@@ -371,8 +378,7 @@ func TestIndexGoldenPaperSpaceSand(t *testing.T) {
 		t.Skip("paper-space census in -short mode")
 	}
 	scanEng := NewPaperEngine(sand.App{})
-	idxEng := NewPaperEngine(sand.App{})
-	idxEng.SetUseIndex(true)
+	idxEng := indexedPaperEngine(t, sand.App{})
 	p := workload.Params{N: 8192e6, A: 0.32}
 	cons := Constraints{Deadline: units.FromHours(24), Budget: 350}
 	scan, err := scanEng.Analyze(p, cons, Options{})
@@ -401,15 +407,10 @@ func TestIndexGoldenPaperSpacePerHour(t *testing.T) {
 	// to the ~350ms scan.
 	scanEng := NewPaperEngine(galaxy.App{})
 	scanEng.SetBilling(model.PerHour)
-	idxEng := NewPaperEngine(galaxy.App{})
+	idxEng := indexedPaperEngine(t, galaxy.App{})
 	idxEng.SetBilling(model.PerHour)
-	idxEng.SetUseIndex(true)
-	if !idxEng.IndexActive() {
-		// Force the lazy build through a query below; IndexActive only
-		// turns true after the first build attempt succeeds.
-		if _, ok := idxEng.FrontierIndex(); !ok {
-			t.Fatal("paper engine refused to build the index under per-hour billing")
-		}
+	if idxEng.indexFor() == nil {
+		t.Fatal("paper index not serving under per-hour billing")
 	}
 
 	p := workload.Params{N: 65536, A: 8000}
@@ -472,15 +473,15 @@ func TestFrontierCandidatesStaircase(t *testing.T) {
 }
 
 func TestFrontierCandidatesIgnoreBillingAndOptIn(t *testing.T) {
-	// Neither billing policy nor a missing opt-in blocks the build: the
-	// staircase depends only on the catalog, so horizon solvers get the
-	// same candidates the query index serves.
+	// Billing does not block the build: the staircase depends only on
+	// the catalog, so horizon solvers get the same candidates the query
+	// index serves, and the build publishes it for queries too.
 	ref := indexedEngine(t, galaxy.App{}, 2)
 	want, ok := ref.FrontierCandidates()
 	if !ok {
 		t.Fatal("reference engine did not index")
 	}
-	eng := smallEngine(t, galaxy.App{}, 2) // never opted in
+	eng := smallEngine(t, galaxy.App{}, 2)
 	eng.SetBilling(model.PerHour)
 	if eng.FrontierBuilt() {
 		t.Fatal("FrontierBuilt before any build was requested")
@@ -490,25 +491,20 @@ func TestFrontierCandidatesIgnoreBillingAndOptIn(t *testing.T) {
 		t.Fatal("per-hour engine refused to build the frontier")
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("candidates depend on billing/opt-in:\n%+v\n%+v", got, want)
+		t.Fatalf("candidates depend on billing:\n%+v\n%+v", got, want)
 	}
 	if !eng.FrontierBuilt() {
 		t.Fatal("FrontierBuilt false after a successful build")
 	}
-	if eng.IndexActive() {
-		t.Fatal("query path claims the index despite the missing opt-in")
+	if eng.indexFor() == nil {
+		t.Fatal("per-hour queries ignore the index FrontierCandidates published")
 	}
-	if cause := eng.IndexBypassCause(); cause != BypassConfig {
-		t.Fatalf("bypass cause = %d, want BypassConfig (opt-out outranks billing)", cause)
+	if cause := eng.IndexBypassCause(); cause != BypassNone {
+		t.Fatalf("bypass cause = %d, want BypassNone", cause)
 	}
 }
 
 func TestIndexBypassReason(t *testing.T) {
-	optedOut := smallEngine(t, galaxy.App{}, 1)
-	if got := optedOut.IndexBypassReason(); got != "index disabled for this engine" {
-		t.Fatalf("opted-out reason = %q", got)
-	}
-
 	perHour := indexedEngine(t, galaxy.App{}, 1)
 	perHour.SetBilling(model.PerHour)
 	if got := perHour.IndexBypassReason(); got != "" {
@@ -521,7 +517,7 @@ func TestIndexBypassReason(t *testing.T) {
 		t.Fatalf("uncertified-billing reason = %q", got)
 	}
 
-	active := indexedEngine(t, galaxy.App{}, 1)
+	active := smallEngine(t, galaxy.App{}, 1)
 	if got := active.IndexBypassReason(); got != "" {
 		t.Fatalf("healthy engine reports bypass before build: %q", got)
 	}
@@ -535,9 +531,9 @@ func TestIndexBypassReason(t *testing.T) {
 	old := maxIndexPairs
 	maxIndexPairs = 2
 	defer func() { maxIndexPairs = old }()
-	overflow := indexedEngine(t, galaxy.App{}, 1)
-	// Probing never builds: the overflow is invisible until a query
-	// (or a horizon solve) actually tries.
+	overflow := smallEngine(t, galaxy.App{}, 1)
+	// Probing never builds: the overflow is invisible until a build
+	// (Frontier, or a horizon solve) actually tries.
 	if got := overflow.IndexBypassReason(); got != "" {
 		t.Fatalf("untried engine reports bypass: %q", got)
 	}

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -16,8 +16,8 @@ import (
 
 // randomEngine builds an engine over a randomized catalog (random
 // prices and rates, 1–3 categories × 1–3 types, small node limits) so
-// the decomposed-vs-exhaustive equivalence is tested far from the
-// paper's particular numbers.
+// the index-vs-exhaustive equivalence is tested far from the paper's
+// particular numbers.
 func randomEngine(t *testing.T, rng *rand.Rand) *Engine {
 	t.Helper()
 	nCats := 1 + rng.Intn(3)
@@ -64,10 +64,10 @@ func randomEngine(t *testing.T, rng *rand.Rand) *Engine {
 	return eng
 }
 
-// TestDecomposedEqualsExhaustiveRandomized is the randomized
-// certification of the decomposition argument: for any additive
-// capacity/cost structure, pruning each category to its Pareto set
-// loses no optimum.
+// TestDecomposedEqualsExhaustiveRandomized certifies the argmin against
+// Algorithm 1 on random catalogs: with the frontier index published,
+// MinCostForDeadline must return MinCostExhaustive's tuple and cost
+// exactly.
 func TestDecomposedEqualsExhaustiveRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 40; trial++ {
@@ -86,24 +86,28 @@ func TestDecomposedEqualsExhaustiveRandomized(t *testing.T) {
 		d := maxCap * frac * float64(deadline)
 		p := workload.Params{N: d, A: 1}
 
-		dec, okD, err := eng.MinCostForDeadline(p, deadline)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exh, okE, err := eng.MinCostExhaustive(p, deadline)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if okD != okE {
-			t.Fatalf("trial %d: feasibility mismatch dec=%v exh=%v", trial, okD, okE)
-		}
-		if !okD {
-			continue
-		}
-		if math.Abs(float64(dec.Cost)-float64(exh.Cost)) > 1e-9*math.Max(1, float64(exh.Cost)) {
-			t.Fatalf("trial %d: decomposed %v != exhaustive %v (%v vs %v)",
-				trial, dec.Cost, exh.Cost, dec.Config, exh.Config)
-		}
+		requireIndexedArgminExact(t, trial, eng, p, deadline)
+	}
+}
+
+// requireIndexedArgminExact publishes eng's index and asserts the
+// indexed MinCostForDeadline equals MinCostExhaustive bit for bit.
+func requireIndexedArgminExact(t *testing.T, trial int, eng *Engine, p workload.Params, deadline units.Seconds) {
+	t.Helper()
+	if _, ok := eng.Frontier(); !ok {
+		t.Fatalf("trial %d: random catalog did not index", trial)
+	}
+	idx, okI, err := eng.MinCostForDeadline(p, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exh, okE, err := eng.MinCostExhaustive(p, deadline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if okI != okE || !reflect.DeepEqual(idx, exh) {
+		t.Fatalf("trial %d (%s billing): indexed %+v/%v != exhaustive %+v/%v",
+			trial, eng.Billing(), idx, okI, exh, okE)
 	}
 }
 
@@ -125,20 +129,7 @@ func TestDecomposedEqualsExhaustiveHourlyRandomized(t *testing.T) {
 		deadline := units.Seconds(3600 * (1 + 10*rng.Float64()))
 		d := maxCap * (0.3 + 0.5*rng.Float64()) * float64(deadline)
 		p := workload.Params{N: d, A: 1}
-		dec, okD, err := eng.MinCostForDeadline(p, deadline)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exh, okE, err := eng.MinCostExhaustive(p, deadline)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if okD != okE {
-			t.Fatalf("trial %d: feasibility mismatch", trial)
-		}
-		if okD && math.Abs(float64(dec.Cost)-float64(exh.Cost)) > 1e-9*math.Max(1, float64(exh.Cost)) {
-			t.Fatalf("trial %d: hourly decomposed %v != exhaustive %v", trial, dec.Cost, exh.Cost)
-		}
+		requireIndexedArgminExact(t, trial, eng, p, deadline)
 	}
 }
 
@@ -220,9 +211,9 @@ func TestAnalyzeWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestScanSearchFallbackFourCategories: catalogs beyond the 3x3
-// category structure must fall back to the general scan and still be
-// exact.
+// TestScanSearchFallbackFourCategories: a catalog outside the paper's
+// three categories is answered exactly by both paths — the scan before
+// an index is published, the index after.
 func TestScanSearchFallbackFourCategories(t *testing.T) {
 	var types []ec2.InstanceType
 	for c := 0; c < 4; c++ {
@@ -253,7 +244,7 @@ func TestScanSearchFallbackFourCategories(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := workload.Params{N: 3e13, A: 1}
-	dec, okD, err := eng.MinCostForDeadline(p, units.FromHours(1))
+	scan, okS, err := eng.MinCostForDeadline(p, units.FromHours(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,10 +252,11 @@ func TestScanSearchFallbackFourCategories(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if okD != okE || (okD && math.Abs(float64(dec.Cost-exh.Cost)) > 1e-9) {
-		t.Fatalf("4-category fallback mismatch: %v/%v vs %v/%v", dec.Cost, okD, exh.Cost, okE)
+	if okS != okE || !reflect.DeepEqual(scan, exh) {
+		t.Fatalf("4-category scan mismatch: %+v/%v vs %+v/%v", scan, okS, exh, okE)
 	}
-	// MinTime through the same fallback.
+	requireIndexedArgminExact(t, 0, eng, p, units.FromHours(1))
+	// MinTime through the index as well.
 	mt, okT, err := eng.MinTimeForBudget(p, 100)
 	if err != nil || !okT {
 		t.Fatal(okT, err)

@@ -87,12 +87,7 @@ func TestCachedPathSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
-	f, err := NewFrontdoor(map[string]*core.Engine{
-		"galaxy": core.NewPaperEngine(galaxy.App{}),
-	}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newTestFrontdoor(t, Config{})
 	cold := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			q := benchQuery

@@ -46,7 +46,6 @@ func chaosEngine(t *testing.T) *core.Engine {
 func saveArtifact(t *testing.T, dir string) string {
 	t.Helper()
 	donor := chaosEngine(t)
-	donor.SetUseIndex(true)
 	path := snapshot.PathFor(dir, "galaxy")
 	if err := snapshot.Save(path, donor); err != nil {
 		t.Fatal(err)
@@ -235,7 +234,7 @@ func TestSnapshotSlowLoadStillRestores(t *testing.T) {
 		t.Fatalf("status = %+v, want built", st)
 	}
 	eng, _ := f.Engine("galaxy")
-	if !eng.IndexBuilt() {
+	if !eng.FrontierBuilt() {
 		t.Fatal("restored engine reports no index")
 	}
 }

@@ -23,12 +23,13 @@
 // accounting flow into a telemetry.Registry exported by the API layer
 // at GET /debug/metrics.
 //
-// Below the cache, NewFrontdoor opts every mounted engine into the
-// core frontier index (Config.DisableIndex turns this off), so analytic
-// leader runs answer from the precomputed demand-invariant frontier
-// instead of re-scanning the configuration space. The serving.index.*
-// counters and gauges report how many leader computes were index-served
-// versus scan-backed and the shape of the built indexes.
+// Below the cache, analytic leader runs answer from each engine's
+// published frontier index instead of re-scanning the configuration
+// space. Engine queries never build an index themselves: the first
+// leader compute for an app still "pending" builds it here, on the
+// worker slot, before running. The serving.index.* counters and gauges
+// report how many leader computes were index-served versus scan-backed
+// and the shape of the built indexes.
 //
 // The Frontdoor also owns the resilient index lifecycle (DESIGN.md
 // §11). LoadSnapshots restores each engine's frontier index from disk
@@ -99,13 +100,6 @@ type Config struct {
 	// RequestTimeout bounds each request from admission to queue exit.
 	// 0 → 60 s; negative → no per-request deadline.
 	RequestTimeout time.Duration
-	// DisableIndex keeps the mounted engines on the exhaustive scan
-	// instead of opting them into the frontier index. The zero value
-	// (index enabled) is right for production: answers are certified
-	// byte-identical under every certified billing policy (per-second
-	// and per-hour), and only the first analytic query per engine pays
-	// the one-time build.
-	DisableIndex bool
 	// SnapshotDir holds frontier-index snapshots: LoadSnapshots restores
 	// from it, and successful background rebuilds re-save into it.
 	// Empty → snapshots disabled.
@@ -210,8 +204,8 @@ func (s CacheStatus) String() string {
 type IndexState string
 
 const (
-	// IndexPending: the engine is opted in but no query has triggered
-	// the lazy build yet; the first analytic leader compute pays it.
+	// IndexPending: no index is published yet and no background
+	// rebuild owns the app; the first leader compute builds it.
 	IndexPending IndexState = "pending"
 	// IndexBuilding: a background rebuild is in flight; queries serve
 	// from whatever was published before (or the scan if nothing was).
@@ -223,18 +217,17 @@ const (
 	// exhaustive scan. Declared, not silent: the serving.index.degraded
 	// gauge counts these apps and responses carry X-Index: degraded.
 	IndexDegraded IndexState = "degraded"
-	// IndexBypassed: the index is not in use for this engine. The
-	// status's Cause distinguishes a deliberate opt-out ("config") from
-	// a billing policy the index is not certified for ("billing") and
-	// from a catalog that did not compress under the pair cap
-	// ("pair-cap") — the first is configuration, the other two are
-	// capability gaps worth alerting on.
+	// IndexBypassed: the index cannot serve this engine's queries. The
+	// status's Cause distinguishes a billing policy the index is not
+	// certified for ("billing") from a catalog that did not compress
+	// under the pair cap ("pair-cap") — capability gaps worth alerting
+	// on.
 	IndexBypassed IndexState = "bypassed"
 )
 
 // IndexStatus pairs a state with the reason it was entered (empty for
 // the healthy states). Cause is the machine-readable bypass label
-// ("config", "billing", or "pair-cap"), set only in the bypassed state.
+// ("billing" or "pair-cap"), set only in the bypassed state.
 type IndexStatus struct {
 	State  IndexState `json:"state"`
 	Reason string     `json:"reason,omitempty"`
@@ -245,8 +238,6 @@ type IndexStatus struct {
 // the X-Index header suffix.
 func bypassCauseLabel(c core.BypassCause) string {
 	switch c {
-	case core.BypassConfig:
-		return "config"
 	case core.BypassBilling:
 		return "billing"
 	case core.BypassPairCap:
@@ -301,16 +292,13 @@ func AnalyticKind(kind string) bool {
 	return false
 }
 
-// indexBacked reports whether a leader compute of this kind actually
-// ran against the index. Per-query kinds need the engine's routed
-// index (opted in, billing certified index-monotone); a "schedule"
-// solve reuses the billing-independent staircase, so it is
-// index-backed whenever that build succeeded.
+// indexBacked reports whether a leader compute of this kind ran
+// against the index. Per-query kinds need a published index and a
+// billing policy certified index-monotone; a "schedule" solve reuses
+// the billing-independent staircase, so it is index-backed whenever
+// one is published.
 func indexBacked(kind string, eng *core.Engine) bool {
-	if kind == "schedule" {
-		return eng.FrontierBuilt()
-	}
-	return eng.IndexBuilt()
+	return eng.FrontierBuilt() && (kind == "schedule" || eng.Billing().Indexable())
 }
 
 // NewFrontdoor validates the configuration and wraps the given engines.
@@ -338,9 +326,8 @@ func NewFrontdoor(engines map[string]*core.Engine, cfg Config) (*Frontdoor, erro
 		idxBypass: cfg.Metrics.Counter("serving.index.bypass"),
 		// bypass counts every scan-backed analytic leader compute;
 		// bypass_billing additionally counts the subset forced off the
-		// index by an uncertified billing policy. A nonzero
-		// bypass_billing with DisableIndex unset is a capability gap,
-		// not a configuration choice — alert on it.
+		// index by an uncertified billing policy — a capability gap,
+		// alert on it.
 		idxBypassBilling: cfg.Metrics.Counter("serving.index.bypass_billing"),
 		// Snapshot lifecycle counters: artifacts restored at startup,
 		// artifacts refused (corrupt/stale/unreadable), artifacts saved
@@ -367,17 +354,15 @@ func NewFrontdoor(engines map[string]*core.Engine, cfg Config) (*Frontdoor, erro
 		f.cache = newResultCache(cfg.CacheBytes, cfg.CacheTTL, cfg.Metrics)
 	}
 	for name, e := range own {
-		if !cfg.DisableIndex {
-			e.SetUseIndex(true)
-		}
 		f.status[name] = initialStatus(e)
 	}
 	return f, nil
 }
 
-// initialStatus derives an unqueried engine's lifecycle state: bypassed
-// when the index will never serve it, built when an index was already
-// installed (snapshot restore before mounting), pending otherwise.
+// initialStatus derives an engine's lifecycle state from the engine
+// alone: bypassed when the index cannot serve it, built when one is
+// published (a snapshot restored before mounting, or a finished
+// build), pending otherwise.
 func initialStatus(e *core.Engine) IndexStatus {
 	if r := e.IndexBypassReason(); r != "" {
 		return IndexStatus{
@@ -386,7 +371,7 @@ func initialStatus(e *core.Engine) IndexStatus {
 			Cause:  bypassCauseLabel(e.IndexBypassCause()),
 		}
 	}
-	if e.IndexBuilt() {
+	if e.FrontierBuilt() {
 		return IndexStatus{State: IndexBuilt}
 	}
 	return IndexStatus{State: IndexPending}
@@ -539,14 +524,13 @@ func (f *Frontdoor) Do(ctx context.Context, q Query, compute func(context.Contex
 		}
 	}
 
-	val, err := f.admitAndCompute(ctx, eng, compute)
+	val, err := f.admitAndCompute(ctx, q.App, eng, compute)
 	if err == nil && AnalyticKind(q.Kind) {
 		// Leader-only accounting: cache hits and coalesced followers
 		// never consult the index, so counting them would overstate it.
 		if indexBacked(q.Kind, eng) {
 			f.idxServed.Inc()
 			f.refreshIndexGauges()
-			f.noteIndexServed(q.App, eng)
 		} else {
 			f.idxBypass.Inc()
 			if eng.IndexBypassCause() == core.BypassBilling {
@@ -564,30 +548,37 @@ func (f *Frontdoor) Do(ctx context.Context, q Query, compute func(context.Contex
 	return val, StatusMiss, err
 }
 
-// noteIndexServed promotes a pending app to built the first time a
-// leader compute actually ran against its index (the lazy build path),
-// without disturbing building/degraded states owned by the background
-// lifecycle.
-func (f *Frontdoor) noteIndexServed(app string, eng *core.Engine) {
+// buildPending is the lazy index build: the first leader compute to
+// reach an app in the pending state builds and publishes its index, on
+// the worker slot, before computing. Engine queries never build, so
+// without this the app would scan forever. Degraded and building apps
+// skip it and keep scanning until their background rebuild publishes;
+// concurrent leaders on one pending app share the engine's
+// at-most-once build.
+func (f *Frontdoor) buildPending(app string, eng *core.Engine) {
+	if st, ok := f.IndexStatusFor(app); !ok || st.State != IndexPending {
+		return
+	}
+	eng.Frontier()
+	st := initialStatus(eng)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if cur, ok := f.status[app]; ok && cur.State == IndexPending && (*f.engines.Load())[app] == eng {
-		f.status[app] = IndexStatus{State: IndexBuilt}
+	if f.status[app].State == IndexPending && (*f.engines.Load())[app] == eng {
+		f.status[app] = st
 	}
 }
 
 // refreshIndexGauges re-derives the index-shape gauges as sums over
-// engines whose index has finished building. IndexBuilt gates each
-// FrontierIndex call, so this never triggers a build; recomputing the
-// sums keeps the gauges correct as engines build lazily at different
-// times.
+// engines with a published index. FrontierBuilt gates each Frontier
+// call, so this never triggers a build; recomputing the sums keeps the
+// gauges correct as engines build lazily at different times.
 func (f *Frontdoor) refreshIndexGauges() {
 	var pairs, cands, buildMS int64
 	for _, e := range *f.engines.Load() {
-		if !e.IndexBuilt() {
+		if !e.FrontierBuilt() {
 			continue
 		}
-		if idx, ok := e.FrontierIndex(); ok {
+		if idx, ok := e.Frontier(); ok {
 			st := idx.Stats()
 			pairs += int64(st.Pairs)
 			cands += int64(st.Staircase)
@@ -605,7 +596,7 @@ func (f *Frontdoor) refreshIndexGauges() {
 // ErrOverloaded (the server's admission budget ran out); one whose
 // client walked away (context canceled) fails with the canceled error
 // promptly instead of computing for a dead connection.
-func (f *Frontdoor) admitAndCompute(ctx context.Context, eng *core.Engine, compute func(context.Context, *core.Engine) ([]byte, error)) ([]byte, error) {
+func (f *Frontdoor) admitAndCompute(ctx context.Context, app string, eng *core.Engine, compute func(context.Context, *core.Engine) ([]byte, error)) ([]byte, error) {
 	select {
 	case f.queue <- struct{}{}:
 	default:
@@ -642,14 +633,14 @@ func (f *Frontdoor) admitAndCompute(ctx context.Context, eng *core.Engine, compu
 		}
 		return nil, fmt.Errorf("serving: request expired before compute: %w", err)
 	}
-	return f.guarded(ctx, eng, compute)
+	return f.guarded(ctx, app, eng, compute)
 }
 
-// guarded runs the compute callback with panic containment: a panicking
-// request releases its admission tokens normally (the deferred
-// bookkeeping above runs after recovery) and fails with ErrInternal
-// instead of crashing the server.
-func (f *Frontdoor) guarded(ctx context.Context, eng *core.Engine, compute func(context.Context, *core.Engine) ([]byte, error)) (val []byte, err error) {
+// guarded runs a pending app's lazy build and then the compute callback
+// with panic containment: a panicking request releases its admission
+// tokens normally (the deferred bookkeeping above runs after recovery)
+// and fails with ErrInternal instead of crashing the server.
+func (f *Frontdoor) guarded(ctx context.Context, app string, eng *core.Engine, compute func(context.Context, *core.Engine) ([]byte, error)) (val []byte, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			f.panics.Inc()
@@ -657,5 +648,6 @@ func (f *Frontdoor) guarded(ctx context.Context, eng *core.Engine, compute func(
 			err = fmt.Errorf("%w: compute panic: %v", ErrInternal, r)
 		}
 	}()
+	f.buildPending(app, eng)
 	return compute(ctx, eng)
 }

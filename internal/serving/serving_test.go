@@ -17,11 +17,28 @@ import (
 	"repro/internal/workload"
 )
 
+// galaxyIndex builds the paper galaxy frontier index once per test
+// binary: a paper-space build takes seconds (far longer under -race)
+// and an index is immutable, so every frontdoor test shares it.
+var galaxyIndex = sync.OnceValue(func() *core.FrontierIndex {
+	x, _ := core.NewPaperEngine(galaxy.App{}).Frontier()
+	return x
+})
+
+// indexedGalaxy returns a fresh paper galaxy engine with the shared
+// index installed, so a frontdoor mounts it already built.
+func indexedGalaxy(t *testing.T) *core.Engine {
+	t.Helper()
+	eng := core.NewPaperEngine(galaxy.App{})
+	if err := eng.InstallIndex(galaxyIndex()); err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 func newTestFrontdoor(t *testing.T, cfg Config) *Frontdoor {
 	t.Helper()
-	f, err := NewFrontdoor(map[string]*core.Engine{
-		"galaxy": core.NewPaperEngine(galaxy.App{}),
-	}, cfg)
+	f, err := NewFrontdoor(map[string]*core.Engine{"galaxy": indexedGalaxy(t)}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,16 +379,15 @@ func TestRealEngineThroughFrontdoor(t *testing.T) {
 	if !bytes.Equal(cold, warm) {
 		t.Fatalf("cold %q != warm %q", cold, warm)
 	}
-	// The exhaustive tie winner for the paper's spill scenario shows up
-	// through the stack: the frontdoor opts the engine into the frontier
-	// index, which (certified against MinCostExhaustive) lands one ulp
-	// cheaper than the decomposed search's [5 5 5 3 ...].
+	// Algorithm 1's tie winner for the paper's spill scenario shows up
+	// through the stack: the frontier index is certified against
+	// MinCostExhaustive.
 	if want := "[5 5 5 1 1 0 0 0 0]"; !bytes.Contains(cold, []byte(want)) {
 		t.Fatalf("body %q missing %q", cold, want)
 	}
 
-	// The cold compute built and used the index; the warm call was a
-	// cache hit and must not re-count.
+	// The cold compute used the index; the warm call was a cache hit
+	// and must not re-count.
 	m := f.Metrics()
 	if served := m.Counter("serving.index.served").Value(); served != 1 {
 		t.Fatalf("serving.index.served = %d, want 1", served)
@@ -387,25 +403,29 @@ func TestRealEngineThroughFrontdoor(t *testing.T) {
 	}
 }
 
-// TestFrontdoorIndexOptIn pins the Config.DisableIndex contract: the
-// default opts every mounted engine into the frontier index but never
-// builds eagerly (startup stays cheap; the first analytic query pays),
-// while DisableIndex leaves engines scan-backed and counts analytic
-// leader computes as bypasses.
+// TestFrontdoorIndexOptIn pins what mounting does and does not do:
+// NewFrontdoor never builds eagerly (startup stays cheap; the first
+// leader compute pays), and an engine the index cannot serve stays on
+// the scan, counting analytic leader computes as bypasses without ever
+// triggering a build.
 func TestFrontdoorIndexOptIn(t *testing.T) {
-	f := newTestFrontdoor(t, Config{})
-	eng, _ := f.Engine("galaxy")
-	if !eng.UseIndex() {
-		t.Fatal("default frontdoor left the engine scan-backed")
+	cold, err := NewFrontdoor(map[string]*core.Engine{"galaxy": core.NewPaperEngine(galaxy.App{})}, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if eng.IndexBuilt() {
+	eng, _ := cold.Engine("galaxy")
+	if eng.FrontierBuilt() {
 		t.Fatal("NewFrontdoor built the index eagerly")
 	}
+	if st, _ := cold.IndexStatusFor("galaxy"); st.State != IndexPending {
+		t.Fatalf("fresh engine status = %+v, want pending", st)
+	}
 
-	off := newTestFrontdoor(t, Config{DisableIndex: true})
-	offEng, _ := off.Engine("galaxy")
-	if offEng.UseIndex() {
-		t.Fatal("DisableIndex frontdoor opted the engine in")
+	uncertified := core.NewPaperEngine(galaxy.App{})
+	uncertified.SetBilling(model.Billing(7))
+	off, err := NewFrontdoor(map[string]*core.Engine{"galaxy": uncertified}, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	// A stubbed analytic leader compute on the scan-backed engine is a
 	// bypass; the non-analytic "risk" kind is counted as neither.
@@ -423,16 +443,38 @@ func TestFrontdoorIndexOptIn(t *testing.T) {
 	if served := m.Counter("serving.index.served").Value(); served != 0 {
 		t.Fatalf("serving.index.served = %d, want 0", served)
 	}
-	if offEng.IndexBuilt() {
+	if uncertified.FrontierBuilt() {
 		t.Fatal("bypass accounting triggered an index build")
+	}
+}
+
+// TestPendingAppBuildsOnFirstLeaderCompute pins the lazy build: engine
+// queries never build, so the first leader compute of any kind on a
+// pending app builds and publishes the index before it runs, and the
+// app reports built.
+func TestPendingAppBuildsOnFirstLeaderCompute(t *testing.T) {
+	f := chaosFrontdoor(t, Config{})
+	eng, _ := f.Engine("galaxy")
+	var sawIndex bool
+	if _, _, err := f.Do(context.Background(), Query{Kind: "risk", App: "galaxy", Trials: 1},
+		func(_ context.Context, e *core.Engine) ([]byte, error) {
+			sawIndex = e.FrontierBuilt()
+			return []byte("v"), nil
+		}); err != nil {
+		t.Fatal(err)
+	}
+	if !sawIndex {
+		t.Fatal("the leader compute ran before the pending app's index was published")
+	}
+	if st := statusFor(t, f, "galaxy"); st.State != IndexBuilt || !eng.FrontierBuilt() {
+		t.Fatalf("status = %+v (built %v) after the first leader compute, want built", st, eng.FrontierBuilt())
 	}
 }
 
 // TestFrontdoorBypassBillingSplit pins the bypass-cause taxonomy: an
 // engine forced off the index by an uncertified billing policy counts
 // in both serving.index.bypass and serving.index.bypass_billing and
-// reports cause "billing" in its /readyz status, while a config opt-out
-// counts only in the aggregate with cause "config".
+// reports cause "billing" in its /readyz status.
 func TestFrontdoorBypassBillingSplit(t *testing.T) {
 	uncertified := core.NewPaperEngine(galaxy.App{})
 	uncertified.SetBilling(model.Billing(7))
@@ -454,17 +496,6 @@ func TestFrontdoorBypassBillingSplit(t *testing.T) {
 	}
 	if got := m.Counter("serving.index.bypass_billing").Value(); got != 1 {
 		t.Fatalf("serving.index.bypass_billing = %d, want 1", got)
-	}
-
-	off := newTestFrontdoor(t, Config{DisableIndex: true})
-	if st, ok := off.IndexStatusFor("galaxy"); !ok || st.State != IndexBypassed || st.Cause != "config" {
-		t.Fatalf("opted-out status = %+v, want bypassed/config", st)
-	}
-	if _, _, err := off.Do(context.Background(), Query{Kind: "mincost", App: "galaxy", DeadlineHours: 24}, stub); err != nil {
-		t.Fatal(err)
-	}
-	if got := off.Metrics().Counter("serving.index.bypass_billing").Value(); got != 0 {
-		t.Fatalf("config opt-out counted as a billing bypass: %d", got)
 	}
 
 	// A per-hour engine is certified: it must NOT report a bypass at

@@ -77,10 +77,10 @@ func MinCostCurve(eng *core.Engine, fixed workload.Params, byN bool, varyName st
 		Values:    values,
 	}
 	res.App = eng.DemandModel().AppName
-	// Warm the frontier index (when the engine opted in) before the
-	// ladder: the build runs once and every (value × deadline) cell
-	// answers from the same precomputed pair table.
-	eng.IndexActive()
+	// Publish the frontier index before the ladder: the build runs once
+	// and every (value × deadline) cell answers from the same
+	// precomputed pair table instead of scanning the space.
+	eng.Frontier()
 	for _, dh := range deadlinesHours {
 		row := make([]ScalePoint, 0, len(values))
 		for _, v := range values {
@@ -267,7 +267,7 @@ func TradeSurface(eng *core.Engine, n float64, accuracies []float64,
 	}
 	// One index build serves every accuracy rung: the pair table is
 	// demand-invariant, and each rung only changes the demand.
-	eng.IndexActive()
+	eng.Frontier()
 	var all []TradePoint
 	for _, a := range accuracies {
 		an, err := eng.Analyze(workload.Params{N: n, A: a},
