@@ -132,18 +132,14 @@ func main() {
 		for app, err := range fd.LoadSnapshots() {
 			log.Printf("warning: %s: %v (degraded: serving from scan until rebuild completes)", app, err)
 		}
-		for app, st := range fd.IndexStatuses() {
-			log.Printf("index %s: %s%s", app, st.State, suffixReason(st.Reason))
-		}
 	}
-	// A non-empty reason means analytic queries on that engine will
-	// always scan (an uncertified billing policy, or a catalog past the
-	// pair cap). One line per engine, also exported at GET /v1/apps.
+	// One line per engine, the state /readyz reports. A bypassed engine
+	// always scans (an uncertified billing policy, or a catalog past the
+	// pair cap).
+	statuses, _ := fd.IndexStatuses()
 	for _, name := range fd.Apps() {
-		eng, _ := fd.Engine(name)
-		if reason := eng.IndexBypassReason(); reason != "" {
-			log.Printf("warning: frontier index bypassed for %s: %s", name, reason)
-		}
+		st := statuses[name]
+		log.Printf("index %s: %s%s", name, st.State, suffixReason(st.Reason))
 	}
 	srv, err := api.NewServer(fd, api.WithApps(cli.Apps()))
 	if err != nil {

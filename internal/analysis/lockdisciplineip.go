@@ -3,17 +3,17 @@
 // current frame — f.mu.Lock(); f.helper() is invisible to it even when
 // helper parks on a channel or re-acquires f.mu (the classic
 // non-reentrant self-deadlock through a refactored helper; SwapEngine
-// vs refreshDegradedGauge is the live example this repo fixed by
-// ordering the unlock first). This rule closes the gap with the
-// interprocedural summaries: at every call made while a lock is held,
-// the callee's summary answers "may it block?" and "which locks may it
-// acquire?".
+// vs refreshIndexGauges, which derives the degraded count under f.mu,
+// is the live example this repo fixed by ordering the unlock first).
+// This rule closes the gap with the interprocedural summaries: at every
+// call made while a lock is held, the callee's summary answers "may it
+// block?" and "which locks may it acquire?".
 //
 // Held-lock state is the intra rule's own dataflow solution — the same
 // CFG, lattice, and transfer (replayed silently), so both rules agree
 // about what is held where. Callee lock references are re-rooted at
 // the call site: a summary entry Lock(recv.mu) on the call
-// f.refreshDegradedGauge() becomes "f.mu", the same identity the intra
+// f.refreshIndexGauges() becomes "f.mu", the same identity the intra
 // rule tracks, so a held "f.mu" matches exactly. A write-acquire of a
 // held lock (or any acquire crossing read/write with one) is reported
 // as a potential self-deadlock; a callee that may block on goroutine

@@ -181,14 +181,14 @@ func TestMutantsTripInterproceduralRules(t *testing.T) {
 		dir := t.TempDir()
 		copyPackageGo(t, "../serving", dir)
 		mutateFile(t, filepath.Join(dir, "lifecycle.go"),
-			"\tf.mu.Unlock()\n\tf.refreshDegradedGauge()\n",
-			"\tf.refreshDegradedGauge()\n\tf.mu.Unlock()\n")
+			"\tf.mu.Unlock()\n\tf.refreshIndexGauges()\n",
+			"\tf.refreshIndexGauges()\n\tf.mu.Unlock()\n")
 		writeIdentity(t, dir, "serving", "repro/internal/serving/lintmutant_lockip")
 		cp, err := l.LoadDir(dir)
 		if err != nil {
 			t.Fatalf("mutated serving no longer type-checks: %v", err)
 		}
 		assertOnly(t, Run([]*Analyzer{LockdisciplineIP}, []*CheckedPackage{cp}),
-			"lockdisciplineip", "re-acquiring f.mu via refreshDegradedGauge while holding it")
+			"lockdisciplineip", "re-acquiring f.mu via refreshIndexGauges while holding it")
 	})
 }

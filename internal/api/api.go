@@ -29,25 +29,29 @@
 //   - A panic inside a query computation is recovered at the serving
 //     boundary and reported as 500 with the envelope, never a crash.
 //   - Responses carry an X-Cache header (hit, miss, or coalesced).
-//   - Query responses carry an X-Index header: "on" when the mounted
-//     engine answers this kind of query from its published frontier
-//     index (byte-identical to the exhaustive scan under every
-//     certified billing policy — per-second and per-hour alike),
-//     "degraded" when the app is in the declared degraded or building
-//     state (serving from the exhaustive scan until the background
-//     rebuild lands). Other scan-backed answers distinguish why:
-//     "off-billing" when the billing policy is not certified
-//     index-monotone, "off-pair-cap" when the catalog did not compress
-//     under the pair cap, and plain "off" for Monte-Carlo kinds and
-//     before the lazy index build. Schedule responses report "on"
-//     whenever the billing-independent staircase exists, regardless of
-//     the per-query routing.
-//   - GET /readyz reports per-app index lifecycle state (pending /
-//     building / built / degraded / bypassed, with the reason and the
-//     machine-readable bypass cause: billing or pair-cap) in
-//     its JSON body; the top-level status is "degraded" (still 200 —
-//     the app answers correctly, just slower) when any app serves from
-//     the scan in degraded mode, and 503 "draining" during shutdown.
+//   - Query responses carry an X-Index header, and GET /readyz and
+//     GET /v1/apps report index state; all three read the serving
+//     layer's one per-app derivation, so they never disagree. Its
+//     states, in precedence order: "bypassed" (the index cannot serve
+//     the engine: cause "billing" for a billing policy not certified
+//     index-monotone, "pair-cap" for a catalog that did not compress
+//     under the pair cap), "built" (an index is published, by a
+//     restore, a rebuild, the lazy build, or a schedule solve),
+//     "building" or "degraded" (a background rebuild owns the app; the
+//     exhaustive scan answers), and "pending" (before the lazy build).
+//   - X-Index is "on" for a built app — the answer is byte-identical to
+//     the exhaustive scan under every certified billing policy,
+//     per-second and per-hour alike — "off-billing" or "off-pair-cap"
+//     for a bypassed one, "degraded" for a building or degraded one,
+//     and plain "off" for Monte-Carlo kinds and before the lazy build.
+//     Schedule responses are always "on": the solve needs the
+//     billing-independent staircase and publishes it itself.
+//   - GET /readyz reports each app's state with its reason and bypass
+//     cause in its JSON body; the top-level status is "degraded" (still
+//     200 — the app answers correctly, just slower) when any app is
+//     degraded, and 503 "draining" during shutdown. GET /v1/apps
+//     reports index_active false, with the bypass reason and cause, for
+//     a bypassed app.
 //   - Request deadlines propagate into the compute: a scan-path query
 //     that outlives its request context aborts cooperatively and
 //     returns 503 with Retry-After instead of hogging a worker.
@@ -216,8 +220,9 @@ type readyBody struct {
 }
 
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	body := readyBody{Status: "ready", Index: s.fd.IndexStatuses()}
-	if s.fd.Degraded() {
+	index, degraded := s.fd.IndexStatuses()
+	body := readyBody{Status: "ready", Index: index}
+	if degraded > 0 {
 		// Degraded is still ready: answers are correct (scan-backed),
 		// only slower, so load balancers should keep routing here.
 		body.Status = "degraded"
@@ -244,20 +249,14 @@ type AppIndexStatus struct {
 
 func (s *Server) handleApps(w http.ResponseWriter, _ *http.Request) {
 	names := s.fd.Apps()
+	statuses, _ := s.fd.IndexStatuses()
 	idx := make(map[string]AppIndexStatus, len(names))
 	for _, name := range names {
-		eng, _ := s.fd.Engine(name)
-		reason := eng.IndexBypassReason()
-		st := AppIndexStatus{Indexed: reason == "", BypassReason: reason}
-		if reason != "" {
-			switch eng.IndexBypassCause() {
-			case core.BypassBilling:
-				st.BypassCause = "billing"
-			case core.BypassPairCap:
-				st.BypassCause = "pair-cap"
-			}
+		if st := statuses[name]; st.State == serving.IndexBypassed {
+			idx[name] = AppIndexStatus{BypassReason: st.Reason, BypassCause: st.Cause}
+		} else {
+			idx[name] = AppIndexStatus{Indexed: true}
 		}
-		idx[name] = st
 	}
 	writeJSON(w, http.StatusOK, struct {
 		Apps  []string                  `json:"apps"`
@@ -265,13 +264,16 @@ func (s *Server) handleApps(w http.ResponseWriter, _ *http.Request) {
 	}{Apps: names, Index: idx})
 }
 
-// decode parses and validates the common request body.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request) (Request, bool) {
-	var req Request
+// decodeBody decodes a JSON request body into v and checks that the app
+// it names (*app, a field of v) is mounted. It writes the error envelope
+// itself — 413 past maxBodyBytes, 400 for malformed JSON or an unknown
+// field, 404 for an unknown app — and reports whether the handler may
+// go on.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}, app *string) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeJSON(w, http.StatusRequestEntityTooLarge,
@@ -279,10 +281,19 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request) (Request, bool) 
 		} else {
 			writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("bad request body: %v", err)})
 		}
-		return Request{}, false
+		return false
 	}
-	if _, ok := s.fd.Engine(req.App); !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{fmt.Sprintf("unknown app %q", req.App)})
+	if _, ok := s.fd.Engine(*app); !ok {
+		writeJSON(w, http.StatusNotFound, errorBody{fmt.Sprintf("unknown app %q", *app)})
+		return false
+	}
+	return true
+}
+
+// decode parses and validates the common request body.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request) (Request, bool) {
+	var req Request
+	if !s.decodeBody(w, r, &req, &req.App) {
 		return Request{}, false
 	}
 	if req.DeadlineH < 0 || req.BudgetUSD < 0 {
@@ -313,41 +324,28 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, q serving.Query, 
 	_, _ = w.Write(body)
 }
 
-// indexHeader reports whether the answering engine serves this kind of
-// query from a published frontier index. Nothing here triggers the
-// multi-second build, so cache hits stay pure memory reads; "on" means
-// the response either came from the index or is byte-identical to what
-// the index serves; "degraded" means the app is in a declared degraded
-// or rebuilding state — the /readyz state, checked first — and the
-// response came from the exhaustive scan. Other scan-backed answers
-// carry the bypass cause as a suffix — "off-billing", "off-pair-cap"
-// — so a dashboard can tell which capability gap it is; plain "off"
-// covers non-analytic kinds and the pre-build window.
+// indexHeader labels the path that answers this kind of query on the
+// app from the serving layer's one index-state derivation, so it always
+// agrees with /readyz, and never triggers a build, so cache hits stay
+// pure memory reads. "on" means the response came from the index or is
+// byte-identical to what it serves. A schedule solve needs the
+// billing-independent staircase and publishes it itself, so a schedule
+// response is always "on". A bypassed app answers "off-" plus its
+// cause, an app a background rebuild owns "degraded" (the exhaustive
+// scan answered), and plain "off" covers non-analytic kinds and the
+// pre-build window.
 func (s *Server) indexHeader(q serving.Query) string {
-	eng, ok := s.fd.Engine(q.App)
-	if !ok || !serving.AnalyticKind(q.Kind) {
+	if !serving.AnalyticKind(q.Kind) {
 		return "off"
 	}
-	if q.Kind == "schedule" {
-		// The horizon solver reuses the billing-independent staircase,
-		// so it is index-backed regardless of the per-query routing.
-		if eng.FrontierBuilt() {
-			return "on"
-		}
-		return "off"
-	}
-	if st, ok := s.fd.IndexStatusFor(q.App); ok &&
-		(st.State == serving.IndexDegraded || st.State == serving.IndexBuilding) {
-		return "degraded"
-	}
-	if eng.FrontierBuilt() && eng.Billing().Indexable() {
+	st, _ := s.fd.IndexStatusFor(q.App)
+	switch {
+	case st.State == serving.IndexBuilt || q.Kind == "schedule":
 		return "on"
-	}
-	switch eng.IndexBypassCause() {
-	case core.BypassBilling:
-		return "off-billing"
-	case core.BypassPairCap:
-		return "off-pair-cap"
+	case st.State == serving.IndexBypassed:
+		return "off-" + st.Cause
+	case st.State == serving.IndexDegraded || st.State == serving.IndexBuilding:
+		return "degraded"
 	}
 	return "off"
 }
@@ -544,21 +542,7 @@ func canonicalConfig(counts []int) string {
 
 func (s *Server) handleRisk(w http.ResponseWriter, r *http.Request) {
 	var req riskRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorBody{fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)})
-		} else {
-			writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("bad request body: %v", err)})
-		}
-		return
-	}
-	if _, ok := s.fd.Engine(req.App); !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{fmt.Sprintf("unknown app %q", req.App)})
+	if !s.decodeBody(w, r, &req, &req.App) {
 		return
 	}
 	if req.DeadlineH <= 0 {
@@ -708,21 +692,7 @@ type ScheduleResponse struct {
 
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	var req scheduleRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorBody{fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)})
-		} else {
-			writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("bad request body: %v", err)})
-		}
-		return
-	}
-	if _, ok := s.fd.Engine(req.App); !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{fmt.Sprintf("unknown app %q", req.App)})
+	if !s.decodeBody(w, r, &req, &req.App) {
 		return
 	}
 	if err := req.Trace.Validate(); err != nil {
@@ -819,7 +789,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			BootSeconds:          pol.Boot,
 			QuantumSeconds:       pol.Quantum,
 			Candidates:           solved.Candidates,
-			IndexBacked:          eng.FrontierBuilt(),
+			IndexBacked:          true, // SolveContext fails without the staircase
 			TotalCostUSD:         solved.TotalCost,
 			ReleasePayoutUSD:     solved.ReleasePayout,
 			Switches:             solved.Switches,

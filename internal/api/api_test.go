@@ -212,16 +212,35 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
-func TestRejectsUnknownFields(t *testing.T) {
-	ts := newTestServer(t)
-	resp, err := http.Post(ts.URL+"/v1/mincost", "application/json",
-		bytes.NewReader([]byte(`{"app":"galaxy","n":65536,"a":8000,"deadline_hours":24,"oops":1}`)))
+// postRoutes lists every POST route; all decode their body through
+// decodeBody.
+var postRoutes = []string{"/v1/analyze", "/v1/mincost", "/v1/mintime", "/v1/maxaccuracy", "/v1/risk", "/v1/schedule"}
+
+// postRaw posts body to url and returns the status and the decoded
+// error envelope.
+func postRaw(t *testing.T, url, body string) (int, errorBody) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field accepted: %d", resp.StatusCode)
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatalf("response body not the error envelope: %v", err)
+	}
+	return resp.StatusCode, eb
+}
+
+func TestRejectsUnknownFields(t *testing.T) {
+	ts := newTestServer(t)
+	for _, route := range postRoutes {
+		t.Run(strings.TrimPrefix(route, "/v1/"), func(t *testing.T) {
+			status, eb := postRaw(t, ts.URL+route, `{"app":"galaxy","oops":1}`)
+			if status != http.StatusBadRequest || !strings.Contains(eb.Error, "oops") {
+				t.Fatalf("unknown field: status %d, error %q; want 400 naming the field", status, eb.Error)
+			}
+		})
 	}
 }
 
@@ -255,17 +274,13 @@ func TestBodySizeLimit(t *testing.T) {
 	ts := newTestServer(t)
 	// Valid JSON, but over 1 MiB: a huge app-name string.
 	big := `{"app":"` + strings.Repeat("g", 2<<20) + `"}`
-	resp, err := http.Post(ts.URL+"/v1/mincost", "application/json", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status = %d, want 413", resp.StatusCode)
-	}
-	var eb errorBody
-	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error == "" {
-		t.Fatalf("413 body not the error envelope: err %v, body %+v", err, eb)
+	for _, route := range postRoutes {
+		t.Run(strings.TrimPrefix(route, "/v1/"), func(t *testing.T) {
+			status, eb := postRaw(t, ts.URL+route, big)
+			if status != http.StatusRequestEntityTooLarge || eb.Error == "" {
+				t.Fatalf("status %d, error %q; want 413 with the error envelope", status, eb.Error)
+			}
+		})
 	}
 }
 

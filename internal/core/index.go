@@ -706,48 +706,20 @@ func (e *Engine) indexFor() *FrontierIndex {
 // billing.
 func (e *Engine) FrontierBuilt() bool { return e.idx.Load() != nil }
 
-// BypassCause classifies why analytic queries on an engine are (or
-// would be) answered by the exhaustive scan even once an index is
-// requested — capability gaps the serving layer counts and labels.
-type BypassCause int
-
-const (
-	// BypassNone: queries answer from the index once one is published.
-	BypassNone BypassCause = iota
-	// BypassBilling: the engine's billing policy is not certified
-	// index-monotone (model.Billing.Indexable). Per-second and per-hour
-	// are both certified; only unknown future policies land here.
-	BypassBilling
-	// BypassPairCap: the catalog did not compress under maxIndexPairs,
-	// so the build aborted.
-	BypassPairCap
-)
-
-// IndexBypassCause reports the engine's bypass classification without
-// triggering a build.
-func (e *Engine) IndexBypassCause() BypassCause {
+// IndexBypass reports why analytic queries on this engine are (or would
+// be) answered by the exhaustive scan instead of the frontier index,
+// without triggering a build. cause is the wire label: "billing" when
+// the billing policy is not certified index-monotone
+// (model.Billing.Indexable; per-second and per-hour both are), or
+// "pair-cap" when the catalog did not compress under maxIndexPairs and
+// the build aborted. reason is the operator-facing explanation. Both
+// are "" when the index serves, or will once published.
+func (e *Engine) IndexBypass() (cause, reason string) {
 	switch {
 	case !e.billing.Indexable():
-		return BypassBilling
+		return "billing", fmt.Sprintf("billing policy %s is not certified index-monotone; every query falls back to the exhaustive scan", e.billing)
 	case e.idxTried.Load() && e.idx.Load() == nil:
-		return BypassPairCap
-	default:
-		return BypassNone
+		return "pair-cap", "catalog did not compress under the pair cap; queries fall back to the exhaustive scan"
 	}
-}
-
-// IndexBypassReason explains why analytic queries on this engine are
-// (or would be) answered by the exhaustive scan instead of the
-// frontier index. It returns "" when the index serves or will once
-// published, and never triggers a build itself, so operators can probe
-// it at startup for free.
-func (e *Engine) IndexBypassReason() string {
-	switch e.IndexBypassCause() {
-	case BypassBilling:
-		return fmt.Sprintf("billing policy %s is not certified index-monotone; every query falls back to the exhaustive scan", e.billing)
-	case BypassPairCap:
-		return "catalog did not compress under the pair cap; queries fall back to the exhaustive scan"
-	default:
-		return ""
-	}
+	return "", ""
 }

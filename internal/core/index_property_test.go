@@ -240,8 +240,8 @@ func TestIndexPerHourPairCapFallsBack(t *testing.T) {
 	if eng.FrontierBuilt() {
 		t.Fatal("index published past the pair cap")
 	}
-	if cause := eng.IndexBypassCause(); cause != BypassPairCap {
-		t.Fatalf("bypass cause = %d, want BypassPairCap", cause)
+	if cause, _ := eng.IndexBypass(); cause != "pair-cap" {
+		t.Fatalf("bypass cause = %q, want pair-cap", cause)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("pair-cap fallback diverged: %+v != %+v", got, want)

@@ -280,8 +280,8 @@ func TestIndexPerHourBillingServes(t *testing.T) {
 	if eng.indexFor() != nil {
 		t.Fatal("index serving an uncertified billing policy")
 	}
-	if cause := eng.IndexBypassCause(); cause != BypassBilling {
-		t.Fatalf("bypass cause = %d, want BypassBilling", cause)
+	if cause, _ := eng.IndexBypass(); cause != "billing" {
+		t.Fatalf("bypass cause = %q, want billing", cause)
 	}
 	eng.SetBilling(model.PerSecond)
 	if eng.indexFor() == nil {
@@ -499,33 +499,33 @@ func TestFrontierCandidatesIgnoreBillingAndOptIn(t *testing.T) {
 	if eng.indexFor() == nil {
 		t.Fatal("per-hour queries ignore the index FrontierCandidates published")
 	}
-	if cause := eng.IndexBypassCause(); cause != BypassNone {
-		t.Fatalf("bypass cause = %d, want BypassNone", cause)
+	if cause, reason := eng.IndexBypass(); cause != "" || reason != "" {
+		t.Fatalf("bypass = %q/%q, want none", cause, reason)
 	}
 }
 
 func TestIndexBypassReason(t *testing.T) {
 	perHour := indexedEngine(t, galaxy.App{}, 1)
 	perHour.SetBilling(model.PerHour)
-	if got := perHour.IndexBypassReason(); got != "" {
-		t.Fatalf("per-hour engine reports bypass: %q", got)
+	if cause, reason := perHour.IndexBypass(); cause != "" || reason != "" {
+		t.Fatalf("per-hour engine reports bypass: %q/%q", cause, reason)
 	}
 
 	uncertified := indexedEngine(t, galaxy.App{}, 1)
 	uncertified.SetBilling(model.Billing(7))
-	if got := uncertified.IndexBypassReason(); got == "" || !strings.Contains(got, "not certified") {
-		t.Fatalf("uncertified-billing reason = %q", got)
+	if cause, reason := uncertified.IndexBypass(); cause != "billing" || !strings.Contains(reason, "not certified") {
+		t.Fatalf("uncertified-billing bypass = %q/%q", cause, reason)
 	}
 
 	active := smallEngine(t, galaxy.App{}, 1)
-	if got := active.IndexBypassReason(); got != "" {
-		t.Fatalf("healthy engine reports bypass before build: %q", got)
+	if cause, reason := active.IndexBypass(); cause != "" || reason != "" {
+		t.Fatalf("healthy engine reports bypass before build: %q/%q", cause, reason)
 	}
 	if _, ok := active.FrontierCandidates(); !ok {
 		t.Fatal("small catalog did not index")
 	}
-	if got := active.IndexBypassReason(); got != "" {
-		t.Fatalf("healthy engine reports bypass after build: %q", got)
+	if cause, reason := active.IndexBypass(); cause != "" || reason != "" {
+		t.Fatalf("healthy engine reports bypass after build: %q/%q", cause, reason)
 	}
 
 	old := maxIndexPairs
@@ -534,14 +534,14 @@ func TestIndexBypassReason(t *testing.T) {
 	overflow := smallEngine(t, galaxy.App{}, 1)
 	// Probing never builds: the overflow is invisible until a build
 	// (Frontier, or a horizon solve) actually tries.
-	if got := overflow.IndexBypassReason(); got != "" {
-		t.Fatalf("untried engine reports bypass: %q", got)
+	if cause, reason := overflow.IndexBypass(); cause != "" || reason != "" {
+		t.Fatalf("untried engine reports bypass: %q/%q", cause, reason)
 	}
 	if _, ok := overflow.FrontierCandidates(); ok {
 		t.Fatal("catalog compressed under a 2-pair cap")
 	}
-	if got := overflow.IndexBypassReason(); !strings.Contains(got, "did not compress") {
-		t.Fatalf("overflow reason = %q", got)
+	if cause, reason := overflow.IndexBypass(); cause != "pair-cap" || !strings.Contains(reason, "did not compress") {
+		t.Fatalf("overflow bypass = %q/%q", cause, reason)
 	}
 }
 

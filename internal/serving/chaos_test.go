@@ -137,8 +137,8 @@ func TestSnapshotMissingDegradesThenRebuilds(t *testing.T) {
 	if st := statusFor(t, f, "galaxy"); st.State != IndexDegraded || !strings.Contains(st.Reason, "missing") {
 		t.Fatalf("status = %+v, want degraded/missing", st)
 	}
-	if !f.Degraded() {
-		t.Fatal("Degraded() = false while an app is degraded")
+	if _, degraded := f.IndexStatuses(); degraded != 1 {
+		t.Fatalf("%d degraded apps while galaxy is degraded, want 1", degraded)
 	}
 	// Degraded mode still answers: the scan path is the fallback, not a
 	// rejection.
@@ -154,8 +154,8 @@ func TestSnapshotMissingDegradesThenRebuilds(t *testing.T) {
 	if st := statusFor(t, f, "galaxy"); st.State != IndexBuilt {
 		t.Fatalf("status after rebuild = %+v, want built", st)
 	}
-	if f.Degraded() {
-		t.Fatal("Degraded() = true after rebuild")
+	if _, degraded := f.IndexStatuses(); degraded != 0 {
+		t.Fatalf("%d degraded apps after the rebuild, want 0", degraded)
 	}
 	eng, _ := f.Engine("galaxy")
 	blob, err := os.ReadFile(snapshot.PathFor(dir, "galaxy"))
@@ -270,8 +270,8 @@ func TestRebuildFailureStaysDegraded(t *testing.T) {
 	if st.State != IndexDegraded || !strings.Contains(st.Reason, "rebuild failed") {
 		t.Fatalf("status = %+v, want degraded/rebuild failed", st)
 	}
-	if !f.Degraded() {
-		t.Fatal("Degraded() = false after failed rebuild")
+	if _, degraded := f.IndexStatuses(); degraded != 1 {
+		t.Fatalf("%d degraded apps after a failed rebuild, want 1", degraded)
 	}
 	if _, _, err := f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", N: 3},
 		func(context.Context, *core.Engine) ([]byte, error) { return []byte("scan"), nil }); err != nil {

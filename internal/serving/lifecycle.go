@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/snapshot"
@@ -25,9 +24,10 @@ import (
 //   - bypassed: the index cannot serve the engine (an uncertified
 //     billing policy); no artifact is touched;
 //   - degraded: the artifact was missing, unreadable, corrupt, or
-//     stale. The app serves from the exhaustive scan immediately and a
-//     background rebuild (panic-isolated) restores the index, then
-//     re-saves the snapshot.
+//     stale. A background rebuild (panic-isolated) takes ownership of
+//     the app, restores the index, then re-saves the snapshot; until an
+//     index is published, by it or by anything else, the app serves
+//     from the exhaustive scan.
 //
 // The returned map holds an entry per app that could not be restored
 // (for startup logs); nil means every index-eligible app restored. A
@@ -37,24 +37,16 @@ func (f *Frontdoor) LoadSnapshots() map[string]error {
 	if f.cfg.SnapshotDir == "" {
 		return nil
 	}
-	engines := *f.engines.Load()
-	apps := make([]string, 0, len(engines))
-	for app := range engines {
-		apps = append(apps, app)
-	}
-	sort.Strings(apps)
-
 	problems := make(map[string]error)
-	for _, app := range apps {
-		eng := engines[app]
-		if eng.IndexBypassReason() != "" {
+	for _, app := range f.Apps() {
+		if st, _ := f.IndexStatusFor(app); st.State == IndexBypassed {
 			continue
 		}
+		eng, _ := f.Engine(app)
 		path := snapshot.PathFor(f.cfg.SnapshotDir, app)
 		err := f.restoreOne(path, eng)
 		if err == nil {
 			f.snapLoaded.Inc()
-			f.setStatus(app, IndexStatus{State: IndexBuilt})
 			continue
 		}
 		f.snapRejected.Inc()
@@ -63,7 +55,9 @@ func (f *Frontdoor) LoadSnapshots() map[string]error {
 		if errors.Is(err, fs.ErrNotExist) {
 			reason = "snapshot missing; serving from exhaustive scan until rebuild completes"
 		}
-		f.setStatus(app, IndexStatus{State: IndexDegraded, Reason: reason})
+		f.mu.Lock()
+		f.rebuilds[app] = IndexStatus{State: IndexDegraded, Reason: reason}
+		f.mu.Unlock()
 		f.spawnRebuild(app, eng)
 	}
 	f.refreshIndexGauges()
@@ -100,10 +94,7 @@ func (f *Frontdoor) restoreOne(path string, eng *core.Engine) error {
 // an atomic pointer store when done; until then the app serves from the
 // scan in the declared "building" state.
 func (f *Frontdoor) SwapEngine(app string, eng *core.Engine) {
-	st := initialStatus(eng)
-	if st.State == IndexPending {
-		st = IndexStatus{State: IndexBuilding, Reason: "catalog swapped; index rebuild in progress"}
-	}
+	rebuild := statusOf(eng, IndexStatus{}).State == IndexPending
 
 	f.mu.Lock()
 	old := *f.engines.Load()
@@ -113,15 +104,17 @@ func (f *Frontdoor) SwapEngine(app string, eng *core.Engine) {
 	}
 	next[app] = eng
 	f.engines.Store(&next)
-	f.status[app] = st
+	delete(f.rebuilds, app)
+	if rebuild {
+		f.rebuilds[app] = IndexStatus{State: IndexBuilding, Reason: "catalog swapped; index rebuild in progress"}
+	}
 	f.mu.Unlock()
-	f.refreshDegradedGauge()
+	f.refreshIndexGauges()
 
 	if f.cache != nil {
 		f.cache.purge()
 	}
-	f.refreshIndexGauges()
-	if st.State == IndexBuilding {
+	if rebuild {
 		f.spawnRebuild(app, eng)
 	}
 }
@@ -137,24 +130,30 @@ func (f *Frontdoor) spawnRebuild(app string, eng *core.Engine) {
 }
 
 // runRebuild executes one background rebuild end-to-end: build (panic
-// contained), publish status, refresh gauges, re-save the snapshot. A
-// rebuild whose engine was swapped out while it ran discards its result
-// silently — the newer swap owns the app's state.
+// contained), settle the app's ownership, refresh gauges, re-save the
+// snapshot. A success releases the app, whose published index now
+// makes it built; a failure keeps it in declared degraded mode. A
+// rebuild whose engine was swapped out while it ran discards its
+// result silently — the newer swap owns the app's state.
 func (f *Frontdoor) runRebuild(app string, eng *core.Engine) {
 	_, err := f.guardedRebuild(eng)
-	if (*f.engines.Load())[app] != eng {
-		return
-	}
+	var reason string
 	if err != nil {
-		f.setStatus(app, IndexStatus{
-			State:  IndexDegraded,
-			Reason: "index rebuild failed: " + err.Error() + "; serving from exhaustive scan",
-		})
+		reason = "index rebuild failed: " + err.Error() + "; serving from exhaustive scan"
+	}
+	f.mu.Lock()
+	current := (*f.engines.Load())[app] == eng
+	if current && err != nil {
+		f.rebuilds[app] = IndexStatus{State: IndexDegraded, Reason: reason}
+	} else if current {
+		delete(f.rebuilds, app)
+	}
+	f.mu.Unlock()
+	if !current {
 		return
 	}
-	f.setStatus(app, IndexStatus{State: IndexBuilt})
 	f.refreshIndexGauges()
-	if f.cfg.SnapshotDir != "" {
+	if err == nil && f.cfg.SnapshotDir != "" {
 		if err := snapshot.Save(snapshot.PathFor(f.cfg.SnapshotDir, app), eng); err == nil {
 			f.snapSaved.Inc()
 		}
@@ -173,18 +172,4 @@ func (f *Frontdoor) guardedRebuild(eng *core.Engine) (st core.IndexStats, err er
 		}
 	}()
 	return f.cfg.Rebuild(eng)
-}
-
-// refreshDegradedGauge recomputes the degraded-app count outside any
-// particular transition (used after bulk status writes).
-func (f *Frontdoor) refreshDegradedGauge() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var degraded int64
-	for _, s := range f.status {
-		if s.State == IndexDegraded {
-			degraded++
-		}
-	}
-	f.idxDegraded.Set(degraded)
 }

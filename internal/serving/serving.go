@@ -42,8 +42,10 @@
 // is purged (with a generation guard so in-flight leader computes
 // against the old engine cannot resurrect stale bytes), and the new
 // engine's index builds in the background. Per-app lifecycle state
-// (pending / building / built / degraded / bypassed) is exported to
-// /readyz and the serving.index.degraded gauge.
+// (pending / building / built / degraded / bypassed) is derived in one
+// place, statusOf, from the engine and the background rebuild that owns
+// the app, if any; /readyz, /v1/apps, X-Index, and the serving.index.degraded
+// gauge all read it.
 package serving
 
 import (
@@ -199,23 +201,24 @@ func (s CacheStatus) String() string {
 	}
 }
 
-// IndexState is the serving-side lifecycle state of one app's frontier
-// index, the value /readyz and the X-Index header report.
+// IndexState is the lifecycle state of one app's frontier index, the
+// value /readyz and the X-Index header report. statusOf derives it.
 type IndexState string
 
 const (
 	// IndexPending: no index is published yet and no background
 	// rebuild owns the app; the first leader compute builds it.
 	IndexPending IndexState = "pending"
-	// IndexBuilding: a background rebuild is in flight; queries serve
-	// from whatever was published before (or the scan if nothing was).
+	// IndexBuilding: a background rebuild owns the app and no index is
+	// published yet, so queries answer from the exhaustive scan.
 	IndexBuilding IndexState = "building"
 	// IndexBuilt: queries are answered from a published index.
 	IndexBuilt IndexState = "built"
 	// IndexDegraded: the index is unavailable (snapshot missing, corrupt,
 	// or stale; or a rebuild failed) and queries fall back to the
-	// exhaustive scan. Declared, not silent: the serving.index.degraded
-	// gauge counts these apps and responses carry X-Index: degraded.
+	// exhaustive scan until anything publishes one. Declared, not
+	// silent: the serving.index.degraded gauge counts these apps and
+	// responses carry X-Index: degraded.
 	IndexDegraded IndexState = "degraded"
 	// IndexBypassed: the index cannot serve this engine's queries. The
 	// status's Cause distinguishes a billing policy the index is not
@@ -234,19 +237,6 @@ type IndexStatus struct {
 	Cause  string     `json:"cause,omitempty"`
 }
 
-// bypassCauseLabel renders an engine's bypass cause for IndexStatus and
-// the X-Index header suffix.
-func bypassCauseLabel(c core.BypassCause) string {
-	switch c {
-	case core.BypassBilling:
-		return "billing"
-	case core.BypassPairCap:
-		return "pair-cap"
-	default:
-		return ""
-	}
-}
-
 // Frontdoor serves queries against a set of engines. Safe for
 // concurrent use; create with NewFrontdoor. The engine set is read
 // through an atomic pointer so SwapEngine can replace members under
@@ -257,10 +247,14 @@ type Frontdoor struct {
 	cache   *resultCache // nil when disabled
 	group   flightGroup
 
-	// mu serializes lifecycle writes: engine swaps, status transitions.
-	// Reads of the engine map never take it.
-	mu     sync.Mutex
-	status map[string]IndexStatus
+	// mu serializes engine swaps and rebuild ownership, so a state
+	// derivation sees both consistently. Do reads the engine map
+	// without it.
+	mu sync.Mutex
+	// rebuilds holds only what the engines cannot know: the apps a
+	// background rebuild owns, each IndexBuilding or IndexDegraded with
+	// its reason.
+	rebuilds map[string]IndexStatus
 	// bg tracks background rebuild/save goroutines; Wait joins them.
 	bg sync.WaitGroup
 
@@ -310,7 +304,7 @@ func NewFrontdoor(engines map[string]*core.Engine, cfg Config) (*Frontdoor, erro
 	cfg = cfg.withDefaults()
 	f := &Frontdoor{
 		cfg:       cfg,
-		status:    make(map[string]IndexStatus, len(engines)),
+		rebuilds:  make(map[string]IndexStatus),
 		queue:     make(chan struct{}, cfg.MaxConcurrent+cfg.QueueDepth),
 		slots:     make(chan struct{}, cfg.MaxConcurrent),
 		requests:  cfg.Metrics.Counter("serving.requests"),
@@ -353,28 +347,7 @@ func NewFrontdoor(engines map[string]*core.Engine, cfg Config) (*Frontdoor, erro
 	if cfg.CacheBytes > 0 {
 		f.cache = newResultCache(cfg.CacheBytes, cfg.CacheTTL, cfg.Metrics)
 	}
-	for name, e := range own {
-		f.status[name] = initialStatus(e)
-	}
 	return f, nil
-}
-
-// initialStatus derives an engine's lifecycle state from the engine
-// alone: bypassed when the index cannot serve it, built when one is
-// published (a snapshot restored before mounting, or a finished
-// build), pending otherwise.
-func initialStatus(e *core.Engine) IndexStatus {
-	if r := e.IndexBypassReason(); r != "" {
-		return IndexStatus{
-			State:  IndexBypassed,
-			Reason: r,
-			Cause:  bypassCauseLabel(e.IndexBypassCause()),
-		}
-	}
-	if e.FrontierBuilt() {
-		return IndexStatus{State: IndexBuilt}
-	}
-	return IndexStatus{State: IndexPending}
 }
 
 // Wait joins every background rebuild and snapshot-save goroutine the
@@ -382,51 +355,53 @@ func initialStatus(e *core.Engine) IndexStatus {
 // outlives the process's intent to exit.
 func (f *Frontdoor) Wait() { f.bg.Wait() }
 
-// setStatus records an app's lifecycle transition and keeps the
-// degraded gauge consistent.
-func (f *Frontdoor) setStatus(app string, st IndexStatus) {
+// statusOf derives an app's index state from its engine and the state
+// recorded by a background rebuild that owns the app (zero when none
+// does), in precedence order: bypassed when the engine's index can
+// never serve it, built when an index is published (a restore, a
+// rebuild, the lazy build, or a schedule solve), the owning rebuild's
+// state, and pending otherwise.
+func statusOf(eng *core.Engine, owned IndexStatus) IndexStatus {
+	if cause, reason := eng.IndexBypass(); cause != "" {
+		return IndexStatus{State: IndexBypassed, Reason: reason, Cause: cause}
+	}
+	if eng.FrontierBuilt() {
+		return IndexStatus{State: IndexBuilt}
+	}
+	if owned.State != "" {
+		return owned
+	}
+	return IndexStatus{State: IndexPending}
+}
+
+// IndexStatuses derives every mounted app's index state, keyed by app
+// name — the /readyz body's "index" section — and counts the degraded
+// ones.
+func (f *Frontdoor) IndexStatuses() (map[string]IndexStatus, int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.status[app] = st
-	var degraded int64
-	for _, s := range f.status {
-		if s.State == IndexDegraded {
+	engines := *f.engines.Load()
+	out := make(map[string]IndexStatus, len(engines))
+	degraded := 0
+	for app, eng := range engines {
+		st := statusOf(eng, f.rebuilds[app])
+		if st.State == IndexDegraded {
 			degraded++
 		}
-	}
-	f.idxDegraded.Set(degraded)
-}
-
-// IndexStatuses reports the per-app index lifecycle, keyed by app name
-// — the /readyz body's "index" section.
-func (f *Frontdoor) IndexStatuses() map[string]IndexStatus {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[string]IndexStatus, len(f.status))
-	for app, st := range f.status {
 		out[app] = st
 	}
-	return out
+	return out, degraded
 }
 
-// IndexStatusFor reports one app's index lifecycle state.
+// IndexStatusFor derives one app's index state.
 func (f *Frontdoor) IndexStatusFor(app string) (IndexStatus, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	st, ok := f.status[app]
-	return st, ok
-}
-
-// Degraded reports whether any app is serving in degraded mode.
-func (f *Frontdoor) Degraded() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for _, s := range f.status {
-		if s.State == IndexDegraded {
-			return true
-		}
+	eng, ok := (*f.engines.Load())[app]
+	if !ok {
+		return IndexStatus{}, false
 	}
-	return false
+	return statusOf(eng, f.rebuilds[app]), true
 }
 
 // Metrics returns the registry collecting this Frontdoor's counters.
@@ -533,7 +508,7 @@ func (f *Frontdoor) Do(ctx context.Context, q Query, compute func(context.Contex
 			f.refreshIndexGauges()
 		} else {
 			f.idxBypass.Inc()
-			if eng.IndexBypassCause() == core.BypassBilling {
+			if !eng.Billing().Indexable() {
 				f.idxBypassBilling.Inc()
 			}
 		}
@@ -549,29 +524,22 @@ func (f *Frontdoor) Do(ctx context.Context, q Query, compute func(context.Contex
 }
 
 // buildPending is the lazy index build: the first leader compute to
-// reach an app in the pending state builds and publishes its index, on
-// the worker slot, before computing. Engine queries never build, so
-// without this the app would scan forever. Degraded and building apps
-// skip it and keep scanning until their background rebuild publishes;
-// concurrent leaders on one pending app share the engine's
-// at-most-once build.
+// reach a pending app builds and publishes its index, on the worker
+// slot, before computing. Engine queries never build, so without this
+// the app would scan forever. Apps a background rebuild owns keep
+// scanning until something publishes an index; concurrent leaders on
+// one pending app share the engine's at-most-once build.
 func (f *Frontdoor) buildPending(app string, eng *core.Engine) {
-	if st, ok := f.IndexStatusFor(app); !ok || st.State != IndexPending {
-		return
-	}
-	eng.Frontier()
-	st := initialStatus(eng)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.status[app].State == IndexPending && (*f.engines.Load())[app] == eng {
-		f.status[app] = st
+	if st, _ := f.IndexStatusFor(app); st.State == IndexPending {
+		eng.Frontier()
 	}
 }
 
-// refreshIndexGauges re-derives the index-shape gauges as sums over
-// engines with a published index. FrontierBuilt gates each Frontier
-// call, so this never triggers a build; recomputing the sums keeps the
-// gauges correct as engines build lazily at different times.
+// refreshIndexGauges re-derives the index gauges: the shape sums over
+// engines with a published index, and the count of degraded apps.
+// FrontierBuilt gates each Frontier call, so this never triggers a
+// build; recomputing keeps the gauges correct as engines build lazily
+// at different times.
 func (f *Frontdoor) refreshIndexGauges() {
 	var pairs, cands, buildMS int64
 	for _, e := range *f.engines.Load() {
@@ -585,9 +553,11 @@ func (f *Frontdoor) refreshIndexGauges() {
 			buildMS += st.BuildMS
 		}
 	}
+	_, degraded := f.IndexStatuses()
 	f.idxPairs.Set(pairs)
 	f.idxCandidates.Set(cands)
 	f.idxBuildMS.Set(buildMS)
+	f.idxDegraded.Set(int64(degraded))
 }
 
 // admitAndCompute is the leader path: take a queue token (fail fast
