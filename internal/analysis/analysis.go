@@ -73,24 +73,34 @@ type Pass struct {
 
 	rule     string
 	findings *[]Finding
+	seen     map[Finding]bool
 }
 
 // Reportf records a finding at pos under the running analyzer's rule.
+// An exact repeat (same position and message) is dropped: the flow
+// rules replay shared blocks once per path state, and each path that
+// reaches a violation would otherwise report it again.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
-	*p.findings = append(*p.findings, Finding{
+	f := Finding{
 		Pos:  p.Fset.Position(pos),
 		Rule: p.rule,
 		Msg:  fmt.Sprintf(format, args...),
-	})
+	}
+	if p.seen[f] {
+		return
+	}
+	p.seen[f] = true
+	*p.findings = append(*p.findings, f)
 }
 
 // Suite returns the full rule set in stable order.
 func Suite() []*Analyzer {
-	return []*Analyzer{Nodeterm, Floateq, Metricname, Httpenvelope, Nakedgo, Unitsafe, Ctxflow, Atomicpub, Lockdiscipline, Cachekey, CtxflowIP, LockdisciplineIP}
+	return []*Analyzer{Nodeterm, Floateq, Metricname, Httpenvelope, Nakedgo, Unitsafe, Ctxflow, Atomicpub, Lockdiscipline, Cachekey}
 }
 
 // Run applies the analyzers to every package and returns the findings
-// that survive //lint:allow suppression, sorted by position then rule.
+// that survive //lint:allow suppression, sorted by position, rule, and
+// message.
 func Run(analyzers []*Analyzer, pkgs []*CheckedPackage) []Finding {
 	findings, _, _ := RunTimedStats(analyzers, pkgs)
 	return findings
@@ -201,6 +211,7 @@ func RunTimedStats(analyzers []*Analyzer, pkgs []*CheckedPackage) ([]Finding, []
 
 					rule:     a.Name,
 					findings: &raw,
+					seen:     map[Finding]bool{},
 				})
 				atomic.AddInt64(&elapsed[ai], int64(time.Since(start)))
 				grid[pi][ai] = raw
@@ -243,7 +254,10 @@ func RunTimedStats(analyzers []*Analyzer, pkgs []*CheckedPackage) ([]Finding, []
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Rule < b.Rule
+		if a.Rule != b.Rule {
+			return a.Rule < b.Rule
+		}
+		return a.Msg < b.Msg
 	})
 	timings := make([]RuleTiming, len(analyzers))
 	for ai, a := range analyzers {

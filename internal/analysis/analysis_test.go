@@ -1,6 +1,9 @@
 package analysis
 
 import (
+	"fmt"
+	"go/token"
+	"go/types"
 	"strings"
 	"testing"
 )
@@ -25,40 +28,44 @@ func newTestLoader(t *testing.T) *Loader {
 	return l
 }
 
-// TestAnalyzersFireOnBadFixtures asserts each rule reports at least the
-// expected number of findings on its known-bad fixture, and that every
-// finding carries that rule's name.
+// TestAnalyzersFireOnBadFixtures pins each known-bad fixture's findings
+// under the full suite: exactly these line:col positions, in sorted
+// order, each carrying the fixture's rule. A missing, moved, or
+// duplicated finding fails, so a change to shared plumbing (reporting,
+// dedupe, the dataflow solver) cannot silently shift any rule.
 func TestAnalyzersFireOnBadFixtures(t *testing.T) {
 	l := newTestLoader(t)
 	cases := []struct {
-		rule    string
-		dir     string
-		minHits int
+		rule string
+		dir  string
+		at   []string // line:col of every finding, sorted
 	}{
-		{"nodeterm", "nodeterm_bad", 4},
-		{"floateq", "floateq_bad", 4},
-		{"metricname", "metricname_bad", 5},
-		{"httpenvelope", "httpenvelope_bad", 2},
-		{"nakedgo", "nakedgo_bad", 1},
-		{"unitsafe", "unitsafe_bad", 7},
-		{"ctxflow", "ctxflow_bad", 6},
-		{"atomicpub", "atomicpub_bad", 5},
-		{"lockdiscipline", "lockdiscipline_bad", 6},
-		{"cachekey", "cachekey_bad", 3},
-		{"ctxflowip", "ctxflowip_bad", 2},
-		{"lockdisciplineip", "lockdisciplineip_bad", 2},
+		{"nodeterm", "nodeterm_bad", []string{"14:29", "17:30", "21:42", "21:51", "28:9"}},
+		{"floateq", "floateq_bad", []string{"6:37", "11:38", "14:40", "18:2"}},
+		{"metricname", "metricname_bad", []string{"13:12", "14:12", "15:10", "16:14", "18:12"}},
+		{"httpenvelope", "httpenvelope_bad", []string{"13:3", "16:2"}},
+		{"nakedgo", "nakedgo_bad", []string{"11:2"}},
+		{"unitsafe", "unitsafe_bad", []string{"15:10", "15:13", "21:9", "21:22", "27:9", "33:6", "38:15", "38:33"}},
+		{"ctxflow", "ctxflow_bad", []string{"12:12", "18:13", "23:13", "24:13", "28:11", "30:2", "39:11", "41:2", "53:9"}},
+		{"atomicpub", "atomicpub_bad", []string{"20:2", "26:2", "34:2", "40:2", "56:2"}},
+		{"lockdiscipline", "lockdiscipline_bad", []string{"21:2", "34:7", "42:2", "51:12", "60:2", "69:2"}},
+		{"cachekey", "cachekey_bad", []string{"39:6", "52:27", "64:9"}},
+		{"ctxflow", "ctxflow_callee_bad", []string{"38:9", "46:9"}},
+		{"lockdiscipline", "lockdiscipline_callee_bad", []string{"37:2", "45:9"}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.rule, func(t *testing.T) {
+		t.Run(strings.TrimSuffix(tc.dir, "_bad"), func(t *testing.T) {
 			cp := loadFixture(t, l, tc.dir)
 			findings := Run(Suite(), []*CheckedPackage{cp})
-			if len(findings) < tc.minHits {
-				t.Fatalf("want >= %d findings, got %d: %v", tc.minHits, len(findings), findings)
-			}
-			for _, f := range findings {
+			at := make([]string, len(findings))
+			for i, f := range findings {
+				at[i] = fmt.Sprintf("%d:%d", f.Pos.Line, f.Pos.Column)
 				if f.Rule != tc.rule {
 					t.Errorf("unexpected rule %q in finding %s (fixture targets %q)", f.Rule, f.String(), tc.rule)
 				}
+			}
+			if got, want := strings.Join(at, " "), strings.Join(tc.at, " "); got != want {
+				t.Errorf("finding positions = [%s], want [%s]: %v", got, want, findings)
 			}
 		})
 	}
@@ -79,8 +86,8 @@ func TestAnalyzersQuietOnGoodFixtures(t *testing.T) {
 		"atomicpub_good",
 		"lockdiscipline_good",
 		"cachekey_good",
-		"ctxflowip_good",
-		"lockdisciplineip_good",
+		"ctxflow_callee_good",
+		"lockdiscipline_callee_good",
 	}
 	for _, dir := range dirs {
 		t.Run(dir, func(t *testing.T) {
@@ -170,6 +177,34 @@ func TestFindingString(t *testing.T) {
 	f.Pos.Column = 3
 	if got, want := f.String(), "x.go:12:3: [nodeterm] call to time.Now"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
+	}
+}
+
+// TestCalleeDisplay pins how findings and why-chains name a callee:
+// the module path is dropped, a method's receiver parentheses and
+// pointer star are kept.
+func TestCalleeDisplay(t *testing.T) {
+	pkg := types.NewPackage("repro/internal/serving", "serving")
+	recv := types.NewNamed(types.NewTypeName(token.NoPos, pkg, "Frontdoor", nil), types.NewStruct(nil, nil), nil)
+	fn := func(recv types.Type, name string) *types.Func {
+		var rv *types.Var
+		if recv != nil {
+			rv = types.NewVar(token.NoPos, pkg, "f", recv)
+		}
+		return types.NewFunc(token.NoPos, pkg, name, types.NewSignatureType(rv, nil, nil, nil, nil, false))
+	}
+	cases := []struct {
+		fn   *types.Func
+		want string
+	}{
+		{fn(nil, "NewFrontdoor"), "serving.NewFrontdoor"},
+		{fn(recv, "Apps"), "(serving.Frontdoor).Apps"},
+		{fn(types.NewPointer(recv), "refreshIndexGauges"), "(*serving.Frontdoor).refreshIndexGauges"},
+	}
+	for _, tc := range cases {
+		if got := calleeDisplay(tc.fn); got != tc.want {
+			t.Errorf("calleeDisplay(%s) = %q, want %q", tc.fn.FullName(), got, tc.want)
+		}
 	}
 }
 

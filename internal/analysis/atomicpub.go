@@ -108,25 +108,14 @@ func runAtomicpub(pass *Pass) {
 	if !in {
 		return
 	}
-	c := &taintChecker{pass: pass, reported: map[string]bool{}}
+	c := &taintChecker{pass: pass}
 	forEachFuncBody(pass, func(body *ast.BlockStmt) {
 		c.checkFunc(body)
 	})
 }
 
 type taintChecker struct {
-	pass     *Pass
-	reported map[string]bool
-}
-
-func (c *taintChecker) reportOnce(pos ast.Node, format string, args ...interface{}) {
-	msg := formatMsg(format, args...)
-	key := c.pass.Fset.Position(pos.Pos()).String() + "\x00" + msg
-	if c.reported[key] {
-		return
-	}
-	c.reported[key] = true
-	c.pass.Reportf(pos.Pos(), "%s", msg)
+	pass *Pass
 }
 
 func (c *taintChecker) checkFunc(body *ast.BlockStmt) {
@@ -278,7 +267,7 @@ func (c *taintChecker) checkWrite(lhs ast.Expr, st taintState, report bool, verb
 	if t == 0 {
 		return
 	}
-	c.reportOnce(lhs, "%s of %s through %s, which %s: clone before mutating (copy-on-write)", verb, shape, exprKey(base), taintSource(t))
+	c.pass.Reportf(lhs.Pos(), "%s of %s through %s, which %s: clone before mutating (copy-on-write)", verb, shape, exprKey(base), taintSource(t))
 }
 
 func taintSource(t int) string {
@@ -320,7 +309,7 @@ func (c *taintChecker) applyCalls(n ast.Node, st taintState, report bool) {
 			if b, ok := c.pass.Info.Uses[id].(*types.Builtin); ok && b.Name() == "delete" && len(call.Args) == 2 {
 				if report {
 					if t := c.taintOf(call.Args[0], st); t != 0 {
-						c.reportOnce(call, "delete from %s, which %s: clone before mutating (copy-on-write)", exprKey(call.Args[0]), taintSource(t))
+						c.pass.Reportf(call.Pos(), "delete from %s, which %s: clone before mutating (copy-on-write)", exprKey(call.Args[0]), taintSource(t))
 					}
 				}
 			}

@@ -76,7 +76,7 @@ func runCachekey(pass *Pass) {
 	if !in || pass.Module == nil {
 		return
 	}
-	c := &cachekeyChecker{pass: pass, reported: map[string]bool{}}
+	c := &cachekeyChecker{pass: pass}
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -90,18 +90,7 @@ func runCachekey(pass *Pass) {
 }
 
 type cachekeyChecker struct {
-	pass     *Pass
-	reported map[string]bool
-}
-
-func (c *cachekeyChecker) reportOnce(pos token.Pos, format string, args ...interface{}) {
-	msg := formatMsg(format, args...)
-	key := c.pass.Fset.Position(pos).String() + "\x00" + msg
-	if c.reported[key] {
-		return
-	}
-	c.reported[key] = true
-	c.pass.Reportf(pos, "%s", msg)
+	pass *Pass
 }
 
 // walkerPkg wraps the pass as a CheckedPackage so the summary engine's
@@ -171,12 +160,12 @@ func (c *cachekeyChecker) checkOneCacheCall(fd *ast.FuncDecl, call *ast.CallExpr
 
 	queryExprs, ok := c.resolveQueryExprs(fd, queryArg)
 	if !ok {
-		c.reportOnce(call.Pos(), "cannot prove cache-key coverage: the query is not a struct literal traceable within this function — build the serving.Query inline or waive with a reason")
+		c.pass.Reportf(call.Pos(), "cannot prove cache-key coverage: the query is not a struct literal traceable within this function — build the serving.Query inline or waive with a reason")
 		return
 	}
 	lit := c.resolveComputeLit(fd, computeArg)
 	if lit == nil {
-		c.reportOnce(call.Pos(), "cannot prove cache-key coverage: the compute function is not a literal traceable within this function — inline the closure or waive with a reason")
+		c.pass.Reportf(call.Pos(), "cannot prove cache-key coverage: the compute function is not a literal traceable within this function — inline the closure or waive with a reason")
 		return
 	}
 
@@ -219,10 +208,10 @@ func (c *cachekeyChecker) checkOneCacheCall(fd *ast.FuncDecl, call *ast.CallExpr
 		}
 		seen[dedup] = true
 		if site.path == "" {
-			c.reportOnce(site.pos, "compute closure consumes %s wholesale but the cache key does not cover the whole request: key every field it can reach or waive with a reason", display)
+			c.pass.Reportf(site.pos, "compute closure consumes %s wholesale but the cache key does not cover the whole request: key every field it can reach or waive with a reason", display)
 			continue
 		}
-		c.reportOnce(site.pos, "compute closure reads request field %s but it never reaches the cache key: responses for requests differing in %s would share a cache entry — fold it into the serving.Query", display, site.path)
+		c.pass.Reportf(site.pos, "compute closure reads request field %s but it never reaches the cache key: responses for requests differing in %s would share a cache entry — fold it into the serving.Query", display, site.path)
 	}
 }
 
@@ -623,6 +612,6 @@ func (c *cachekeyChecker) checkKeyBuilder(fd *ast.FuncDecl) {
 		if reads != nil && reads.Covers(field.Name()) {
 			continue
 		}
-		c.reportOnce(fd.Name.Pos(), "canonical key builder never reads Query.%s: two queries differing only in %s would collide in the cache — fold the field into the key bytes", field.Name(), field.Name())
+		c.pass.Reportf(fd.Name.Pos(), "canonical key builder never reads Query.%s: two queries differing only in %s would collide in the cache — fold the field into the key bytes", field.Name(), field.Name())
 	}
 }

@@ -1,7 +1,7 @@
 // The interprocedural layer: a module-wide call graph over every
 // checked package, feeding the bottom-up function summaries in
-// summary.go and the three interprocedural rules (cachekey, ctxflow-ip,
-// lockdiscipline-ip).
+// summary.go and the three rules that consult them (cachekey, ctxflow,
+// lockdiscipline).
 //
 // Resolution is deliberately conservative and purely go/types-based
 // (the zero-dependency rule keeps golang.org/x/tools/go/ssa and

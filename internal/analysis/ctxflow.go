@@ -7,7 +7,7 @@
 // fails until the service is saturated by requests that no longer
 // honor their deadlines.
 //
-// Five checks, all within the serving/compute packages:
+// Seven checks, all within the serving/compute packages:
 //
 //  1. a blank context parameter (_ context.Context) — cancellation
 //     stops propagating at that signature;
@@ -27,14 +27,32 @@
 //  6. calling Foo when a FooContext/FooCtx sibling exists (same
 //     receiver or package, first parameter context.Context) while a
 //     ctx is in scope — the caller is opting out of cancellation that
-//     the callee already supports.
+//     the callee already supports;
+//  7. synchronously calling, while a live ctx is in scope, a module
+//     function that takes no context anywhere in its signature and
+//     whose summary (summary.go) says it may block on goroutine
+//     coordination or run an unbounded scan loop — cancellation dies
+//     at that call even when the chain sheds it frames down
+//     (RiskTimelineContext polled its ctx between steps, then called a
+//     context-free risk estimate that blocks on its trial workers).
 //
 // "Mentions a context value" is deliberately loose (any identifier of
 // type context.Context): the rule wants to prove the loop CAN observe
 // cancellation, not bit-verify the polling arithmetic — the chaos
-// suite covers the latter. Checks 4–6 treat ctx as in scope when any
+// suite covers the latter. Checks 4–7 treat ctx as in scope when any
 // enclosing function literal chain carries a context parameter or
 // local.
+//
+// Check 7 follows the request path only. A go'd call runs off it
+// (nakedgo polices goroutine lifecycle), and a go'd literal's ctx is
+// live only when the literal declares one itself. Its message carries
+// the summary's why-chain, so a two-frame-deep channel wait is named
+// directly. Wrappers are flagged by construction: Foo() { FooContext(
+// context.Background(), ...) } takes no ctx and inherits Blocks from
+// FooContext's body. Callees with any ctx parameter are exempt (the
+// caller may still pass the wrong one — check 3 covers that), as is
+// blocking on mutexes or Cond.Wait, which the lock discipline bounds,
+// not cancellation.
 package analysis
 
 import (
@@ -45,9 +63,10 @@ import (
 
 // Ctxflow is the seventh analyzer; see the package comment above.
 var Ctxflow = &Analyzer{
-	Name: "ctxflow",
-	Doc:  "context.Context must propagate: no dropped ctx params, no Background() under a live ctx, no unpollable loops, no ignoring FooContext variants",
-	Run:  runCtxflow,
+	Name:        "ctxflow",
+	Doc:         "context.Context must propagate: no dropped ctx params, no Background() under a live ctx, no unpollable loops, no ignoring FooContext variants, no context-free callee that may block or scan",
+	Run:         runCtxflow,
+	NeedsModule: true,
 }
 
 // ctxflowScope: the request path. Packages outside it (offline sweep,
@@ -80,7 +99,7 @@ func runCtxflow(pass *Pass) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			c.visitFunc(fd.Type, fd.Body, false)
+			c.visitFunc(fd.Type, fd.Body, false, false)
 		}
 	}
 }
@@ -101,8 +120,9 @@ type ctxChecker struct {
 }
 
 // visitFunc checks one function (declaration or literal). inherited
-// reports whether an enclosing function already carries a ctx.
-func (c *ctxChecker) visitFunc(ftype *ast.FuncType, body *ast.BlockStmt, inherited bool) {
+// reports whether an enclosing function already carries a ctx, live
+// whether that ctx is the request's (false below a go statement).
+func (c *ctxChecker) visitFunc(ftype *ast.FuncType, body *ast.BlockStmt, inherited, live bool) {
 	info := c.pass.Info
 	var ctxParams []*types.Var
 	if ftype.Params != nil {
@@ -126,23 +146,36 @@ func (c *ctxChecker) visitFunc(ftype *ast.FuncType, body *ast.BlockStmt, inherit
 			c.pass.Reportf(v.Pos(), "context.Context parameter %q is never used: pass it to callees or poll it in loops", v.Name())
 		}
 	}
-	hasCtx := inherited || len(ctxParams) > 0 || declaresCtxLocal(info, body)
+	own := len(ctxParams) > 0 || declaresCtxLocal(info, body)
+	hasCtx := inherited || own
 
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			c.visitFunc(n.Type, n.Body, hasCtx)
-			return false
-		case *ast.ForStmt:
-			// Check 4: unconditional loop with ctx in scope but no poll.
-			if n.Cond == nil && hasCtx && !mentionsCtx(info, n.Body) {
-				c.pass.Reportf(n.Pos(), "unbounded for-loop in a context-carrying function never polls ctx: add a ctx.Err() check or bound the loop")
+	// walk covers a subtree; live reports whether check 7 applies there.
+	var walk func(n ast.Node, live bool)
+	walk = func(n ast.Node, live bool) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				c.visitFunc(n.Type, n.Body, hasCtx, live)
+				return false
+			case *ast.GoStmt:
+				// A go'd call runs off the request path.
+				walk(n.Call, false)
+				return false
+			case *ast.ForStmt:
+				// Check 4: unconditional loop with ctx in scope but no poll.
+				if n.Cond == nil && hasCtx && !mentionsCtx(info, n.Body) {
+					c.pass.Reportf(n.Pos(), "unbounded for-loop in a context-carrying function never polls ctx: add a ctx.Err() check or bound the loop")
+				}
+			case *ast.CallExpr:
+				c.checkCall(n, hasCtx, len(ctxParams) > 0 || inherited)
+				if live {
+					c.checkCallee(n)
+				}
 			}
-		case *ast.CallExpr:
-			c.checkCall(n, hasCtx, len(ctxParams) > 0 || inherited)
-		}
-		return true
-	})
+			return true
+		})
+	}
+	walk(body, live || own)
 }
 
 func (c *ctxChecker) checkCall(call *ast.CallExpr, hasCtx, hasCtxParam bool) {
@@ -240,6 +273,29 @@ func (c *ctxChecker) checkContextSibling(call *ast.CallExpr) {
 			continue
 		}
 		c.pass.Reportf(call.Pos(), "%s called with a ctx in scope but %s%s exists: call the context-aware variant", name, name, suffix)
+		return
+	}
+}
+
+// checkCallee is check 7: a call into a context-free module function
+// whose summary may block or scan.
+func (c *ctxChecker) checkCallee(call *ast.CallExpr) {
+	callees, _ := c.pass.Module.ResolveCall(c.pass.Info, call)
+	for _, callee := range callees {
+		sum := c.pass.Module.SummaryOf(callee)
+		if sum == nil || sum.HasCtxParam {
+			continue
+		}
+		var verb, why string
+		switch {
+		case sum.Blocks:
+			verb, why = "block", sum.BlocksWhy
+		case sum.Scans:
+			verb, why = "scan", sum.ScansWhy
+		default:
+			continue
+		}
+		c.pass.Reportf(call.Pos(), "%s may %s (%s) but takes no context: cancellation from this frame's live ctx stops here — add a Context-taking variant and thread ctx through", calleeDisplay(callee), verb, why)
 		return
 	}
 }

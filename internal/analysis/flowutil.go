@@ -4,7 +4,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/types"
 )
@@ -52,10 +51,6 @@ func exprKey(e ast.Expr) string {
 		return exprKey(e.X) + ".(type)"
 	}
 	return "?"
-}
-
-func formatMsg(format string, args ...interface{}) string {
-	return fmt.Sprintf(format, args...)
 }
 
 // methodRecvName returns the bare name of a method's declared receiver

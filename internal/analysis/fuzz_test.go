@@ -43,10 +43,22 @@ func seedRepoSources(f *testing.F, dirs ...string) {
 	}
 }
 
+// calleeFixtures are seeded after the production sources: small,
+// complete instances of the shapes the summaries exist for — a
+// blocking chain behind a context-free wrapper, a helper re-acquiring
+// its caller's lock, a lock dropped around a drain in a range body.
+var calleeFixtures = []string{
+	"testdata/ctxflow_callee_bad",
+	"testdata/ctxflow_callee_good",
+	"testdata/lockdiscipline_callee_bad",
+	"testdata/lockdiscipline_callee_good",
+}
+
 // FuzzCFGBuild asserts the CFG builder never panics on any function
 // body that parses, and that Dump and Reachable are deterministic.
 func FuzzCFGBuild(f *testing.F) {
 	seedRepoSources(f, ".", "../core", "../serving", "../schedule")
+	seedRepoSources(f, calleeFixtures...)
 	f.Fuzz(func(t *testing.T, src []byte) {
 		fset := token.NewFileSet()
 		file, err := parser.ParseFile(fset, "fuzz.go", src, parser.ParseComments|parser.SkipObjectResolution)
@@ -107,6 +119,7 @@ func fuzzCheck(t *testing.T, src []byte) *CheckedPackage {
 // same package produce byte-identical summary dumps.
 func FuzzSummaries(f *testing.F) {
 	seedRepoSources(f, ".", "../core", "../serving", "../schedule", "../faults/risk")
+	seedRepoSources(f, calleeFixtures...)
 	f.Fuzz(func(t *testing.T, src []byte) {
 		cp := fuzzCheck(t, src)
 		m1 := BuildModule([]*CheckedPackage{cp})

@@ -1,11 +1,12 @@
 // The lockdiscipline rule: every mutex acquisition must reach a
 // release on all control-flow paths — including the panic paths, which
 // only a deferred unlock covers — and no lock may be held across an
-// operation that blocks on other goroutines (channel send/receive,
-// select, WaitGroup.Wait). The serving layer's liveness depends on
-// this: a leaked lock in Frontdoor or the cache wedges every request
-// behind it, and a lock held across a channel op inverts the admission
-// queue's backpressure into a deadlock.
+// operation that blocks on other goroutines, whether that operation
+// sits in this frame (channel send/receive, select, WaitGroup.Wait) or
+// in a callee. The serving layer's liveness depends on this: a leaked
+// lock in Frontdoor or the cache wedges every request behind it, and a
+// lock held across a channel op inverts the admission queue's
+// backpressure into a deadlock.
 //
 // The rule runs the forward dataflow solver (flow.go) over each
 // function's CFG (cfg.go) with a path-set lattice: each path state is
@@ -21,14 +22,30 @@
 //   - a may-panic statement (any call that is not a builtin, a
 //     conversion, or a sync/sync-atomic method) while a lock is held
 //     without a deferred release — the path the CFG cannot draw but a
-//     panic takes.
+//     panic takes;
+//   - a call, while any lock is held, to a module function whose
+//     summary (summary.go) says it may block on other goroutines,
+//     parks on a worker join, or re-acquires a held lock.
+//
+// The last check sees what one frame cannot: f.mu.Lock(); f.helper()
+// is clean locally even when helper parks on a channel or re-acquires
+// f.mu (the classic non-reentrant self-deadlock through a refactored
+// helper; SwapEngine vs refreshIndexGauges, which derives the degraded
+// count under f.mu, is the live example this repo fixed by ordering
+// the unlock first). Callee lock references are re-rooted at the call
+// site: a summary entry Lock(recv.mu) on the call
+// f.refreshIndexGauges() becomes "f.mu", the identity the dataflow
+// tracks, so a held "f.mu" matches exactly. A write-acquire of a held
+// lock, or any acquire crossing read/write with one, is a potential
+// self-deadlock.
 //
 // sync.Cond.Wait is exempt from the held-across-wait check: it
 // requires the lock by contract (internal/bsp's barrier is the
 // idiomatic use). Lock identity is the receiver expression text
-// ("f.mu"), which is stable within one function; the analysis is
-// intra-procedural, so helpers that lock on behalf of their caller
-// (or unlock a caller's lock) are out of scope by design.
+// ("f.mu"), which is stable within one function; summaries say which
+// locks a callee may acquire, not which it leaves held, so helpers
+// that lock on behalf of their caller (or unlock a caller's lock) are
+// out of scope by design.
 package analysis
 
 import (
@@ -41,9 +58,10 @@ import (
 
 // Lockdiscipline is the ninth analyzer; see the package comment above.
 var Lockdiscipline = &Analyzer{
-	Name: "lockdiscipline",
-	Doc:  "Locks must be released on every path (incl. panic via defer) and never held across channel ops or WaitGroup.Wait",
-	Run:  runLockdiscipline,
+	Name:        "lockdiscipline",
+	Doc:         "Locks must be released on every path (incl. panic via defer) and never held across channel ops, WaitGroup.Wait, or a callee that may block, join workers, or re-acquire the lock",
+	Run:         runLockdiscipline,
+	NeedsModule: true,
 }
 
 // lockdisciplineScope: the packages whose locks guard serving-path
@@ -189,8 +207,9 @@ const (
 type lockEvent struct {
 	kind int
 	pos  token.Pos
-	id   string // lock identity for evLock/evUnlock/evDeferUnlock
-	what string // human description for evBlocking/evMayPanic
+	id   string        // lock identity for evLock/evUnlock/evDeferUnlock
+	what string        // human description for evBlocking/evMayPanic
+	call *ast.CallExpr // the call behind the event, if any
 }
 
 func runLockdiscipline(pass *Pass) {
@@ -204,27 +223,14 @@ func runLockdiscipline(pass *Pass) {
 	if !in {
 		return
 	}
-	c := &lockChecker{pass: pass, reported: map[string]bool{}}
+	c := &lockChecker{pass: pass}
 	forEachFuncBody(pass, func(body *ast.BlockStmt) {
 		c.checkFunc(body)
 	})
 }
 
 type lockChecker struct {
-	pass     *Pass
-	reported map[string]bool
-}
-
-// reportOnce deduplicates findings that multiple path states (or the
-// report pass revisiting a shared block) would repeat verbatim.
-func (c *lockChecker) reportOnce(pos token.Pos, format string, args ...interface{}) {
-	msg := formatMsg(format, args...)
-	key := c.pass.Fset.Position(pos).String() + "\x00" + msg
-	if c.reported[key] {
-		return
-	}
-	c.reported[key] = true
-	c.pass.Reportf(pos, "%s", msg)
+	pass *Pass
 }
 
 func (c *lockChecker) checkFunc(body *ast.BlockStmt) {
@@ -242,7 +248,7 @@ func (c *lockChecker) checkFunc(body *ast.BlockStmt) {
 	for _, p := range res.In[g.Exit] {
 		for id, pos := range p.held {
 			if !p.deferred[id] {
-				c.reportOnce(pos, "%s is not released on every path to return: unlock before each return or use defer", displayLock(id))
+				c.pass.Reportf(pos, "%s is not released on every path to return: unlock before each return or use defer", displayLock(id))
 			}
 		}
 	}
@@ -281,7 +287,7 @@ func (c *lockChecker) applyEvent(e lockEvent, p *lockPath, report bool) {
 	case evLock:
 		if _, dup := p.held[e.id]; dup {
 			if report {
-				c.reportOnce(e.pos, "%s acquired again while already held on this path (self-deadlock)", displayLock(e.id))
+				c.pass.Reportf(e.pos, "%s acquired again while already held on this path (self-deadlock)", displayLock(e.id))
 			}
 			return
 		}
@@ -292,11 +298,14 @@ func (c *lockChecker) applyEvent(e lockEvent, p *lockPath, report bool) {
 		p.deferred[e.id] = true
 	case evBlocking:
 		if report && len(p.held) > 0 {
-			c.reportOnce(e.pos, "%s while holding %s: release the lock before blocking on other goroutines", e.what, heldList(*p))
+			c.pass.Reportf(e.pos, "%s while holding %s: release the lock before blocking on other goroutines", e.what, heldList(*p))
 		}
 	case evMayPanic:
 		if !report {
 			return
+		}
+		if len(p.held) > 0 {
+			c.checkCallee(e.call, *p)
 		}
 		var bare []string
 		for id := range p.held {
@@ -306,9 +315,96 @@ func (c *lockChecker) applyEvent(e lockEvent, p *lockPath, report bool) {
 		}
 		if len(bare) > 0 {
 			sort.Strings(bare)
-			c.reportOnce(e.pos, "%s while %s is held without a deferred release: a panic here leaks the lock", e.what, strings.Join(bare, ", "))
+			c.pass.Reportf(e.pos, "%s while %s is held without a deferred release: a panic here leaks the lock", e.what, strings.Join(bare, ", "))
 		}
 	}
+}
+
+// checkCallee consults the summary of a call made while p holds a
+// lock: the callee may block on other goroutines, park on a worker
+// join, or re-acquire a lock p holds.
+func (c *lockChecker) checkCallee(call *ast.CallExpr, p lockPath) {
+	callees, _ := c.pass.Module.ResolveCall(c.pass.Info, call)
+	for _, callee := range callees {
+		sum := c.pass.Module.SummaryOf(callee)
+		if sum == nil {
+			continue
+		}
+		if sum.Blocks {
+			c.pass.Reportf(call.Pos(), "call to %s while holding %s: the callee may block on other goroutines (%s) — release the lock first", calleeDisplay(callee), heldList(p), sum.BlocksWhy)
+		} else if sum.Joins {
+			c.pass.Reportf(call.Pos(), "call to %s while holding %s: the callee parks on a worker join (%s) — release the lock first", calleeDisplay(callee), heldList(p), sum.JoinsWhy)
+		}
+		for _, ref := range sum.Acquires {
+			id, ok := c.rerootAtCall(ref, call)
+			if !ok {
+				continue
+			}
+			if held, isRead := heldMatch(p, id, ref.Read); held {
+				kind := "re-acquires"
+				if isRead != ref.Read {
+					kind = "acquires the other mode of"
+				}
+				c.pass.Reportf(call.Pos(), "call to %s while holding %s: the callee %s %s — self-deadlock (the lock is not reentrant)", calleeDisplay(callee), heldList(p), kind, displayLock(lockID(id, ref.Read)))
+			}
+		}
+	}
+}
+
+// rerootAtCall maps a callee LockRef into this caller's lock identity
+// space (exprKey text). ok=false when the base cannot be named here.
+func (c *lockChecker) rerootAtCall(ref LockRef, call *ast.CallExpr) (string, bool) {
+	switch {
+	case ref.Root == lockRootFree:
+		return ref.Path, ref.Path != ""
+	case ref.Root == RecvRoot:
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return "", false
+		}
+		if _, isSel := c.pass.Info.Selections[sel]; !isSel {
+			return "", false
+		}
+		return joinKey(exprKey(sel.X), ref.Path), true
+	case ref.Root >= 0 && ref.Root < len(call.Args):
+		base := exprKey(call.Args[ref.Root])
+		if base == "" {
+			return "", false
+		}
+		return joinKey(base, ref.Path), true
+	}
+	return "", false
+}
+
+func joinKey(base, path string) string {
+	if path == "" {
+		return base
+	}
+	return base + "." + path
+}
+
+func lockID(base string, read bool) string {
+	if read {
+		return "R:" + base
+	}
+	return base
+}
+
+// heldMatch reports whether the path holds a lock with the same base
+// identity, in a combination that deadlocks against a new acquire:
+// any-held vs write-acquire, or write-held vs read-acquire. Read-held
+// vs read-acquire is allowed (shared mode).
+func heldMatch(p lockPath, base string, acquireRead bool) (held, heldRead bool) {
+	for id := range p.held {
+		hr := strings.HasPrefix(id, "R:")
+		if strings.TrimPrefix(id, "R:") != base {
+			continue
+		}
+		if !acquireRead || !hr {
+			return true, hr
+		}
+	}
+	return false, false
 }
 
 func heldList(p lockPath) string {
@@ -398,6 +494,7 @@ func (c *lockChecker) walkEvents(n ast.Node) []lockEvent {
 			}
 		case *ast.CallExpr:
 			if ev, ok := c.classifyCall(x); ok {
+				ev.call = x
 				evs = append(evs, ev)
 			}
 		}

@@ -11,9 +11,10 @@ import (
 // These tests are the negative controls for the flow-sensitive rules:
 // re-introduce the exact production bugs the rules were built to catch
 // — delete the ctx poll from core's scan loop, skip the clone in
-// serving's SwapEngine — and assert lint fails. TestModuleIsClean is
-// the positive control; together they show the rules separate the real
-// tree from its own mutants rather than passing everything.
+// serving's SwapEngine — and assert the full suite fails under that
+// rule alone. TestModuleIsClean is the positive control; together they
+// show the rules separate the real tree from its own mutants rather
+// than passing everything.
 
 // copyPackageGo copies a package's non-test Go files into dst and
 // returns their names.
@@ -66,6 +67,22 @@ func writeIdentity(t *testing.T, dir, pkg, as string) {
 	}
 }
 
+// assertOnly runs the full suite on a mutant and fails unless it trips
+// and every finding names the one rule built for the bug: a control
+// that also trips a second rule does not show which rule separates it.
+func assertOnly(t *testing.T, cp *CheckedPackage, rule, what string) {
+	t.Helper()
+	findings := Run(Suite(), []*CheckedPackage{cp})
+	if len(findings) == 0 {
+		t.Fatalf("%s must trip %s, got 0 findings", what, rule)
+	}
+	for _, f := range findings {
+		if f.Rule != rule {
+			t.Errorf("unexpected rule %q: %s", f.Rule, f.String())
+		}
+	}
+}
+
 func TestMutantsTripFlowRules(t *testing.T) {
 	l := newTestLoader(t)
 
@@ -83,15 +100,7 @@ func TestMutantsTripFlowRules(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mutated core no longer type-checks: %v", err)
 		}
-		findings := Run([]*Analyzer{Ctxflow}, []*CheckedPackage{cp})
-		if len(findings) == 0 {
-			t.Fatal("deleting the ctx poll from scanSearch's scan closure must trip ctxflow, got 0 findings")
-		}
-		for _, f := range findings {
-			if f.Rule != "ctxflow" {
-				t.Errorf("unexpected rule %q: %s", f.Rule, f.String())
-			}
-		}
+		assertOnly(t, cp, "ctxflow", "deleting the ctx poll from scanSearch's scan closure")
 	})
 
 	t.Run("atomicpub/SwapEngine-clone-skipped", func(t *testing.T) {
@@ -108,24 +117,16 @@ func TestMutantsTripFlowRules(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mutated serving no longer type-checks: %v", err)
 		}
-		findings := Run([]*Analyzer{Atomicpub}, []*CheckedPackage{cp})
-		if len(findings) == 0 {
-			t.Fatal("aliasing instead of cloning in SwapEngine must trip atomicpub, got 0 findings")
-		}
-		for _, f := range findings {
-			if f.Rule != "atomicpub" {
-				t.Errorf("unexpected rule %q: %s", f.Rule, f.String())
-			}
-		}
+		assertOnly(t, cp, "atomicpub", "aliasing instead of cloning in SwapEngine")
 	})
 }
 
 // TestMutantsTripInterproceduralRules re-introduces the production
-// bugs the interprocedural rules were built to catch: drop a Query
+// bugs the summary-consulting checks were built to catch: drop a Query
 // field from the serving cache key, swap the context-threaded risk
 // estimate back to the context-free one, and pull a lock-re-acquiring
-// call inside the critical section. Each mutant must fail lint under
-// exactly the rule built for it.
+// call inside the critical section. Each mutant must fail the full
+// suite under exactly the rule built for it.
 func TestMutantsTripInterproceduralRules(t *testing.T) {
 	l := newTestLoader(t)
 	// The interprocedural rules need the whole-module summary universe:
@@ -133,18 +134,6 @@ func TestMutantsTripInterproceduralRules(t *testing.T) {
 	// risk.Estimate, which lives in a different package.
 	if _, err := l.LoadModule(); err != nil {
 		t.Fatal(err)
-	}
-
-	assertOnly := func(t *testing.T, findings []Finding, rule, what string) {
-		t.Helper()
-		if len(findings) == 0 {
-			t.Fatalf("%s must trip %s, got 0 findings", what, rule)
-		}
-		for _, f := range findings {
-			if f.Rule != rule {
-				t.Errorf("unexpected rule %q: %s", f.Rule, f.String())
-			}
-		}
 	}
 
 	t.Run("cachekey/key-builder-drops-BudgetUSD", func(t *testing.T) {
@@ -158,37 +147,34 @@ func TestMutantsTripInterproceduralRules(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mutated serving no longer type-checks: %v", err)
 		}
-		assertOnly(t, Run([]*Analyzer{Cachekey}, []*CheckedPackage{cp}),
-			"cachekey", "dropping BudgetUSD from the key builder")
+		assertOnly(t, cp, "cachekey", "dropping BudgetUSD from the key builder")
 	})
 
-	t.Run("ctxflowip/risk-timeline-drops-ctx", func(t *testing.T) {
+	t.Run("ctxflow/risk-timeline-drops-ctx", func(t *testing.T) {
 		dir := t.TempDir()
 		copyPackageGo(t, "../schedule", dir)
 		mutateFile(t, filepath.Join(dir, "risk.go"),
 			"est, err := risk.EstimateContext(ctx, app, tr.Params(t), st.Config, cat, risk.Options{",
 			"est, err := risk.Estimate(app, tr.Params(t), st.Config, cat, risk.Options{")
-		writeIdentity(t, dir, "schedule", "repro/internal/schedule/lintmutant_ctxflowip")
+		writeIdentity(t, dir, "schedule", "repro/internal/schedule/lintmutant_ctxflow")
 		cp, err := l.LoadDir(dir)
 		if err != nil {
 			t.Fatalf("mutated schedule no longer type-checks: %v", err)
 		}
-		assertOnly(t, Run([]*Analyzer{CtxflowIP}, []*CheckedPackage{cp}),
-			"ctxflowip", "calling the context-free risk.Estimate from the timeline")
+		assertOnly(t, cp, "ctxflow", "calling the context-free risk.Estimate from the timeline")
 	})
 
-	t.Run("lockdisciplineip/gauge-refresh-under-lock", func(t *testing.T) {
+	t.Run("lockdiscipline/gauge-refresh-under-lock", func(t *testing.T) {
 		dir := t.TempDir()
 		copyPackageGo(t, "../serving", dir)
 		mutateFile(t, filepath.Join(dir, "lifecycle.go"),
 			"\tf.mu.Unlock()\n\tf.refreshIndexGauges()\n",
 			"\tf.refreshIndexGauges()\n\tf.mu.Unlock()\n")
-		writeIdentity(t, dir, "serving", "repro/internal/serving/lintmutant_lockip")
+		writeIdentity(t, dir, "serving", "repro/internal/serving/lintmutant_lockdiscipline")
 		cp, err := l.LoadDir(dir)
 		if err != nil {
 			t.Fatalf("mutated serving no longer type-checks: %v", err)
 		}
-		assertOnly(t, Run([]*Analyzer{LockdisciplineIP}, []*CheckedPackage{cp}),
-			"lockdisciplineip", "re-acquiring f.mu via refreshIndexGauges while holding it")
+		assertOnly(t, cp, "lockdiscipline", "re-acquiring f.mu via refreshIndexGauges while holding it")
 	})
 }

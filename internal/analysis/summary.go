@@ -15,11 +15,11 @@
 //     callee. Mutexes are excluded (bounded critical sections), as is
 //     Cond.Wait (requires the lock by contract) and Once.Do's gate.
 //   - Scans: whether the function may run an unbounded (condition-less)
-//     loop. Together with Blocks this is ctxflow-ip's "needs a live
+//     loop. Together with Blocks this is ctxflow's "needs a live
 //     context" signal.
 //   - Acquires: locks the function may acquire, rooted at a parameter /
 //     the receiver where possible so call sites can re-root them
-//     ("callee locks recv.mu" + call on f → "f.mu"). lockdiscipline-ip
+//     ("callee locks recv.mu" + call on f → "f.mu"). lockdiscipline
 //     compares these against the caller's held set.
 //
 // Function literals are attributed to their enclosing function when
@@ -31,8 +31,8 @@
 //
 // Soundness directions: Reads over-approximates (unknown → wholesale),
 // which is the safe direction for cachekey's "every read field must be
-// keyed". Blocks/Scans over-approximate too, so ctxflow-ip and
-// lockdiscipline-ip may over-flag in principle — the //lint:allow
+// keyed". Blocks/Scans over-approximate too, so ctxflow and
+// lockdiscipline may over-flag in principle — the //lint:allow
 // escape hatch with a mandatory reason is the pressure valve.
 package analysis
 
@@ -161,7 +161,7 @@ func (l LockRef) String() string {
 type Summary struct {
 	Fn *types.Func
 	// HasCtxParam: any parameter is context.Context — the callee can be
-	// canceled, so ctxflow-ip holds its callers to a different standard.
+	// canceled, so ctxflow holds its callers to a different standard.
 	HasCtxParam bool
 	// Blocks: may park waiting on an external event — channel send /
 	// receive / range, select without default, time.Sleep. These are the
@@ -170,8 +170,8 @@ type Summary struct {
 	BlocksWhy string // first-found reason, with a call chain when transitive
 	// Joins: may park on a bounded internal join (WaitGroup.Wait over
 	// workers the function itself spawned). Completes without external
-	// events, so ctxflow-ip ignores it, but it still parks the goroutine
-	// — lockdiscipline-ip treats it like any other block.
+	// events, so ctxflow ignores it, but it still parks the goroutine
+	// — lockdiscipline treats it like any other block.
 	Joins    bool
 	JoinsWhy string
 	Scans    bool
@@ -450,8 +450,8 @@ func (t rootTaint) extend(path string) string {
 // or goto (nested function literals excluded) — an escape hatch that
 // makes the loop conditionally bounded. A condition-less loop without
 // one can only ever leave by panicking, which is the "scan forever"
-// shape ctxflow-ip exists for; CAS retry loops and search loops all
-// carry a return.
+// shape ctxflow's check 7 exists for; CAS retry loops and search loops
+// all carry a return.
 func loopEscapes(body *ast.BlockStmt) bool {
 	escapes := false
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -998,12 +998,13 @@ func paramIndexFor(s *Summary, arg int) int {
 	return -1
 }
 
-// calleeDisplay renders a callee for messages: pkg.Func or
-// (pkg.Type).Method with the module-internal path shortened.
+// calleeDisplay renders a callee for messages: pkg.Func, (pkg.Type).Method
+// or (*pkg.Type).Method, with the module path before internal/ dropped.
 func calleeDisplay(fn *types.Func) string {
 	name := fn.FullName()
 	if i := strings.Index(name, "/internal/"); i >= 0 {
-		name = name[i+len("/internal/"):]
+		mod := strings.TrimLeft(name[:i], "(*")
+		name = name[:i-len(mod)] + name[i+len("/internal/"):]
 	}
 	return name
 }

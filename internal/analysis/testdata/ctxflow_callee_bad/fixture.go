@@ -1,9 +1,9 @@
-// Package lintfixture is a known-bad fixture for the ctxflow-ip rule:
-// functions holding a live context call into context-free chains whose
-// summaries say they block — one frame deep and two frames deep (the
-// wrapper case the intra rule cannot see).
+// Package lintfixture is a known-bad fixture for ctxflow's callee
+// check: functions holding a live context call into context-free
+// chains whose summaries say they block — one frame deep and two frames
+// deep (the wrapper case a frame-local check cannot see).
 //
-//celialint:as repro/internal/schedule/lintfixture_ctxflowip
+//celialint:as repro/internal/schedule/lintfixture_ctxflow_callee
 package lintfixture
 
 import "context"

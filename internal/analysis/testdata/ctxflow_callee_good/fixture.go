@@ -1,9 +1,9 @@
-// Package lintfixture is the known-good counterpart of ctxflowip_bad:
-// the blocking chain takes a context all the way down, and a
-// condition-less retry loop with a return escape is not mistaken for
-// an unbounded scan.
+// Package lintfixture is the known-good counterpart of
+// ctxflow_callee_bad: the blocking chain takes a context all the way
+// down, and a condition-less retry loop with a return escape is not
+// mistaken for an unbounded scan.
 //
-//celialint:as repro/internal/schedule/lintfixture_ctxflowip_good
+//celialint:as repro/internal/schedule/lintfixture_ctxflow_callee_good
 package lintfixture
 
 import "context"

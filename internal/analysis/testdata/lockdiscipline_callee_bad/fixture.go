@@ -1,10 +1,10 @@
-// Package lintfixture is a known-bad fixture for the lockdiscipline-ip
-// rule: while holding a lock, one method calls a helper that
+// Package lintfixture is a known-bad fixture for lockdiscipline's
+// callee check: while holding a lock, one method calls a helper that
 // re-acquires the same (non-reentrant) lock, and another calls a
 // helper that blocks on a channel. Both are invisible to the
-// intra-procedural rule — the offending operation is one frame down.
+// frame-local checks — the offending operation is one frame down.
 //
-//celialint:as repro/internal/serving/lintfixture_lockip
+//celialint:as repro/internal/serving/lintfixture_lockdiscipline_callee
 package lintfixture
 
 import "sync"

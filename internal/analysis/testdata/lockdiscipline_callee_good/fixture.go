@@ -1,9 +1,10 @@
 // Package lintfixture is the known-good counterpart of
-// lockdisciplineip_bad: the lock is released before calling the
-// re-acquiring or blocking helper, and shared-mode read locks may
-// nest through a call (RLock under RLock does not deadlock).
+// lockdiscipline_callee_bad: the lock is released before calling the
+// re-acquiring or blocking helper, also inside a range body, and
+// shared-mode read locks may nest through a call (RLock under RLock
+// does not deadlock).
 //
-//celialint:as repro/internal/serving/lintfixture_lockip_good
+//celialint:as repro/internal/serving/lintfixture_lockdiscipline_callee_good
 package lintfixture
 
 import "sync"
@@ -41,6 +42,19 @@ func (b *Box) SafeDrain(ch chan int) int {
 	b.n++
 	b.mu.Unlock()
 	return b.drain(ch)
+}
+
+// DrainEach reads the range subject under the lock and releases it
+// around each blocking drain in the body.
+func (b *Box) DrainEach(chs []chan int) {
+	b.mu.Lock()
+	for _, ch := range chs {
+		b.mu.Unlock()
+		n := b.drain(ch)
+		b.mu.Lock()
+		b.n += n
+	}
+	b.mu.Unlock()
 }
 
 type RBox struct {

@@ -633,7 +633,7 @@ func (e *Engine) ensureIndex() *FrontierIndex {
 	// exactly what makes the build at-most-once, the fan-out is a static
 	// chunking over GOMAXPROCS workers that touches no other locks, and
 	// every later caller takes the fast path above without locking.
-	//lint:allow lockdisciplineip deliberate build-under-lock: bounded internal worker join, no other locks involved
+	//lint:allow lockdiscipline deliberate build-under-lock: bounded internal worker join, no other locks involved
 	x := buildFrontierIndex(e)
 	if x != nil {
 		e.idx.Store(x)

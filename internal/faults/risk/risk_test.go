@@ -227,7 +227,7 @@ func (c *cancelAfterEntry) Err() error {
 }
 
 // TestEstimateContextCancellation is the regression test for the
-// dropped-ctx bug the ctxflow-ip rule caught: the serving path used to
+// dropped-ctx bug the ctxflow rule caught: the serving path used to
 // call the context-free Estimate, so request cancellation never
 // reached the trial dispatch. Both the entry check and the dispatch
 // loop must observe cancellation.
