@@ -112,15 +112,23 @@ type Space struct {
 	maxPerType []int
 }
 
-// NewSpace builds a space with the given per-type limits.
+// NewSpace builds a space with the given per-type limits. At least one
+// limit must be positive: with every type capped at zero nodes the
+// space holds no configuration (S = 0), and no search has anything to
+// return.
 func NewSpace(maxPerType []int) (*Space, error) {
 	if len(maxPerType) == 0 || len(maxPerType) > MaxTypes {
 		return nil, fmt.Errorf("config: %d types outside [1, %d]", len(maxPerType), MaxTypes)
 	}
+	nonEmpty := false
 	for i, m := range maxPerType {
 		if m < 0 || m > 255 {
 			return nil, fmt.Errorf("config: m_%d,max = %d outside [0, 255]", i, m)
 		}
+		nonEmpty = nonEmpty || m > 0
+	}
+	if !nonEmpty {
+		return nil, fmt.Errorf("config: every m_i,max is 0, so the space holds no configuration")
 	}
 	return &Space{maxPerType: append([]int(nil), maxPerType...)}, nil
 }

@@ -260,6 +260,26 @@ func TestSpaceValidation(t *testing.T) {
 	}
 }
 
+// TestSpaceWithNoConfigurationRejected: with every type capped at zero
+// nodes the space is empty (S = 0), and the parallel walk every scan and
+// index build runs on would divide by its zero worker count. Such a
+// space must be refused where it is built, by NewSpace and Uniform alike.
+func TestSpaceWithNoConfigurationRejected(t *testing.T) {
+	if s, err := NewSpace([]int{0, 0}); err == nil {
+		t.Fatalf("all-zero limits accepted: Size() = %d", s.Size())
+	}
+	if s, err := Uniform(9, 0); err == nil {
+		t.Fatalf("Uniform(9, 0) accepted: Size() = %d", s.Size())
+	}
+	s, err := NewSpace([]int{0, 1})
+	if err != nil {
+		t.Fatalf("one positive limit rejected: %v", err)
+	}
+	if s.Size() != 1 {
+		t.Fatalf("Size() = %d, want 1", s.Size())
+	}
+}
+
 // Property: index round trip holds for random small spaces.
 func TestIndexRoundTripProperty(t *testing.T) {
 	f := func(a, b, c uint8, pick uint16) bool {

@@ -83,19 +83,6 @@ func (e *Engine) SetBilling(b model.Billing) { e.billing = b }
 // Billing reports the engine's billing policy.
 func (e *Engine) Billing() model.Billing { return e.billing }
 
-// billCost prices a duration at a unit cost under the engine's policy
-// — the hot-loop form of model.Bill.
-func (e *Engine) billCost(T units.Seconds, cu units.USDPerHour) units.USD {
-	if e.billing == model.PerHour {
-		h := units.Hours(math.Ceil(T.Hours()))
-		if h < 1 && T > 0 {
-			h = 1
-		}
-		return cu.ForHours(h)
-	}
-	return cu.PerSecond().Over(T)
-}
-
 // Capacities returns the engine's capacity model.
 func (e *Engine) Capacities() *model.Capacities { return e.caps }
 
@@ -191,7 +178,6 @@ func (a Analysis) CostSpan() (lo, hi units.USD, ratio float64) {
 
 // Options tune Analyze.
 type Options struct {
-	Workers     int     // parallel scan width; ≤0 means GOMAXPROCS
 	EpsTime     float64 // ε-box size for time (seconds); 0 = exact frontier
 	EpsCost     float64 // ε-box size for cost ($); 0 = exact frontier
 	SampleEvery uint64  // keep every k-th feasible point; 0 = none
@@ -265,7 +251,7 @@ func (e *Engine) AnalyzeContext(ctx context.Context, p workload.Params, cons Con
 	}
 	// Deterministic (time, cost, tuple) order: a bare time key left
 	// equal-time points in worker-merge order, so the output varied
-	// with Options.Workers. Sample membership still depends on the
+	// with GOMAXPROCS. Sample membership still depends on the
 	// worker sharding — each shard keeps its own every-k-th feasible
 	// point — only the order of whatever was kept is pinned here.
 	sort.SliceStable(an.Sample, func(i, j int) bool {
@@ -281,14 +267,12 @@ func (e *Engine) AnalyzeContext(ctx context.Context, p workload.Params, cons Con
 	return an, nil
 }
 
-// scanCensus is Analyze's exhaustive path: a parallel streaming scan of
-// the whole space that never stores the feasible set. It fills the
-// feasible count and sample in an and returns the merged frontier.
+// scanCensus is Analyze's exhaustive path: a streaming scan of the
+// whole space on GOMAXPROCS workers that never stores the feasible set.
+// It fills the feasible count and sample in an and returns the merged
+// frontier.
 func (e *Engine) scanCensus(ctx context.Context, an *Analysis, d units.Instructions, cons Constraints, opts Options) []pareto.Point {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	sampleCap := opts.SampleCap
 	if sampleCap <= 0 {
 		sampleCap = 4096
@@ -312,9 +296,9 @@ func (e *Engine) scanCensus(ctx context.Context, an *Analysis, d units.Instructi
 			stop.Store(true)
 			return
 		}
-		u, cu := accumulate(t, w, nodeCost)
+		u, cu := model.Sums(t, w, nodeCost)
 		T := units.Time(d, u)
-		C := e.billCost(T, cu)
+		C := model.Bill(T, cu, e.billing)
 		if T >= deadline || C >= budget {
 			return
 		}
@@ -337,20 +321,6 @@ func (e *Engine) scanCensus(ctx context.Context, an *Analysis, d units.Instructi
 		an.Sample = append(an.Sample, shards[i].sample...)
 	}
 	return merged.Frontier()
-}
-
-// accumulate sums a tuple's capacity (Eq. 3) and unit cost (Eq. 6) in
-// catalog order. It is the one (u, c_u) loop: both scans and the index
-// build call it, so the pairs the index stores are the scan's floats by
-// construction. Small enough to inline into every hot loop.
-func accumulate(t config.Tuple, w []units.Rate, nodeCost []units.USDPerHour) (u units.Rate, cu units.USDPerHour) {
-	for i := 0; i < t.Len(); i++ {
-		if m := t.Count(i); m > 0 {
-			u += units.Rate(m) * w[i]
-			cu += units.USDPerHour(m) * nodeCost[i]
-		}
-	}
-	return u, cu
 }
 
 // searchBest routes a single-objective query to the published frontier
@@ -441,9 +411,9 @@ func (e *Engine) scanSearch(ctx context.Context, d units.Instructions, cons Cons
 			stop.Store(true)
 			return
 		}
-		u, cu := accumulate(t, w, nodeCost)
+		u, cu := model.Sums(t, w, nodeCost)
 		T := units.Time(d, u)
-		C := e.billCost(T, cu)
+		C := model.Bill(T, cu, e.billing)
 		if T >= deadline || C >= budget {
 			return
 		}

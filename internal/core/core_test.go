@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/apps/galaxy"
@@ -33,6 +34,14 @@ func smallEngine(t *testing.T, app workload.App, maxNodes int) *Engine {
 	return eng
 }
 
+// setProcs sets GOMAXPROCS to n until the test ends: the scans size
+// their worker pools, and so their shards, from it.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestNewEngineValidation(t *testing.T) {
 	cat := ec2.Oregon()
 	caps := model.FromIPC(cat, galaxy.App{})
@@ -60,7 +69,8 @@ func TestAnalyzeSmallSpaceAgainstBruteForce(t *testing.T) {
 	eng := smallEngine(t, galaxy.App{}, 2)
 	p := workload.Params{N: 32768, A: 2000}
 	cons := Constraints{Deadline: units.FromHours(24), Budget: 200}
-	an, err := eng.Analyze(p, cons, Options{Workers: 4})
+	setProcs(t, 4)
+	an, err := eng.Analyze(p, cons, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,12 +420,12 @@ func TestAnalyzeSampleOrderIndependentOfWorkers(t *testing.T) {
 	cons := Constraints{Deadline: units.FromHours(48), Budget: 500}
 	opts := Options{SampleEvery: 1, SampleCap: 30000}
 
-	opts.Workers = 1
+	setProcs(t, 1)
 	one, err := eng.Analyze(p, cons, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Workers = 7
+	setProcs(t, 7)
 	seven, err := eng.Analyze(p, cons, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +444,7 @@ func TestAnalyzeSampleOrderIndependentOfWorkers(t *testing.T) {
 		t.Fatal("no equal-time samples; the ordering regression cannot bite here")
 	}
 	if !reflect.DeepEqual(one.Sample, seven.Sample) {
-		t.Fatalf("sample order varies with Options.Workers (%d ties present)", ties)
+		t.Fatalf("sample order varies with GOMAXPROCS (%d ties present)", ties)
 	}
 }
 

@@ -1,26 +1,26 @@
 // The demand-invariant frontier index. A configuration's predictions
 // are
 //
-//	T = D/U               (Eq. 2)
-//	C = billCost(T, c_u)  (Eq. 5/6, or its per-hour ceil variant)
+//	T = D/U                   (Eq. 2)
+//	C = model.Bill(T, c_u, b) (Eq. 5/6, or its per-hour ceil variant)
 //
 // so for two configurations p, q with U_p ≥ U_q and c_u,p ≤ c_u,q,
 // monotonicity of IEEE-754 correctly-rounded division gives
 // fl(D/U_p) ≤ fl(D/U_q) for every demand D, and joint monotonicity of
-// billCost in (T, c_u) — certified per policy by
+// model.Bill in (T, c_u) — certified per policy by
 // model.Billing.Indexable — carries that through to C_p ≤ C_q:
 // domination in the (capacity ↑, unit cost ↓) plane implies
 // floating-point (time, cost) domination for every query. The Pareto
 // staircase of the distinct (U, c_u) pairs is therefore a
 // demand-invariant candidate superset of every per-query frontier, and
 // one scan of the space answers all of them. Crucially the argument
-// never needs billCost to be linear: per-hour ceil billing flattens
+// never needs model.Bill to be linear: per-hour ceil billing flattens
 // distinct times onto the same started-hour count but never reorders
 // them (fl(T/3600), math.Ceil, the max(1, ·) clamp, and fl(c_u·h) are
 // each monotone), so pairs the staircase drops as (u, cu)-dominated
 // are (T, C)-dominated under per-hour billing too, for every demand.
 // Pairs the staircase keeps — incomparable in the (u, cu) plane — are
-// resolved per query by the same billing-aware billCost the scan uses,
+// resolved per query by the same billing-aware model.Bill the scan uses,
 // which is how hour-boundary reorderings between demands are handled
 // exactly rather than precomputed away (see DESIGN.md §9). Billing
 // policies not certified by Indexable are answered by the exhaustive
@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -75,13 +74,6 @@ type idxSpan struct {
 	start, end int
 }
 
-// stairStep is one staircase entry: the span's cheapest pair, kept only
-// when its unit cost undercuts every higher-capacity span.
-type stairStep struct {
-	pairIdx    int
-	start, end int // owning span bounds, for in-span tie resolution
-}
-
 // FrontierIndex is the precomputed demand-invariant view of one
 // engine's configuration space. Build once with the engine's exact
 // per-configuration arithmetic, then answer any query under an
@@ -108,8 +100,10 @@ type FrontierIndex struct {
 	spanLess   []config.Tuple
 	spanMinIdx []uint64
 	// stair is the (capacity ↑, unit cost ↓) Pareto staircase in
-	// descending-capacity order.
-	stair     []stairStep
+	// descending-capacity order, as pair indexes: each step is a span's
+	// cheapest pair, kept only when its unit cost undercuts every
+	// higher-capacity span.
+	stair     []int
 	total     uint64
 	buildWall time.Duration
 }
@@ -223,7 +217,7 @@ func buildFrontierIndex(e *Engine) *FrontierIndex {
 		if aborted.Load() {
 			return
 		}
-		u, cu := accumulate(t, w, nodeCost)
+		u, cu := model.Sums(t, w, nodeCost)
 		sh := shards[worker]
 		key := pairKey{u, cu}
 		if agg, ok := sh[key]; ok {
@@ -286,76 +280,28 @@ func buildFrontierIndex(e *Engine) *FrontierIndex {
 func finishIndex(pairs []idxPair, total uint64) *FrontierIndex {
 	x := &FrontierIndex{pairs: pairs, total: total}
 
+	// A cheap serial pass finds the span boundaries and prefix sums,
+	// then the running-minima fill — the expensive part — proceeds per
+	// chunk of spans in parallel. Spans are independent, so the result
+	// does not depend on the chunk count (property-tested in
+	// index_test.go); keeping the derivation parallel matters because
+	// the build it is measured against parallelizes too.
 	x.prefix = make([]uint64, len(x.pairs)+1)
 	x.spanLess = make([]config.Tuple, len(x.pairs))
 	x.spanMinIdx = make([]uint64, len(x.pairs))
-	workers := runtime.GOMAXPROCS(0)
-	if most := 1 + len(x.pairs)/parallelCodecMin; workers > most {
-		workers = most
+	for i := 0; i < len(x.pairs); {
+		x.prefix[i+1] = x.prefix[i] + x.pairs[i].count
+		j := i + 1
+		//lint:allow floateq span grouping needs exact capacity identity: equal floats predict bit-equal times
+		for ; j < len(x.pairs) && x.pairs[j].u == x.pairs[i].u; j++ {
+			x.prefix[j+1] = x.prefix[j] + x.pairs[j].count
+		}
+		x.spans = append(x.spans, idxSpan{u: x.pairs[i].u, start: i, end: j})
+		i = j
 	}
-	if workers == 1 {
-		// One fused walk fills the prefix sums, the span table, and the
-		// running tie-break minima, touching the pair table exactly
-		// once; on snapshot restore this walk runs right after the
-		// decoder's parse pass, so a second full traversal is
-		// measurable.
-		for i := 0; i < len(x.pairs); {
-			run := x.pairs[i].lessMin
-			runIdx := x.pairs[i].minIdx
-			x.prefix[i+1] = x.prefix[i] + x.pairs[i].count
-			x.spanLess[i] = run
-			x.spanMinIdx[i] = runIdx
-			j := i + 1
-			//lint:allow floateq span grouping needs exact capacity identity: equal floats predict bit-equal times
-			for ; j < len(x.pairs) && x.pairs[j].u == x.pairs[i].u; j++ {
-				x.prefix[j+1] = x.prefix[j] + x.pairs[j].count
-				if lessTupleFast(x.pairs[j].lessMin, run) {
-					run = x.pairs[j].lessMin
-				}
-				if x.pairs[j].minIdx < runIdx {
-					runIdx = x.pairs[j].minIdx
-				}
-				x.spanLess[j] = run
-				x.spanMinIdx[j] = runIdx
-			}
-			x.spans = append(x.spans, idxSpan{u: x.pairs[i].u, start: i, end: j})
-			i = j
-		}
-	} else {
-		// Multi-core: a cheap serial pass finds the span boundaries and
-		// prefix sums, then the running-minima fill — the expensive part
-		// — proceeds per span in parallel. Spans are independent, so the
-		// result is identical to the fused walk (property-tested in
-		// index_test.go); keeping the derivation parallel matters
-		// because the build it is measured against parallelizes too.
-		for i := 0; i < len(x.pairs); {
-			x.prefix[i+1] = x.prefix[i] + x.pairs[i].count
-			j := i + 1
-			//lint:allow floateq span grouping needs exact capacity identity: equal floats predict bit-equal times
-			for ; j < len(x.pairs) && x.pairs[j].u == x.pairs[i].u; j++ {
-				x.prefix[j+1] = x.prefix[j] + x.pairs[j].count
-			}
-			x.spans = append(x.spans, idxSpan{u: x.pairs[i].u, start: i, end: j})
-			i = j
-		}
-		chunk := (len(x.spans) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > len(x.spans) {
-				hi = len(x.spans)
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				x.fillSpanMinima(lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
+	forChunks(len(x.spans), chunkWorkers(len(x.pairs)), func(_, lo, hi int) {
+		x.fillSpanMinima(lo, hi)
+	})
 
 	// Staircase: walk spans from the highest capacity down; a span's
 	// cheapest pair survives only when it strictly undercuts every
@@ -366,7 +312,7 @@ func finishIndex(pairs []idxPair, total uint64) *FrontierIndex {
 	for si := len(x.spans) - 1; si >= 0; si-- {
 		sp := x.spans[si]
 		if cheapest := x.pairs[sp.start].cu; !haveBest || cheapest < bestCu {
-			x.stair = append(x.stair, stairStep{pairIdx: sp.start, start: sp.start, end: sp.end})
+			x.stair = append(x.stair, sp.start)
 			bestCu, haveBest = cheapest, true
 		}
 	}
@@ -431,7 +377,7 @@ func (x *FrontierIndex) census(e *Engine, d units.Instructions, cons Constraints
 		T := units.Time(d, sp.u)
 		n := sp.end - sp.start
 		b := sort.Search(n, func(i int) bool {
-			return e.billCost(T, x.pairs[sp.start+i].cu) >= budget
+			return model.Bill(T, x.pairs[sp.start+i].cu, e.billing) >= budget
 		})
 		feasible += x.prefix[sp.start+b] - x.prefix[sp.start]
 	}
@@ -440,10 +386,10 @@ func (x *FrontierIndex) census(e *Engine, d units.Instructions, cons Constraints
 	// (time, cost) values (see the package comment's monotonicity
 	// argument), so streaming it reproduces the scan's frontier values.
 	var stream pareto.Stream2D
-	for _, st := range x.stair {
-		pr := &x.pairs[st.pairIdx]
+	for _, pi := range x.stair {
+		pr := &x.pairs[pi]
 		T := units.Time(d, pr.u)
-		C := e.billCost(T, pr.cu)
+		C := model.Bill(T, pr.cu, e.billing)
 		if T >= deadline || C >= budget {
 			continue
 		}
@@ -469,7 +415,7 @@ func (x *FrontierIndex) census(e *Engine, d units.Instructions, cons Constraints
 		for si := lo; si < hi; si++ {
 			sp := x.spans[si]
 			ub := sort.Search(sp.end-sp.start, func(i int) bool {
-				return e.billCost(T, x.pairs[sp.start+i].cu) > C
+				return model.Bill(T, x.pairs[sp.start+i].cu, e.billing) > C
 			})
 			if ub > 0 && x.spanMinIdx[sp.start+ub-1] < best {
 				best = x.spanMinIdx[sp.start+ub-1]
@@ -495,10 +441,10 @@ func (x *FrontierIndex) minSearch(e *Engine, d units.Instructions, cons Constrai
 		// gathered from the budget-feasible prefix of every span that
 		// predicts exactly the winning time (the collapse class), not
 		// just the step's own span.
-		for _, st := range x.stair {
-			pr := &x.pairs[st.pairIdx]
+		for _, pi := range x.stair {
+			pr := &x.pairs[pi]
 			T := units.Time(d, pr.u)
-			C := e.billCost(T, pr.cu)
+			C := model.Bill(T, pr.cu, e.billing)
 			if T >= deadline || C >= budget {
 				continue
 			}
@@ -508,7 +454,7 @@ func (x *FrontierIndex) minSearch(e *Engine, d units.Instructions, cons Constrai
 			for si := lo; si < hi; si++ {
 				sp := x.spans[si]
 				b := sort.Search(sp.end-sp.start, func(i int) bool {
-					return e.billCost(T, x.pairs[sp.start+i].cu) >= budget
+					return model.Bill(T, x.pairs[sp.start+i].cu, e.billing) >= budget
 				})
 				if b == 0 {
 					continue
@@ -530,10 +476,10 @@ func (x *FrontierIndex) minSearch(e *Engine, d units.Instructions, cons Constrai
 	// achievers are exactly each span's cost-ordered prefix at it).
 	bestC := units.USD(0)
 	found := false
-	for _, st := range x.stair {
-		pr := &x.pairs[st.pairIdx]
+	for _, pi := range x.stair {
+		pr := &x.pairs[pi]
 		T := units.Time(d, pr.u)
-		C := e.billCost(T, pr.cu)
+		C := model.Bill(T, pr.cu, e.billing)
 		if T >= deadline || C >= budget {
 			continue
 		}
@@ -553,7 +499,7 @@ func (x *FrontierIndex) minSearch(e *Engine, d units.Instructions, cons Constrai
 		sp := x.spans[si]
 		T := units.Time(d, sp.u)
 		ub := sort.Search(sp.end-sp.start, func(i int) bool {
-			return e.billCost(T, x.pairs[sp.start+i].cu) > bestC
+			return model.Bill(T, x.pairs[sp.start+i].cu, e.billing) > bestC
 		})
 		if ub == 0 {
 			continue
@@ -583,8 +529,8 @@ type Candidate struct {
 // slice is freshly allocated; the index itself stays immutable.
 func (x *FrontierIndex) Candidates() []Candidate {
 	out := make([]Candidate, len(x.stair))
-	for i, st := range x.stair {
-		pr := &x.pairs[st.pairIdx]
+	for i, pi := range x.stair {
+		pr := &x.pairs[pi]
 		out[i] = Candidate{Config: pr.lessMin, U: pr.u, Cu: pr.cu}
 	}
 	return out

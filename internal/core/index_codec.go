@@ -50,9 +50,40 @@ const codecHeaderLen = 8 + 8 + 4 + 1
 // tuple tail.
 const pairRecordLen = 8 + 8 + 8 + 8
 
-// parallelCodecMin is the smallest pair count per decode worker worth a
-// goroutine; payloads below it decode in the calling goroutine.
+// parallelCodecMin is the smallest pair count per worker worth a
+// goroutine in the decode and the derivation; a table below it is one
+// chunk.
 const parallelCodecMin = 1 << 14
+
+// chunkWorkers is the worker count for an npairs-pair decode or
+// derivation: GOMAXPROCS, capped at one per parallelCodecMin pairs.
+func chunkWorkers(npairs int) int {
+	workers := runtime.GOMAXPROCS(0)
+	if most := 1 + npairs/parallelCodecMin; workers > most {
+		workers = most
+	}
+	return workers
+}
+
+// forChunks splits [0, n) into at most workers contiguous, ascending
+// ranges and runs fn(w, lo, hi) on each concurrently, returning once
+// all are done. With one worker it is a single walk over [0, n).
+func forChunks(n, workers int, fn func(w, lo, hi int)) {
+	chunk := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo, hi := w*chunk, min((w+1)*chunk, n)
+		if lo >= hi {
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w, lo, hi)
+		}()
+	}
+	wg.Wait()
+}
 
 // EncodeBinary serializes the index to its snapshot payload form. The
 // encoding is deterministic: the pair table is already totally ordered,
@@ -107,53 +138,28 @@ func DecodeFrontierIndex(payload []byte) (*FrontierIndex, error) {
 		return nil, fmt.Errorf("core: index payload %d bytes, %d pairs need exactly %d", len(payload), npairs, want)
 	}
 
+	// Chunks validate independently — the lo boundary's sortedness
+	// check reads the previous record's raw bytes — so the paper-scale
+	// restore parses in parallel and tracks the parallel build it is
+	// racing against across core counts.
 	pairs := make([]idxPair, npairs)
+	workers := chunkWorkers(npairs)
+	sums := make([]uint64, workers)
+	errs := make([]error, workers)
+	forChunks(npairs, workers, func(w, lo, hi int) {
+		sums[w], errs[w] = decodeChunk(payload, pairs, record, total, lo, hi)
+	})
+	// Chunks cover ascending pair ranges, so the lowest-index error is
+	// the first bad record whatever the chunk count.
 	var population uint64
-	workers := runtime.GOMAXPROCS(0)
-	if most := 1 + npairs/parallelCodecMin; workers > most {
-		workers = most
-	}
-	if workers == 1 {
-		p, err := decodeChunk(payload, pairs, record, total, 0, npairs)
-		if err != nil {
-			return nil, err
+	for w := 0; w < workers; w++ {
+		if errs[w] != nil {
+			return nil, errs[w]
 		}
-		population = p
-	} else {
-		// Chunks validate independently — the lo boundary's sortedness
-		// check reads the previous record's raw bytes — so the paper-
-		// scale restore parses in parallel and tracks the parallel
-		// build it is racing against across core counts.
-		chunk := (npairs + workers - 1) / workers
-		sums := make([]uint64, workers)
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > npairs {
-				hi = npairs
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				sums[w], errs[w] = decodeChunk(payload, pairs, record, total, lo, hi)
-			}(w, lo, hi)
+		if sums[w] > total-population {
+			return nil, fmt.Errorf("core: pair population exceeds the %d-configuration space", total)
 		}
-		wg.Wait()
-		// Workers cover ascending pair ranges, so the lowest-index
-		// error matches what the serial walk would have reported.
-		for w := 0; w < workers; w++ {
-			if errs[w] != nil {
-				return nil, errs[w]
-			}
-			if sums[w] > total-population {
-				return nil, fmt.Errorf("core: pair population exceeds the %d-configuration space", total)
-			}
-			population += sums[w]
-		}
+		population += sums[w]
 	}
 	if population != total {
 		return nil, fmt.Errorf("core: pairs aggregate %d configurations, index claims %d", population, total)
@@ -164,8 +170,7 @@ func DecodeFrontierIndex(payload []byte) (*FrontierIndex, error) {
 }
 
 // decodeChunk parses and validates the pair records in [lo, hi),
-// returning the chunk's population sum. The serial decode is the
-// single-chunk call, so both restore paths share one code path.
+// returning the chunk's population sum.
 func decodeChunk(payload []byte, pairs []idxPair, record int, total uint64, lo, hi int) (uint64, error) {
 	var population uint64
 	for i := lo; i < hi; i++ {

@@ -3,13 +3,16 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/demand"
 	"repro/internal/detrand"
+	"repro/internal/ec2"
 	"repro/internal/model"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -36,6 +39,49 @@ func scanTwin(t *testing.T, eng *Engine) *Engine {
 	}
 	twin.SetBilling(eng.billing)
 	return twin
+}
+
+// requireIndexMatchesScan asserts that eng's published index answers p
+// under cons exactly as the exhaustive scan does, under eng's billing:
+// the Analyze census against scan (eng's scan twin), and both argmins
+// through minSearch against scanSearch — same floats, same tie winners.
+// It returns the argmin winners, for callers that check their footing.
+func requireIndexMatchesScan(t *testing.T, label string, eng, scan *Engine, p workload.Params, cons Constraints) (winners []config.Tuple) {
+	t.Helper()
+	scanAn, err := scan.Analyze(p, cons, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idxAn, err := eng.Analyze(p, cons, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(idxAn, scanAn) {
+		t.Fatalf("%s: indexed Analysis %+v != scan %+v", label, idxAn, scanAn)
+	}
+	idx := eng.indexFor()
+	if idx == nil {
+		t.Fatalf("%s: index not serving under %s billing", label, eng.billing)
+	}
+	dem, err := eng.Demand(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, obj := range []objective{objectiveCost, objectiveTime} {
+		got, okG := idx.minSearch(eng, dem, cons, obj)
+		want, okW, err := eng.scanSearch(context.Background(), dem, cons, obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if okG != okW || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s obj %d: indexed (%+v, %v) != scan (%+v, %v)",
+				label, obj, got, okG, want, okW)
+		}
+		if okW {
+			winners = append(winners, want.Config)
+		}
+	}
+	return winners
 }
 
 // TestIndexEqualsScanRandomized is the randomized certification of the
@@ -75,38 +121,7 @@ func TestIndexEqualsScanRandomized(t *testing.T) {
 			Constraints{Deadline: 1e-9},
 		)
 		for ci, cons := range conss {
-			scanAn, err := scan.Analyze(p, cons, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			idxAn, err := eng.Analyze(p, cons, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(idxAn, scanAn) {
-				t.Fatalf("trial %d cons %d: indexed Analysis %+v != scan %+v",
-					trial, ci, idxAn, scanAn)
-			}
-
-			dem, err := eng.Demand(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			idx := eng.indexFor()
-			if idx == nil {
-				t.Fatalf("trial %d: no index", trial)
-			}
-			for _, obj := range []objective{objectiveCost, objectiveTime} {
-				got, okG := idx.minSearch(eng, dem, cons, obj)
-				want, okW, err := eng.scanSearch(context.Background(), dem, cons, obj)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if okG != okW || !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d cons %d obj %d: indexed (%+v, %v) != scan (%+v, %v)",
-						trial, ci, obj, got, okG, want, okW)
-				}
-			}
+			requireIndexMatchesScan(t, fmt.Sprintf("trial %d cons %d", trial, ci), eng, scan, p, cons)
 		}
 
 		// Codec round-trip: the snapshot payload must decode to an index
@@ -154,38 +169,8 @@ func TestIndexEqualsScanRandomized(t *testing.T) {
 		// tie metadata — must match the scan bit for bit.
 		eng.SetBilling(model.PerHour)
 		scan.SetBilling(model.PerHour)
-		if eng.indexFor() == nil {
-			t.Fatalf("trial %d: index not serving under per-hour billing", trial)
-		}
-		dem, err := eng.Demand(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx := eng.indexFor()
 		for ci, cons := range conss {
-			scanAn, err := scan.Analyze(p, cons, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			idxAn, err := eng.Analyze(p, cons, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(idxAn, scanAn) {
-				t.Fatalf("trial %d cons %d: per-hour indexed Analysis %+v != scan %+v",
-					trial, ci, idxAn, scanAn)
-			}
-			for _, obj := range []objective{objectiveCost, objectiveTime} {
-				got, okG := idx.minSearch(eng, dem, cons, obj)
-				want, okW, err := eng.scanSearch(context.Background(), dem, cons, obj)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if okG != okW || !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d cons %d obj %d: per-hour indexed (%+v, %v) != scan (%+v, %v)",
-						trial, ci, obj, got, okG, want, okW)
-				}
-			}
+			requireIndexMatchesScan(t, fmt.Sprintf("trial %d cons %d per-hour", trial, ci), eng, scan, p, cons)
 		}
 		pHS, predHS, okHS, err := scan.MaxAccuracy(math.Max(1, d/2), cons, 1e-3)
 		if err != nil {
@@ -199,6 +184,106 @@ func TestIndexEqualsScanRandomized(t *testing.T) {
 			t.Fatalf("trial %d: per-hour MaxAccuracy indexed (%+v, %+v, %v) != scan (%+v, %+v, %v)",
 				trial, pHI, predHI, okHI, pHS, predHS, okHS)
 		}
+	}
+}
+
+// TestIndexEqualsScanTwoDigitCounts is the fixed-catalog trial beside
+// the randomized harness. Its type limits reach 10–12 nodes, so the
+// index's tie-breaks compare two-digit counts, which the random
+// catalogs (1–3 nodes per type) never produce: lessDecimal's mid-tuple
+// rule (2 < 10, since ',' sorts below every digit) and its last-position
+// rule (10 < 2, since ']' sorts above). The aa family is linear in size
+// and price — k small nodes and k/2 double-size ones sum to the same
+// pair — so most pairs aggregate several configurations. Index and scan
+// must agree on Analyze and both argmins at every deadline × budget
+// pair, under both billings.
+func TestIndexEqualsScanTwoDigitCounts(t *testing.T) {
+	cat, err := ec2.NewCatalog([]ec2.InstanceType{
+		{Name: "aa.0", Category: "aa", VCPUs: 1, BaseGHz: 1, Price: 0.1},
+		{Name: "aa.1", Category: "aa", VCPUs: 2, BaseGHz: 1, Price: 0.2},
+		{Name: "aa.2", Category: "aa", VCPUs: 4, BaseGHz: 1, Price: 0.4},
+		{Name: "bb.0", Category: "bb", VCPUs: 2, BaseGHz: 1, Price: 0.25},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps, err := model.New(cat, []units.Rate{units.GIPS(1), units.GIPS(1), units.GIPS(1), units.GIPS(1.3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := config.NewSpace([]int{12, 10, 11, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dm := demand.FromFunc("linear", func(n, a float64) float64 { return n * a })
+	dom := workload.Domain{MinN: 1, MaxN: 1e18, MinA: 1, MaxA: 1e18}
+	eng, err := NewEngine(caps, dm, space, dom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, ok := eng.Frontier()
+	if !ok {
+		t.Fatal("fixed catalog did not index")
+	}
+	twoDigit := func(tp config.Tuple) bool {
+		for i := 0; i < tp.Len(); i++ {
+			if tp.Count(i) >= 10 {
+				return true
+			}
+		}
+		return false
+	}
+	// Footing: the trial only bites if aggregated pairs carry winners
+	// with two-digit counts.
+	type pairKey struct {
+		u  units.Rate
+		cu units.USDPerHour
+	}
+	shared := make(map[pairKey]bool)
+	multi, multiTwoDigit := 0, 0
+	for _, pr := range x.pairs {
+		if pr.count < 2 {
+			continue
+		}
+		shared[pairKey{pr.u, pr.cu}] = true
+		multi++
+		if twoDigit(pr.lessMin) {
+			multiTwoDigit++
+		}
+	}
+	if len(x.pairs) != 503 || multi != 468 || multiTwoDigit != 247 {
+		t.Fatalf("%d pairs, %d aggregating several configurations, %d of those with a two-digit winner; want 503, 468, 247",
+			len(x.pairs), multi, multiTwoDigit)
+	}
+
+	scan := scanTwin(t, eng)
+	// Demands for a run of 1 and 2.5 hours at full capacity. Deadlines
+	// scale that time; budgets scale the cheapest per-second cost, of
+	// bb.0 alone at 10.4 GIPS per $/h.
+	uMax := float64(caps.Capacity(config.MustTuple(12, 10, 11, 3)))
+	tiedWinners := 0
+	for _, hours := range []float64{1, 2.5} {
+		d := uMax * 3600 * hours
+		p := workload.Params{N: d, A: 1}
+		cheapest := d / 3600 / 10.4e9
+		for _, b := range []model.Billing{model.PerSecond, model.PerHour} {
+			eng.SetBilling(b)
+			scan.SetBilling(b)
+			for _, dl := range []float64{0, 1.05, 1.3, 1.7, 2.2, 3.1, 6} {
+				for _, bu := range []float64{0, 1.01, 1.04, 1.1, 1.5, 3} {
+					cons := Constraints{Deadline: units.Seconds(3600 * hours * dl), Budget: units.USD(cheapest * bu)}
+					label := fmt.Sprintf("%gh run, %s, deadline %g×, budget %g×", hours, b, dl, bu)
+					for _, w := range requireIndexMatchesScan(t, label, eng, scan, p, cons) {
+						if shared[pairKey{caps.Capacity(w), caps.UnitCost(w)}] && twoDigit(w) {
+							tiedWinners++
+						}
+					}
+				}
+			}
+		}
+	}
+	if tiedWinners == 0 {
+		t.Fatal("no argmin winner came from an aggregated pair with a two-digit count; the trial lost its footing")
 	}
 }
 

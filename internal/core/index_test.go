@@ -232,7 +232,8 @@ func TestIndexedSamplingForcesScan(t *testing.T) {
 	idxEng := indexedEngine(t, galaxy.App{}, 2)
 	p := workload.Params{N: 32768, A: 2000}
 	cons := Constraints{Deadline: units.FromHours(48), Budget: 500}
-	opts := Options{Workers: 4, SampleEvery: 10, SampleCap: 50}
+	setProcs(t, 4)
+	opts := Options{SampleEvery: 10, SampleCap: 50}
 	scan, err := scanEng.Analyze(p, cons, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -545,13 +546,14 @@ func TestIndexBypassReason(t *testing.T) {
 	}
 }
 
-// TestParallelDerivationMatchesSerial pins the two decode/derive code
-// paths to each other: the fused single-core walk and the multi-core
-// chunked parse + parallel span fill must produce identical indexes.
-// GOMAXPROCS is toggled explicitly so both paths run regardless of the
-// host's core count, over a synthetic pair table big enough
-// (> parallelCodecMin) to clear the parallel gate, with multi-pair
-// spans so the running minima actually accumulate.
+// TestParallelDerivationMatchesSerial pins chunk-count invariance of
+// the one decode/derive path: the chunked parse and span fill must
+// produce identical indexes, and reject corruption identically, at
+// GOMAXPROCS 1 (one chunk) and 4 (three, one per parallelCodecMin
+// pairs). GOMAXPROCS is toggled explicitly so both chunkings run
+// regardless of the host's core count, over a synthetic pair table big
+// enough (> 2·parallelCodecMin) to split, with multi-pair spans so the
+// running minima actually accumulate.
 func TestParallelDerivationMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	const n = 40000
@@ -590,26 +592,26 @@ func TestParallelDerivationMatchesSerial(t *testing.T) {
 		}
 		return x
 	}
-	serial := decodeAt(1)
-	parallel := decodeAt(4)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("parallel decode/derivation diverges from the serial path")
+	oneChunk := decodeAt(1)
+	chunked := decodeAt(4)
+	if !reflect.DeepEqual(oneChunk, chunked) {
+		t.Fatal("decode/derivation differs between one chunk and three")
 	}
-	if !bytes.Equal(serial.EncodeBinary(), payload) || !bytes.Equal(parallel.EncodeBinary(), payload) {
+	if !bytes.Equal(oneChunk.EncodeBinary(), payload) || !bytes.Equal(chunked.EncodeBinary(), payload) {
 		t.Fatal("round-trip is not byte-identical")
 	}
 
-	// Corruption must be rejected identically on both paths.
+	// Corruption must be rejected identically at both chunkings.
 	for _, flip := range []int{codecHeaderLen + 17, len(payload) / 2, len(payload) - 3} {
 		bad := append([]byte(nil), payload...)
 		bad[flip] ^= 0x40
 		prev := runtime.GOMAXPROCS(1)
-		_, errSerial := DecodeFrontierIndex(bad)
+		_, errOne := DecodeFrontierIndex(bad)
 		runtime.GOMAXPROCS(4)
-		_, errParallel := DecodeFrontierIndex(bad)
+		_, errChunked := DecodeFrontierIndex(bad)
 		runtime.GOMAXPROCS(prev)
-		if (errSerial == nil) != (errParallel == nil) {
-			t.Fatalf("flip at %d: serial err %v, parallel err %v", flip, errSerial, errParallel)
+		if (errOne == nil) != (errChunked == nil) {
+			t.Fatalf("flip at %d: one-chunk err %v, three-chunk err %v", flip, errOne, errChunked)
 		}
 	}
 }

@@ -137,6 +137,7 @@ func TestDecomposedEqualsExhaustiveHourlyRandomized(t *testing.T) {
 // mutually nondominated, and no scanned configuration dominates any of
 // them.
 func TestFrontierInvariantsRandomized(t *testing.T) {
+	setProcs(t, 3)
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 15; trial++ {
 		eng := randomEngine(t, rng)
@@ -151,7 +152,7 @@ func TestFrontierInvariantsRandomized(t *testing.T) {
 		d := maxCap * 0.5 * float64(deadline)
 		p := workload.Params{N: d, A: 1}
 		budget := units.USD(1e9)
-		an, err := eng.Analyze(p, Constraints{Deadline: deadline, Budget: budget}, Options{Workers: 3})
+		an, err := eng.Analyze(p, Constraints{Deadline: deadline, Budget: budget}, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,12 +191,14 @@ func TestAnalyzeWorkerCountInvariance(t *testing.T) {
 	eng := randomEngine(t, rng)
 	p := workload.Params{N: 1e13, A: 1}
 	cons := Constraints{Deadline: units.FromHours(10), Budget: 1e6}
-	ref, err := eng.Analyze(p, cons, Options{Workers: 1})
+	setProcs(t, 1)
+	ref, err := eng.Analyze(p, cons, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, 3, 7, 16} {
-		an, err := eng.Analyze(p, cons, Options{Workers: w})
+		setProcs(t, w)
+		an, err := eng.Analyze(p, cons, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,26 +85,33 @@ func (c *Capacities) PerVCPU(i int) units.Rate { return c.perVCPU[i] }
 // W reports the per-node capacity W_i (Eq. 4).
 func (c *Capacities) W(i int) units.Rate { return c.perNode[i] }
 
-// Capacity computes U_j (Eq. 3) for a configuration.
-func (c *Capacities) Capacity(t config.Tuple) units.Rate {
-	var u units.Rate
+// Sums computes a configuration's capacity U_j (Eq. 3) and unit cost
+// C_j,u (Eq. 6) over per-node arrays (NodeArrays), adding each type's
+// m·W_i and m·c_i in catalog order and skipping m = 0. It is the one
+// (U, C_u) loop: Capacity, UnitCost and PredictBilled call it, and so
+// do core's scans and index build, so the pairs an index stores and the
+// Prediction a query returns are the scan's floats by construction.
+// Small enough to inline into every hot loop.
+func Sums(t config.Tuple, w []units.Rate, cost []units.USDPerHour) (u units.Rate, cu units.USDPerHour) {
 	for i := 0; i < t.Len(); i++ {
 		if m := t.Count(i); m > 0 {
-			u += units.Rate(m) * c.perNode[i]
+			u += units.Rate(m) * w[i]
+			cu += units.USDPerHour(m) * cost[i]
 		}
 	}
+	return u, cu
+}
+
+// Capacity computes U_j (Eq. 3) for a configuration.
+func (c *Capacities) Capacity(t config.Tuple) units.Rate {
+	u, _ := Sums(t, c.perNode, c.nodeCost)
 	return u
 }
 
 // UnitCost computes C_j,u (Eq. 6) for a configuration.
 func (c *Capacities) UnitCost(t config.Tuple) units.USDPerHour {
-	var p units.USDPerHour
-	for i := 0; i < t.Len(); i++ {
-		if m := t.Count(i); m > 0 {
-			p += units.USDPerHour(m) * c.nodeCost[i]
-		}
-	}
-	return p
+	_, cu := Sums(t, c.perNode, c.nodeCost)
+	return cu
 }
 
 // NodeArrays exposes the per-node capacity (instructions/second) and
@@ -172,18 +179,19 @@ func (b Billing) Indexable() bool {
 	}
 }
 
-// Bill prices a duration at a unit cost under the policy.
+// Bill prices a duration at a unit cost under the policy; any policy
+// but PerHour bills per second. It is the one billing function: core's
+// scans call it per configuration and its index walks per binary-search
+// probe, so it stays small enough to inline there.
 func Bill(t units.Seconds, unit units.USDPerHour, b Billing) units.USD {
-	switch b {
-	case PerHour:
+	if b == PerHour {
 		h := units.Hours(math.Ceil(t.Hours()))
 		if h < 1 && t > 0 {
 			h = 1
 		}
 		return unit.ForHours(h)
-	default:
-		return units.Cost(t, unit)
 	}
+	return unit.PerSecond().Over(t)
 }
 
 // Prediction is the model's estimate for one (demand, configuration)
@@ -205,8 +213,7 @@ func (c *Capacities) Predict(d units.Instructions, t config.Tuple) Prediction {
 // PredictBilled applies Eq. 2–4 and prices the result under the given
 // billing policy.
 func (c *Capacities) PredictBilled(d units.Instructions, t config.Tuple, b Billing) Prediction {
-	u := c.Capacity(t)
-	cu := c.UnitCost(t)
+	u, cu := Sums(t, c.perNode, c.nodeCost)
 	T := units.Time(d, u)
 	return Prediction{
 		Config:   t,

@@ -62,6 +62,29 @@ func chaosFrontdoor(t *testing.T, cfg Config) *Frontdoor {
 	return f
 }
 
+// heldChaosFrontdoor is chaosFrontdoor with every background rebuild
+// held until release is called. A test that asserts the degraded state
+// LoadSnapshots leaves behind looks before releasing: a free-running
+// rebuild of the small chaos engine can publish first. Cleanup releases
+// the rebuild and waits for it, so a failed assertion strands no
+// goroutine writing into a removed snapshot directory.
+func heldChaosFrontdoor(t *testing.T, cfg Config) (f *Frontdoor, release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	cfg.Rebuild = func(e *core.Engine) (core.IndexStats, error) {
+		<-gate
+		return e.RebuildIndex()
+	}
+	f = chaosFrontdoor(t, cfg)
+	t.Cleanup(func() {
+		release()
+		f.Wait()
+	})
+	return f, release
+}
+
 func statusFor(t *testing.T, f *Frontdoor, app string) IndexStatus {
 	t.Helper()
 	st, ok := f.IndexStatusFor(app)
@@ -129,7 +152,7 @@ func TestQueuedCancelReturnsPromptly(t *testing.T) {
 // snapshot is re-saved for the next process.
 func TestSnapshotMissingDegradesThenRebuilds(t *testing.T) {
 	dir := t.TempDir()
-	f := chaosFrontdoor(t, Config{SnapshotDir: dir})
+	f, release := heldChaosFrontdoor(t, Config{SnapshotDir: dir})
 	problems := f.LoadSnapshots()
 	if err := problems["galaxy"]; !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("problems[galaxy] = %v, want fs.ErrNotExist", err)
@@ -150,6 +173,7 @@ func TestSnapshotMissingDegradesThenRebuilds(t *testing.T) {
 		t.Fatalf("degraded-mode query failed: %v", err)
 	}
 
+	release()
 	f.Wait()
 	if st := statusFor(t, f, "galaxy"); st.State != IndexBuilt {
 		t.Fatalf("status after rebuild = %+v, want built", st)
@@ -181,7 +205,7 @@ func TestSnapshotCorruptDegradesThenRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f := chaosFrontdoor(t, Config{SnapshotDir: dir})
+	f, release := heldChaosFrontdoor(t, Config{SnapshotDir: dir})
 	problems := f.LoadSnapshots()
 	if err := problems["galaxy"]; !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("problems[galaxy] = %v, want ErrCorrupt", err)
@@ -189,6 +213,7 @@ func TestSnapshotCorruptDegradesThenRebuilds(t *testing.T) {
 	if st := statusFor(t, f, "galaxy"); st.State != IndexDegraded {
 		t.Fatalf("status = %+v, want degraded", st)
 	}
+	release()
 	f.Wait()
 	if st := statusFor(t, f, "galaxy"); st.State != IndexBuilt {
 		t.Fatalf("status after rebuild = %+v, want built", st)
@@ -244,7 +269,7 @@ func TestSnapshotSlowLoadStillRestores(t *testing.T) {
 func TestSnapshotReadFailureDegrades(t *testing.T) {
 	dir := t.TempDir()
 	saveArtifact(t, dir)
-	f := chaosFrontdoor(t, Config{SnapshotDir: dir, ReadFile: chaos.FailReadFile()})
+	f, release := heldChaosFrontdoor(t, Config{SnapshotDir: dir, ReadFile: chaos.FailReadFile()})
 	problems := f.LoadSnapshots()
 	if err := problems["galaxy"]; !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("problems[galaxy] = %v, want ErrInjected", err)
@@ -252,6 +277,7 @@ func TestSnapshotReadFailureDegrades(t *testing.T) {
 	if st := statusFor(t, f, "galaxy"); st.State != IndexDegraded {
 		t.Fatalf("status = %+v, want degraded", st)
 	}
+	release()
 	f.Wait()
 	if st := statusFor(t, f, "galaxy"); st.State != IndexBuilt {
 		t.Fatalf("status after rebuild = %+v, want built", st)
