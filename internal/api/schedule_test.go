@@ -3,10 +3,12 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"testing"
 
 	"repro/internal/demand"
+	"repro/internal/units"
 )
 
 // scheduleTestTrace is a short diurnal cycle inside galaxy's domain
@@ -224,5 +226,44 @@ func TestScheduleCacheDistinctPerTraceName(t *testing.T) {
 	}
 	if first.TraceHash != second.TraceHash || first.TotalCostUSD != second.TotalCostUSD {
 		t.Fatalf("renamed trace changed the solve: %+v vs %+v", first, second)
+	}
+}
+
+// TestScheduleCacheDistinctPerAdjacentStep: traces whose step lengths
+// are one ULP apart are different requests, so the second must miss the
+// cache and echo its own step. When demand.Trace.Hash hashed the step
+// through Hours(), 500 s and the next double shared a cache key and the
+// second request was served the first one's bytes.
+func TestScheduleCacheDistinctPerAdjacentStep(t *testing.T) {
+	ts := newTestServer(t)
+	tr := scheduleTestTrace(24)
+	tr.Step = 500
+	next := tr
+	next.Step = units.Seconds(math.Nextafter(500, 1000))
+
+	var first ScheduleResponse
+	if code := postJSON(t, ts.URL+"/v1/schedule", scheduleRequest{App: "galaxy", Trace: tr}, &first); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	if first.StepSeconds != tr.Step {
+		t.Fatalf("first response echoes step %v, want %v", float64(first.StepSeconds), float64(tr.Step))
+	}
+
+	raw, _ := json.Marshal(scheduleRequest{App: "galaxy", Trace: next})
+	r2, err := http.Post(ts.URL+"/v1/schedule", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Body.Close()
+	if got := r2.Header.Get("X-Cache"); got != "miss" {
+		t.Fatalf("X-Cache = %q for a step one ULP longer, want miss", got)
+	}
+	var second ScheduleResponse
+	if err := json.NewDecoder(r2.Body).Decode(&second); err != nil {
+		t.Fatal(err)
+	}
+	if second.StepSeconds != next.Step {
+		t.Fatalf("second response echoes step %v, want %v (another request's cached body)",
+			float64(second.StepSeconds), float64(next.Step))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/apps/galaxy"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -110,6 +111,26 @@ func TestParseBasisRejectsUnknown(t *testing.T) {
 	for _, name := range []string{"", "n^3", "exp(a)", "n*ln(1+-5*a)", "n*ln(1+0*a)"} {
 		if _, err := ParseBasis(name); err == nil {
 			t.Errorf("ParseBasis(%q) accepted", name)
+		}
+	}
+}
+
+// TestTraceHashSeparatesAdjacentSteps: Hash keys the /v1/schedule
+// cache, so step lengths one ULP apart must hash apart. Hashing the step
+// through Hours() (a division by 3600) mapped about four in ten
+// adjacent doubles onto the same value.
+func TestTraceHashSeparatesAdjacentSteps(t *testing.T) {
+	for _, start := range []units.Seconds{480, 500, 1000, 1800, 7200} {
+		tr := Trace{Version: TraceVersion, Step: start, A: 50, N: []float64{6000, 12000}}
+		prev := tr.Hash()
+		for k := 0; k < 64; k++ {
+			below := tr.Step
+			tr.Step = units.Seconds(math.Nextafter(float64(below), math.Inf(1)))
+			h := tr.Hash()
+			if h == prev {
+				t.Fatalf("steps %v and %v (one ULP apart) share hash %s", float64(below), float64(tr.Step), h)
+			}
+			prev = h
 		}
 	}
 }

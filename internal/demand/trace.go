@@ -26,7 +26,8 @@ import (
 const TraceVersion = 1
 
 // MaxTraceSteps bounds the horizon a single trace may carry. The
-// schedule solver is O(steps · candidates²); 100k five-minute steps is
+// schedule solver keeps a steps × candidates parent table and, at worst,
+// compares every candidate pair per step; 100k five-minute steps is
 // most of a year, far past where a static plan stays credible.
 const MaxTraceSteps = 100_000
 
@@ -88,9 +89,9 @@ func (tr Trace) Params(t int) workload.Params {
 }
 
 // Hash fingerprints the demand-relevant content of the trace (version,
-// step length, accuracy, and the exact bit patterns of every problem
-// size — not the advisory name fields) as 16 hex digits. Serving uses
-// it as the cache-key component for POST /v1/schedule.
+// and the exact bit patterns of the step length, the accuracy and every
+// problem size — not the advisory name fields) as 16 hex digits.
+// Serving uses it as the cache-key component for POST /v1/schedule.
 func (tr Trace) Hash() string {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -99,10 +100,8 @@ func (tr Trace) Hash() string {
 		h.Write(buf[:])
 	}
 	word(uint64(tr.Version))
-	// Hash the step through the dimension-free accessor: /3600 is exact
-	// in binary-float terms only for some steps, but any fixed injective
-	// mapping works — the hash just has to be stable across processes.
-	word(math.Float64bits(tr.Step.Hours()))
+	//lint:allow unitsafe fingerprinting hashes the exact IEEE bit pattern; no arithmetic happens on the raw value
+	word(math.Float64bits(float64(tr.Step)))
 	word(math.Float64bits(tr.A))
 	word(uint64(len(tr.N)))
 	for _, n := range tr.N {

@@ -21,9 +21,10 @@
 // dollars. All transitions stay admissible even when a step's demand
 // exceeds every candidate's capacity (the step is simply marked
 // missed), so an infeasible spike degrades the answer instead of
-// voiding it. With ascending candidate iteration and strictly-better
-// comparisons the recurrence is deterministic: a fixed trace and
-// policy reproduce the schedule bit for bit.
+// voiding it. Each entry keeps the predecessor with the least (value,
+// candidate index), so equal values resolve to the lowest index and
+// the recurrence is deterministic: a fixed trace and policy reproduce
+// the schedule bit for bit.
 package schedule
 
 import (
@@ -143,9 +144,10 @@ func Solve(eng *core.Engine, tr demand.Trace, pol Policy) (Schedule, error) {
 // engine's frontier index to exist (the build is billing-independent)
 // and errors if the catalog does not compress into an index;
 // demand-model or domain errors for any step surface with the step
-// index. The DP polls ctx between timesteps (each step is an O(m²)
-// sweep over candidate pairs), so a canceled request stops paying for
-// the horizon it no longer wants.
+// index. The DP polls ctx between timesteps (each step costs
+// O(m log m) plus the transitions its bound-ordered scan evaluates),
+// so a canceled request stops paying for the horizon it no longer
+// wants.
 func SolveContext(ctx context.Context, eng *core.Engine, tr demand.Trace, pol Policy) (Schedule, error) {
 	if err := tr.Validate(); err != nil {
 		return Schedule{}, err
@@ -163,71 +165,62 @@ func SolveContext(ctx context.Context, eng *core.Engine, tr demand.Trace, pol Po
 	}
 
 	sc := newSolveCtx(eng, cands, tr.Step, pol)
+	parent, last, err := sc.dp(ctx, demands)
+	if err != nil {
+		return Schedule{}, err
+	}
+	m := len(sc.u)
+	path := make([]int, len(demands))
+	for t, j := len(path)-1, last; t >= 0; t-- {
+		path[t] = j
+		j = int(parent[t*m+j])
+	}
+	sched := sc.replay(path, demands, m-1) // m-1: the appended all-idle candidate
+	sched.Candidates = len(cands)
+	return sched, nil
+}
+
+// unreached marks a DP entry no schedule can end in.
+const unreached = -1
+
+// value is the DP objective of a partial schedule: missed steps first,
+// then dollars.
+type value struct {
+	miss int
+	cost units.USD
+}
+
+// less orders values lexicographically by (miss, cost).
+func (a value) less(b value) bool {
+	if a.miss != b.miss {
+		return a.miss < b.miss
+	}
+	return a.cost < b.cost
+}
+
+// dp runs the DP over (step, candidate) and returns the parent table
+// (parent[t*m+j] is the candidate held before step t on the best
+// schedule entering j at t) and the best final candidate, charged its
+// end-of-horizon release payout.
+func (sc *solveCtx) dp(ctx context.Context, demands []units.Instructions) ([]int32, int, error) {
 	m := len(sc.u)
 	n := len(demands)
-	idle := m - 1 // the appended all-idle candidate
-
-	// DP over (step, candidate): lexicographic (misses, cost). prev[i]
-	// is the best value of any schedule for steps [0, t) ending in
-	// candidate i; parent[t*m+j] reconstructs the argmin. Iterating i
-	// ascending with strictly-better comparison pins ties to the
-	// lowest candidate index — the determinism guarantee.
-	const unreached = -1
-	type val struct {
-		miss int
-		cost units.USD
-	}
-	better := func(a, b val) bool {
-		if a.miss != b.miss {
-			return a.miss < b.miss
-		}
-		return a.cost < b.cost
-	}
-	prev := make([]val, m)
-	cur := make([]val, m)
+	prev := make([]value, m)
+	cur := make([]value, m)
 	reach := make([]bool, m)
-	parent := make([]int32, n*m)
-	for i := range prev {
-		prev[i] = val{miss: 0, cost: 0}
-		reach[i] = i == idle // schedules start from idle
-	}
-	// The per-step accrual cu[j]·stepLen is invariant across timesteps;
-	// computing it once per candidate keeps the O(n·m²) sweep free of
-	// redundant float work without changing a single rounding (the same
-	// Over call, just hoisted).
-	accrues := make([]units.USD, m)
-	for j := 0; j < m; j++ {
-		accrues[j] = sc.cu[j].Over(sc.stepLen)
-	}
 	nextReach := make([]bool, m)
+	reach[m-1] = true // schedules start from idle
+	parent := make([]int32, n*m)
+	r := newRelaxer(sc)
 	for t := 0; t < n; t++ {
 		if err := ctx.Err(); err != nil {
-			return Schedule{}, err
+			return nil, 0, err
 		}
-		boundary := units.Seconds(float64(t)) * sc.stepLen
-		carrySec := sc.carrySeconds(boundary)
-		for j := 0; j < m; j++ {
-			accrue := accrues[j]
-			bestI := int32(unreached)
-			var best val
-			for i := 0; i < m; i++ {
-				if !reach[i] {
-					continue
-				}
-				v := val{miss: prev[i].miss, cost: prev[i].cost + accrue}
-				if carrySec > 0 {
-					v.cost += sc.removedCu[i*m+j].Over(carrySec)
-				}
-				if sc.missed(i, j, demands[t]) {
-					v.miss++
-				}
-				if bestI == unreached || better(v, best) {
-					bestI, best = int32(i), v
-				}
-			}
-			parent[t*m+j] = bestI
-			cur[j] = best
-			nextReach[j] = bestI != unreached
+		row := parent[t*m : (t+1)*m]
+		carrySec := sc.carrySeconds(units.Seconds(float64(t)) * sc.stepLen)
+		r.relax(prev, reach, demands[t], carrySec, cur, row)
+		for j, i := range row {
+			nextReach[j] = i != unreached
 		}
 		prev, cur = cur, prev
 		reach, nextReach = nextReach, reach
@@ -238,29 +231,148 @@ func SolveContext(ctx context.Context, eng *core.Engine, tr demand.Trace, pol Po
 	// cannot hide the bill past the last step.
 	endCarry := sc.carrySeconds(units.Seconds(float64(n)) * sc.stepLen)
 	last := unreached
-	var lastVal val
+	var lastVal value
 	for j := 0; j < m; j++ {
 		if !reach[j] {
 			continue
 		}
-		v := val{miss: prev[j].miss, cost: prev[j].cost + sc.cu[j].Over(endCarry)}
-		if last == unreached || better(v, lastVal) {
+		v := value{miss: prev[j].miss, cost: prev[j].cost + sc.cu[j].Over(endCarry)}
+		if last == unreached || v.less(lastVal) {
 			last, lastVal = j, v
 		}
 	}
 	if last == unreached {
-		return Schedule{}, fmt.Errorf("schedule: no reachable terminal state (internal invariant broken)")
+		return nil, 0, fmt.Errorf("schedule: no reachable terminal state (internal invariant broken)")
 	}
+	return parent, last, nil
+}
 
-	// Reconstruct the chosen candidate per step.
-	path := make([]int, n)
-	for t, j := n-1, last; t >= 0; t-- {
-		path[t] = j
-		j = int(parent[t*m+j])
+// relaxer evaluates one DP step. Its predecessor heap and scan order
+// are scratch reused across steps.
+type relaxer struct {
+	sc *solveCtx
+	// accrues[j] is cu[j]·stepLen, invariant across steps; hoisting it
+	// changes no rounding (the same Over call).
+	accrues []units.USD
+	heap    []int32 // reachable predecessors not yet in order
+	order   []int32 // predecessors popped so far, ascending (value, index)
+}
+
+func newRelaxer(sc *solveCtx) *relaxer {
+	m := len(sc.u)
+	r := &relaxer{
+		sc:      sc,
+		accrues: make([]units.USD, m),
+		heap:    make([]int32, 0, m),
+		order:   make([]int32, 0, m),
 	}
-	sched := sc.replay(path, demands, idle)
-	sched.Candidates = len(cands)
-	return sched, nil
+	for j := range r.accrues {
+		r.accrues[j] = sc.cu[j].Over(sc.stepLen)
+	}
+	return r
+}
+
+// relax computes one step of the recurrence. prev[i] is the best value
+// of a schedule ending in candidate i before the step (read only where
+// reach[i]); relax writes into cur[j] and parent[j] the best value of
+// entering candidate j with demand d and the predecessor that attains
+// it, or unreached when no predecessor is reachable. Among predecessors
+// of equal value the lowest index wins.
+//
+// Entering j from i is worth at least (prev[i].miss + floor_j,
+// fl(prev[i].cost + accrual_j)): the carry term is non-negative and
+// fl(x + y) >= x for y >= 0, a miss only adds, and floor_j is 1 when j
+// misses from every predecessor (its own capacity cannot finish d; a
+// switch only subtracts booting work).
+// That bound is monotone in prev[i], so relax walks the predecessors
+// in ascending (value, index) order, popped lazily from a heap shared
+// by every j of the step, and stops each j at the first bound strictly
+// worse than its best: no later predecessor can beat or tie it.
+func (r *relaxer) relax(prev []value, reach []bool, d units.Instructions, carrySec units.Seconds, cur []value, parent []int32) {
+	sc := r.sc
+	m := len(sc.u)
+	r.heap, r.order = r.heap[:0], r.order[:0]
+	for i, ok := range reach {
+		if ok {
+			r.heap = append(r.heap, int32(i))
+		}
+	}
+	for k := len(r.heap)/2 - 1; k >= 0; k-- {
+		r.siftDown(prev, k)
+	}
+	for j := 0; j < m; j++ {
+		floor := 0
+		if sc.missed(j, j, d) {
+			floor = 1
+		}
+		accrue := r.accrues[j]
+		bestI := int32(unreached)
+		var best value
+		for k := 0; ; k++ {
+			if k == len(r.order) {
+				if len(r.heap) == 0 {
+					break
+				}
+				r.order = append(r.order, r.pop(prev))
+			}
+			i := r.order[k]
+			v := value{miss: prev[i].miss, cost: prev[i].cost + accrue}
+			if bestI != unreached && best.less(value{miss: v.miss + floor, cost: v.cost}) {
+				break
+			}
+			if carrySec > 0 {
+				v.cost += sc.removedCu[int(i)*m+j].Over(carrySec)
+			}
+			if sc.missed(int(i), j, d) {
+				v.miss++
+			}
+			if bestI == unreached || v.less(best) || (!best.less(v) && i < bestI) {
+				bestI, best = i, v
+			}
+		}
+		parent[j] = bestI
+		cur[j] = best
+	}
+}
+
+// ahead orders predecessors by (prev value, index).
+func ahead(prev []value, a, b int32) bool {
+	if prev[a].less(prev[b]) {
+		return true
+	}
+	if prev[b].less(prev[a]) {
+		return false
+	}
+	return a < b
+}
+
+// pop removes and returns the heap's least predecessor.
+func (r *relaxer) pop(prev []value) int32 {
+	top := r.heap[0]
+	last := len(r.heap) - 1
+	r.heap[0] = r.heap[last]
+	r.heap = r.heap[:last]
+	r.siftDown(prev, 0)
+	return top
+}
+
+// siftDown restores the min-heap order below position k.
+func (r *relaxer) siftDown(prev []value, k int) {
+	h := r.heap
+	for {
+		c := 2*k + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && ahead(prev, h[c+1], h[c]) {
+			c++
+		}
+		if !ahead(prev, h[c], h[k]) {
+			return
+		}
+		h[k], h[c] = h[c], h[k]
+		k = c
+	}
 }
 
 // newSolveCtx assembles candidates (frontier staircase + idle) and the

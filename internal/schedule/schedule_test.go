@@ -2,8 +2,11 @@ package schedule
 
 import (
 	"fmt"
+	"hash/fnv"
+	"io"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/apps/galaxy"
@@ -14,13 +17,19 @@ import (
 	"repro/internal/ec2"
 	"repro/internal/model"
 	"repro/internal/units"
+	"repro/internal/workload"
 )
 
-// testEngine builds a galaxy engine over a truncated space (maxNodes
-// per type) so index builds stay fast under -race.
+// testEngine is testAppEngine for galaxy.
 func testEngine(t *testing.T, maxNodes int, billing model.Billing) *core.Engine {
 	t.Helper()
-	app := galaxy.App{}
+	return testAppEngine(t, galaxy.App{}, maxNodes, billing)
+}
+
+// testAppEngine builds an engine for app over a truncated space
+// (maxNodes per type) so index builds stay fast under -race.
+func testAppEngine(t *testing.T, app workload.App, maxNodes int, billing model.Billing) *core.Engine {
+	t.Helper()
 	cat := ec2.Oregon()
 	space, err := config.Uniform(cat.Len(), maxNodes)
 	if err != nil {
@@ -32,6 +41,42 @@ func testEngine(t *testing.T, maxNodes int, billing model.Billing) *core.Engine 
 	}
 	eng.SetBilling(billing)
 	return eng
+}
+
+// paperEngines holds the full paper galaxy engine per billing, built on
+// first use and shared by the paper-scale tests: under -race each index
+// build costs several seconds, far more than the solves on it.
+var paperEngines struct {
+	sync.Mutex
+	byBilling map[model.Billing]*core.Engine
+}
+
+// paperEngine returns the shared paper galaxy engine under billing.
+// Callers must not change its billing.
+func paperEngine(billing model.Billing) *core.Engine {
+	paperEngines.Lock()
+	defer paperEngines.Unlock()
+	if paperEngines.byBilling == nil {
+		paperEngines.byBilling = make(map[model.Billing]*core.Engine)
+	}
+	eng, ok := paperEngines.byBilling[billing]
+	if !ok {
+		eng = core.NewPaperEngine(galaxy.App{})
+		eng.SetBilling(billing)
+		paperEngines.byBilling[billing] = eng
+	}
+	return eng
+}
+
+// pathDigest fingerprints the configuration each step of a schedule
+// holds, in order, as 16 hex digits.
+func pathDigest(sched Schedule) string {
+	h := fnv.New64a()
+	for _, st := range sched.Steps {
+		io.WriteString(h, st.Config.String())
+		io.WriteString(h, "\n")
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // testTrace is a small two-cycle diurnal well inside the truncated
@@ -205,7 +250,7 @@ func TestGoldenDiurnalPaper(t *testing.T) {
 		t.Skip("paper-scale index build")
 	}
 	tr := demand.GoldenDiurnal()
-	if got, want := tr.Hash(), "7821097efc7c1a29"; got != want {
+	if got, want := tr.Hash(), "45b354f2600132c5"; got != want {
 		t.Fatalf("golden trace hash %s, want %s", got, want)
 	}
 	if got, want := tr.Steps(), 1000; got != want {
@@ -217,12 +262,12 @@ func TestGoldenDiurnalPaper(t *testing.T) {
 		cost, rCost string // %.6f-rendered USD
 		switches    int
 		payout      string
+		path        string // pathDigest of the 1,000 chosen configurations
 	}{
-		{model.PerSecond, "223.950083", "312.376583", 585, "0.000000"},
-		{model.PerHour, "250.806083", "330.393167", 220, "4.305333"},
+		{model.PerSecond, "223.950083", "312.376583", 585, "0.000000", "43de0803ae41cc15"},
+		{model.PerHour, "250.806083", "330.393167", 220, "4.305333", "91a5f04764964336"},
 	} {
-		eng := core.NewPaperEngine(galaxy.App{})
-		eng.SetBilling(tc.billing)
+		eng := paperEngine(tc.billing)
 		pol := PolicyFor(eng)
 		sched, err := Solve(eng, tr, pol)
 		if err != nil {
@@ -243,6 +288,9 @@ func TestGoldenDiurnalPaper(t *testing.T) {
 		}
 		if sched.Switches != tc.switches {
 			t.Errorf("%v: %d switches, want %d", tc.billing, sched.Switches, tc.switches)
+		}
+		if got := pathDigest(sched); got != tc.path {
+			t.Errorf("%v: chosen-configuration digest %s, want %s", tc.billing, got, tc.path)
 		}
 		if sched.Misses != 0 || base.Misses != 0 {
 			t.Errorf("%v: misses solved=%d reactive=%d, want 0", tc.billing, sched.Misses, base.Misses)
