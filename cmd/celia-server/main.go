@@ -56,7 +56,7 @@ func main() {
 		reqTO    = flag.Duration("request-timeout", 60*time.Second, "per-request deadline from admission to completion")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline for in-flight requests")
 		billing  = flag.String("billing", "persecond", "billing policy for every mounted engine: persecond (Eq. 5 verbatim), perhour (2017-era started-hour billing)")
-		snapDir  = flag.String("snapshot-dir", "", "directory of frontier-index snapshots: restored at startup (skipping the multi-second build) and rewritten after background rebuilds; empty disables persistence")
+		snapDir  = flag.String("snapshot-dir", "", "directory of frontier-index snapshots: restored at startup (skipping the index build) and rewritten after background rebuilds; empty disables persistence")
 	)
 	flag.Parse()
 

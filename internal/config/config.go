@@ -28,7 +28,7 @@ type Tuple struct {
 // NewTuple builds a tuple from explicit counts.
 func NewTuple(counts []int) (Tuple, error) {
 	if len(counts) == 0 || len(counts) > MaxTypes {
-		return Tuple{}, badArity(len(counts))
+		return Tuple{}, arityError(len(counts))
 	}
 	var t Tuple
 	t.m = uint8(len(counts))
@@ -44,11 +44,11 @@ func NewTuple(counts []int) (Tuple, error) {
 // TupleFromBytes builds a tuple directly from per-type count bytes,
 // the snapshot decoder's hot path: the byte type already guarantees
 // every count is in [0, 255], so only the arity needs checking. The
-// error construction lives out of line so this inlines into the
-// decoder's per-pair loop.
+// error is a plain arityError value, not a call, so this inlines into
+// the decoder's per-pair loop.
 func TupleFromBytes(counts []byte) (Tuple, error) {
 	if len(counts) == 0 || len(counts) > MaxTypes {
-		return Tuple{}, badArity(len(counts))
+		return Tuple{}, arityError(len(counts))
 	}
 	var t Tuple
 	t.m = uint8(len(counts))
@@ -56,8 +56,11 @@ func TupleFromBytes(counts []byte) (Tuple, error) {
 	return t, nil
 }
 
-func badArity(n int) error {
-	return fmt.Errorf("config: tuple arity %d outside [1, %d]", n, MaxTypes)
+// arityError reports a tuple arity outside [1, MaxTypes].
+type arityError int
+
+func (n arityError) Error() string {
+	return fmt.Sprintf("config: tuple arity %d outside [1, %d]", int(n), MaxTypes)
 }
 
 // MustTuple is NewTuple for static test data; it panics on error.
@@ -74,6 +77,13 @@ func (t Tuple) Len() int { return int(t.m) }
 
 // Count reports m_j,i, the node count of type i.
 func (t Tuple) Count(i int) int { return int(t.counts[i]) }
+
+// WithCount returns t with type i's count set to c. It panics unless i
+// is below Len.
+func (t Tuple) WithCount(i int, c uint8) Tuple {
+	t.counts[:t.m][i] = c
+	return t
+}
 
 // Counts returns the counts as a fresh slice.
 func (t Tuple) Counts() []int {

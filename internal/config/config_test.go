@@ -77,6 +77,21 @@ func TestNewTupleValidation(t *testing.T) {
 	}
 }
 
+func TestWithCount(t *testing.T) {
+	tp := MustTuple(1, 2, 3)
+	if got := tp.WithCount(1, 10); got != MustTuple(1, 10, 3) || tp != MustTuple(1, 2, 3) {
+		t.Fatalf("WithCount(1, 10) of %v = %v", tp, got)
+	}
+	// Past the arity the count would hide in the backing array, where
+	// == and the index would see it but Len and String would not.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("WithCount past the arity did not panic")
+		}
+	}()
+	tp.WithCount(3, 1)
+}
+
 func TestCountsCopy(t *testing.T) {
 	tp := MustTuple(1, 2, 3)
 	c := tp.Counts()

@@ -13,10 +13,10 @@
 // floating-point (time, cost) domination for every query. The Pareto
 // staircase of the distinct (U, c_u) pairs is therefore a
 // demand-invariant candidate superset of every per-query frontier, and
-// one scan of the space answers all of them. Crucially the argument
-// never needs model.Bill to be linear: per-hour ceil billing flattens
-// distinct times onto the same started-hour count but never reorders
-// them (fl(T/3600), math.Ceil, the max(1, ·) clamp, and fl(c_u·h) are
+// one build answers all of them. Crucially the argument never needs
+// model.Bill to be linear: per-hour ceil billing flattens distinct
+// times onto the same started-hour count but never reorders them
+// (fl(T/3600), math.Ceil, the max(1, ·) clamp, and fl(c_u·h) are
 // each monotone), so pairs the staircase drops as (u, cu)-dominated
 // are (T, C)-dominated under per-hour billing too, for every demand.
 // Pairs the staircase keeps — incomparable in the (u, cu) plane — are
@@ -28,10 +28,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/config"
@@ -45,6 +45,8 @@ import (
 // as the space itself; past this cap the build aborts and every query
 // is answered by the scan. The paper's catalog compresses 10,077,695
 // configurations to 657,394 pairs (15×) and a 118-entry staircase.
+// The build decides on the exact distinct count and gives up at the
+// first level that passes the cap (buildPairs).
 // A variable only so the overflow path is testable without a
 // multi-million-configuration catalog.
 var maxIndexPairs = int64(4 << 20)
@@ -75,10 +77,10 @@ type idxSpan struct {
 }
 
 // FrontierIndex is the precomputed demand-invariant view of one
-// engine's configuration space. Build once with the engine's exact
-// per-configuration arithmetic, then answer any query under an
-// Indexable billing policy in O(|staircase| + spans·log) instead of
-// O(S) model evaluations. Immutable after construction; safe for
+// engine's configuration space. Built once per catalog from model.Sums'
+// own per-type step (buildPairs), it answers any query under an
+// Indexable billing policy in O(|staircase| + spans·log) instead of a
+// scan of all S configurations. Immutable after construction; safe for
 // concurrent use.
 type FrontierIndex struct {
 	pairs []idxPair
@@ -153,7 +155,7 @@ var decTab = func() (tab [256]struct {
 // renderings sort inside a tuple string. When one rendering is a proper
 // prefix of the other, the next byte on the short side is that tuple's
 // separator: ',' (below every digit) mid-tuple, ']' (above every digit)
-// at the end — so 2 < 10 mid-tuple but 10 < 2 in the last position.
+// at the end — so 1 < 10 mid-tuple but 10 < 1 in the last position.
 func lessDecimal(ca, cb uint8, lastA, lastB bool) bool {
 	da, db := &decTab[ca], &decTab[cb]
 	n := da.n
@@ -174,10 +176,9 @@ func lessDecimal(ca, cb uint8, lastA, lastB bool) bool {
 // lessTupleFast is the deterministic tie-break on equal objective
 // values: a sorts before b exactly when a.String() < b.String() (the
 // bracket notation's byte order), decided without building the strings.
-// The scans call it on every value tie, the index build once per
-// duplicate-pair configuration (~10M times on the paper space), and the
-// snapshot decoder once per restored pair. The string order is its
-// property-tested oracle (index_test.go).
+// The scans call it on every value tie, the index build once per state
+// it merges into another, and finishIndex once per pair. The string
+// order is its property-tested oracle (index_test.go).
 func lessTupleFast(a, b config.Tuple) bool {
 	ma, mb := a.Len(), b.Len()
 	m := ma
@@ -194,114 +195,241 @@ func lessTupleFast(a, b config.Tuple) bool {
 	return ma > mb
 }
 
-// buildFrontierIndex scans the whole space once, aggregating exact
-// (U, c_u) pairs, and derives the span table, prefix counts, running
+// buildFrontierIndex builds the exact (U, c_u) pair table level by
+// level (buildPairs) and derives the span table, prefix counts, running
 // tie-break minima, and the staircase. Returns nil when the pair table
 // exceeds maxIndexPairs (the catalog does not compress).
 func buildFrontierIndex(e *Engine) *FrontierIndex {
 	start := time.Now()
-	w, nodeCost := e.caps.NodeArrays()
-	workers := runtime.GOMAXPROCS(0)
-
-	type pairKey struct {
-		u  units.Rate
-		cu units.USDPerHour
-	}
-	shards := make([]map[pairKey]*idxPair, workers)
-	for i := range shards {
-		shards[i] = make(map[pairKey]*idxPair, 1<<12)
-	}
-	var distinct atomic.Int64
-	var aborted atomic.Bool
-	e.space.ForEachParallelIndexed(workers, func(worker int, k uint64, t config.Tuple) {
-		if aborted.Load() {
-			return
-		}
-		u, cu := model.Sums(t, w, nodeCost)
-		sh := shards[worker]
-		key := pairKey{u, cu}
-		if agg, ok := sh[key]; ok {
-			agg.count++
-			if lessTupleFast(t, agg.lessMin) {
-				agg.lessMin = t
-			}
-			return
-		}
-		// Chunks walk ascending indices, so the first sighting in a
-		// shard is that shard's minimal index for the pair.
-		sh[key] = &idxPair{u: u, cu: cu, count: 1, minIdx: k, lessMin: t}
-		if distinct.Add(1) > maxIndexPairs {
-			aborted.Store(true)
-		}
-	})
-	if aborted.Load() {
+	pairs := buildPairs(e)
+	if pairs == nil {
 		return nil
 	}
-
-	merged := shards[0]
-	for _, sh := range shards[1:] {
-		for key, agg := range sh {
-			if cur, ok := merged[key]; ok {
-				cur.count += agg.count
-				if agg.minIdx < cur.minIdx {
-					cur.minIdx = agg.minIdx
-				}
-				if lessTupleFast(agg.lessMin, cur.lessMin) {
-					cur.lessMin = agg.lessMin
-				}
-			} else {
-				merged[key] = agg
-			}
-		}
-	}
-	pairs := make([]idxPair, 0, len(merged))
-	// Map order is fine here: pairs are fully sorted below by their
-	// unique (u, cu) key, so output order is total.
-	for _, agg := range merged {
-		pairs = append(pairs, *agg)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].u != pairs[j].u {
-			return pairs[i].u < pairs[j].u
-		}
-		return pairs[i].cu < pairs[j].cu
-	})
 	x := finishIndex(pairs, e.space.Size())
 	x.buildWall = time.Since(start)
 	return x
 }
 
+// buildPairs computes the (u asc, cu asc) pair table without evaluating
+// every configuration. model.Sums adds each type's contribution in
+// catalog order (model.AddNodes), so the partial sums over the first k
+// types depend only on those k counts, and two configurations that
+// share a level-k state (u, cu) and their remaining counts share their
+// final pair. Level k+1 is therefore level k extended by every count of
+// type k, deduplicated again, and the last level is the pair table.
+//
+// The tie metadata composes. Counts add. The configuration index is
+// linear in the counts, so a state's minIdx (kept as the mixed-radix
+// value Σ m_i·radix_i during the build, one more than the index) is the
+// minimum over its members plus the extension's term. Members are kept
+// as full-arity tuples, zero past the level; two completions with one
+// suffix first differ inside the prefix, at a position a ',' follows,
+// where lessTupleFast orders the zero-padded tuples as it orders the
+// completions.
+//
+// The empty configuration is the (0, 0) state, alone there at every
+// level (capacities and prices are positive), and is dropped at the
+// end. Every other level-k state is itself a final pair (zero nodes of
+// the later types), so a level past maxIndexPairs + 1 states aborts the
+// build on the exact distinct count. Returns nil on abort.
+func buildPairs(e *Engine) []idxPair {
+	w, nodeCost := e.caps.NodeArrays()
+	limit := maxIndexPairs + 1 // the empty state rides along
+	// The empty configuration; NewSpace bounds the arity, so no error.
+	zero, _ := config.TupleFromBytes(make([]byte, e.space.Types()))
+	level := []idxPair{{count: 1, lessMin: zero}}
+	radix := uint64(1)
+	for k := 0; k < e.space.Types(); k++ {
+		if m := e.space.Max(k); m > 0 {
+			level = extendLevel(level, levelStep{k: k, maxNodes: m, w: w[k], c: nodeCost[k], radix: radix}, limit)
+			if level == nil {
+				return nil
+			}
+		}
+		radix *= uint64(e.space.Max(k) + 1)
+	}
+	pairs := level[1:]
+	for i := range pairs {
+		pairs[i].minIdx-- // mixed-radix value → AtIndex's index
+	}
+	return pairs
+}
+
+// levelStep is one catalog type's extension of a level: counts 0 to
+// maxNodes of type k, of per-node capacity w and cost c, each adding
+// m·radix to the mixed-radix value.
+type levelStep struct {
+	k, maxNodes int
+	w           units.Rate
+	c           units.USDPerHour
+	radix       uint64
+}
+
+// key is the level-k state at in[i] extended by m nodes of the step's
+// type: model.AddNodes, the very step model.Sums takes.
+func (s levelStep) key(in []idxPair, i, m int) (units.Rate, units.USDPerHour) {
+	return model.AddNodes(in[i].u, in[i].cu, m, s.w, s.c)
+}
+
+// extendLevel returns the deduplicated, (u asc, cu asc)-sorted level
+// after in, or nil once it holds more than limit states. The copy of in
+// shifted by m nodes is sorted by u, since fl(x + a) is monotone in x,
+// so the maxNodes+1 copies merge in u order through a heap (O(log
+// copies) per state), and each finished equal-u run goes through
+// finishRun.
+func extendLevel(in []idxPair, s levelStep, limit int64) []idxPair {
+	h := make(mergeHeap, 0, s.maxNodes+1)
+	for m := 0; m <= s.maxNodes; m++ {
+		u, cu := s.key(in, 0, m)
+		h = append(h, mergeHead{u: u, cu: cu, m: m})
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	out := make([]idxPair, 0, min(int64(len(in)*len(h)), limit+1))
+	runStart := 0
+	for len(h) > 0 {
+		hd := &h[0]
+		src := &in[hd.i]
+		st := idxPair{u: hd.u, cu: hd.cu, count: src.count, minIdx: src.minIdx + uint64(hd.m)*s.radix, lessMin: src.lessMin.WithCount(s.k, uint8(hd.m))}
+		if hd.i++; hd.i < len(in) {
+			hd.u, hd.cu = s.key(in, hd.i, hd.m)
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		h.down(0)
+
+		//lint:allow floateq a run is keyed by exact capacity identity: equal floats are one run
+		if len(out) > runStart && st.u != out[runStart].u {
+			if out = finishRun(out, runStart); int64(len(out)) > limit {
+				return nil
+			}
+			runStart = len(out)
+		}
+		out = append(out, st)
+	}
+	if out = finishRun(out, runStart); int64(len(out)) > limit {
+		return nil
+	}
+	return out
+}
+
+// mergeHead is one shifted copy's cursor in extendLevel's merge: the
+// key of the copy's next state in[i].
+type mergeHead struct {
+	u    units.Rate
+	cu   units.USDPerHour
+	i, m int
+}
+
+func headLess(a, b *mergeHead) bool {
+	//lint:allow floateq the merge is keyed by exact float identity: equal capacities order by unit cost
+	return a.u < b.u || (a.u == b.u && a.cu < b.cu)
+}
+
+// mergeHeap is a binary min-heap of cursors.
+type mergeHeap []mergeHead
+
+func (h mergeHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if r := j + 1; r < len(h) && headLess(&h[r], &h[j]) {
+			j = r
+		}
+		if !headLess(&h[j], &h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+// finishRun puts the equal-u run out[start:] in cu order and aggregates
+// equal keys. The heap pops each copy's states in (u, cu) order, so the
+// run is sorted unless distinct input capacities rounded to one sum:
+// then one copy's cu order can break, and the run is sorted by cu.
+func finishRun(out []idxPair, start int) []idxPair {
+	run := out[start:]
+	if len(run) < 2 {
+		return out
+	}
+	for i := 1; i < len(run); i++ {
+		if run[i].cu < run[i-1].cu {
+			slices.SortFunc(run, func(a, b idxPair) int { return cmp.Compare(a.cu, b.cu) })
+			break
+		}
+	}
+	w := 0
+	for i := 1; i < len(run); i++ {
+		//lint:allow floateq aggregation is keyed by exact float identity: equal floats are one pair
+		if run[i].cu == run[w].cu {
+			run[w].absorb(&run[i])
+			continue
+		}
+		w++
+		run[w] = run[i]
+	}
+	return out[:start+w+1]
+}
+
+// absorb aggregates q's configurations into p, which holds the same
+// (u, cu) key.
+func (p *idxPair) absorb(q *idxPair) {
+	p.count += q.count
+	if q.minIdx < p.minIdx {
+		p.minIdx = q.minIdx
+	}
+	if lessTupleFast(q.lessMin, p.lessMin) {
+		p.lessMin = q.lessMin
+	}
+}
+
 // finishIndex derives every secondary table — spans, prefix counts,
 // running tie-break minima, and the staircase — from a (u asc, cu asc)-
-// sorted pair table. Shared by the scan build above and the snapshot
+// sorted pair table. Shared by the level build above and the snapshot
 // decoder (index_codec.go): both produce the derived state through this
 // one code path, so a decoded index is structurally identical to the
 // freshly built one it was encoded from.
 func finishIndex(pairs []idxPair, total uint64) *FrontierIndex {
 	x := &FrontierIndex{pairs: pairs, total: total}
 
-	// A cheap serial pass finds the span boundaries and prefix sums,
-	// then the running-minima fill — the expensive part — proceeds per
-	// chunk of spans in parallel. Spans are independent, so the result
-	// does not depend on the chunk count (property-tested in
-	// index_test.go); keeping the derivation parallel matters because
-	// the build it is measured against parallelizes too.
+	// One pass per chunk of about equal pair count derives the chunk's
+	// spans, prefix counts (relative to the chunk) and running minima.
+	// Each chunk boundary moves forward to the next span start, so no
+	// span straddles two chunks and the result does not depend on the
+	// chunk count (property-tested in index_test.go). A restore pays this
+	// pass like the build does, so it runs on every core.
 	x.prefix = make([]uint64, len(x.pairs)+1)
 	x.spanLess = make([]config.Tuple, len(x.pairs))
 	x.spanMinIdx = make([]uint64, len(x.pairs))
-	for i := 0; i < len(x.pairs); {
-		x.prefix[i+1] = x.prefix[i] + x.pairs[i].count
-		j := i + 1
+	workers := chunkWorkers(len(x.pairs))
+	bounds := make([]int, workers+1)
+	for w := 1; w < workers; w++ {
+		b := max(w*len(x.pairs)/workers, bounds[w-1])
 		//lint:allow floateq span grouping needs exact capacity identity: equal floats predict bit-equal times
-		for ; j < len(x.pairs) && x.pairs[j].u == x.pairs[i].u; j++ {
-			x.prefix[j+1] = x.prefix[j] + x.pairs[j].count
+		for b > 0 && b < len(x.pairs) && x.pairs[b].u == x.pairs[b-1].u {
+			b++
 		}
-		x.spans = append(x.spans, idxSpan{u: x.pairs[i].u, start: i, end: j})
-		i = j
+		bounds[w] = b
 	}
-	forChunks(len(x.spans), chunkWorkers(len(x.pairs)), func(_, lo, hi int) {
-		x.fillSpanMinima(lo, hi)
+	bounds[workers] = len(x.pairs)
+	spans := make([][]idxSpan, workers)
+	forChunks(workers, workers, func(_, lo, hi int) {
+		for w := lo; w < hi; w++ {
+			spans[w] = x.deriveChunk(bounds[w], bounds[w+1])
+		}
 	})
+	for w := 1; w < workers; w++ {
+		off := x.prefix[bounds[w]]
+		for i := bounds[w] + 1; i <= bounds[w+1]; i++ {
+			x.prefix[i] += off
+		}
+	}
+	x.spans = slices.Concat(spans...)
 
 	// Staircase: walk spans from the highest capacity down; a span's
 	// cheapest pair survives only when it strictly undercuts every
@@ -319,27 +447,33 @@ func finishIndex(pairs []idxPair, total uint64) *FrontierIndex {
 	return x
 }
 
-// fillSpanMinima computes the running lessTupleFast / minimal-index minima
-// for every pair inside spans [lo, hi); spans touch disjoint pair
-// ranges, so concurrent calls over distinct span ranges never overlap.
-func (x *FrontierIndex) fillSpanMinima(lo, hi int) {
-	for si := lo; si < hi; si++ {
-		sp := x.spans[si]
-		run := x.pairs[sp.start].lessMin
-		runIdx := x.pairs[sp.start].minIdx
-		x.spanLess[sp.start] = run
-		x.spanMinIdx[sp.start] = runIdx
-		for k := sp.start + 1; k < sp.end; k++ {
-			if lessTupleFast(x.pairs[k].lessMin, run) {
-				run = x.pairs[k].lessMin
+// deriveChunk fills prefix (counting from lo), spanLess and spanMinIdx
+// for pairs[lo:hi], which starts at a span start and ends at a span end,
+// and returns the chunk's spans. Chunks touch disjoint ranges, so
+// concurrent calls over distinct chunks never overlap.
+func (x *FrontierIndex) deriveChunk(lo, hi int) []idxSpan {
+	var spans []idxSpan
+	var sum uint64
+	for i := lo; i < hi; {
+		run, runIdx := x.pairs[i].lessMin, x.pairs[i].minIdx
+		j := i
+		//lint:allow floateq span grouping needs exact capacity identity: equal floats predict bit-equal times
+		for ; j < hi && x.pairs[j].u == x.pairs[i].u; j++ {
+			pr := &x.pairs[j]
+			if lessTupleFast(pr.lessMin, run) {
+				run = pr.lessMin
 			}
-			if x.pairs[k].minIdx < runIdx {
-				runIdx = x.pairs[k].minIdx
+			if pr.minIdx < runIdx {
+				runIdx = pr.minIdx
 			}
-			x.spanLess[k] = run
-			x.spanMinIdx[k] = runIdx
+			x.spanLess[j], x.spanMinIdx[j] = run, runIdx
+			sum += pr.count
+			x.prefix[j+1] = sum
 		}
+		spans = append(spans, idxSpan{u: x.pairs[i].u, start: i, end: j})
+		i = j
 	}
+	return spans
 }
 
 // spanRange returns the half-open range of span indices whose exact
@@ -576,10 +710,10 @@ func (e *Engine) ensureIndex() *FrontierIndex {
 		return e.idx.Load()
 	}
 	// The build's worker join runs under idxMu on purpose: the lock is
-	// exactly what makes the build at-most-once, the fan-out is a static
-	// chunking over GOMAXPROCS workers that touches no other locks, and
-	// every later caller takes the fast path above without locking.
-	//lint:allow lockdiscipline deliberate build-under-lock: bounded internal worker join, no other locks involved
+	// exactly what makes the build at-most-once, finishIndex fans out to
+	// at most GOMAXPROCS derivation workers that touch no other locks,
+	// and every later caller takes the fast path above without locking.
+	//lint:allow lockdiscipline deliberate build-under-lock: one bounded derivation worker join, no other locks involved
 	x := buildFrontierIndex(e)
 	if x != nil {
 		e.idx.Store(x)

@@ -3,7 +3,7 @@
 // table is serialized: every secondary structure (spans, prefix counts,
 // running tie-break minima, the staircase) is a pure function of the
 // sorted pairs and is re-derived on decode through finishIndex — the
-// same code path the scan build uses — so a decoded index is
+// same code path the build uses — so a decoded index is
 // structurally identical to the one it was encoded from, and the format
 // cannot drift from the derivation logic.
 //

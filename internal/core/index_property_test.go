@@ -84,15 +84,39 @@ func requireIndexMatchesScan(t *testing.T, label string, eng, scan *Engine, p wo
 	return winners
 }
 
+// propertyTrial is one draw of the randomized harness: a random
+// catalog, then the trial's deadline, demand fraction and budget.
+type propertyTrial struct {
+	eng      *Engine
+	deadline units.Seconds
+	frac     float64
+	budget   units.USD
+}
+
+// propertyTrials draws the randomized harness's 30 trials from its fixed
+// seed, so every test over them sees the same catalogs.
+func propertyTrials(t *testing.T) []propertyTrial {
+	t.Helper()
+	rng := rand.New(detSource{detrand.New(0xce11a)})
+	trials := make([]propertyTrial, 30)
+	for i := range trials {
+		eng := randomEngine(t, rng)
+		deadline := units.Seconds(3600 * (1 + 20*rng.Float64()))
+		frac := 0.2 + 0.7*rng.Float64()
+		budget := units.USD(0.01 + 100*rng.Float64())
+		trials[i] = propertyTrial{eng: eng, deadline: deadline, frac: frac, budget: budget}
+	}
+	return trials
+}
+
 // TestIndexEqualsScanRandomized is the randomized certification of the
 // frontier index: across random catalogs, constraints (including
 // unconstrained and infeasible ones), the indexed Analyze and all
 // argmin queries must equal the exhaustive scan exactly — same floats,
 // same tie winners.
 func TestIndexEqualsScanRandomized(t *testing.T) {
-	rng := rand.New(detSource{detrand.New(0xce11a)})
-	for trial := 0; trial < 30; trial++ {
-		eng := randomEngine(t, rng)
+	for trial, tr := range propertyTrials(t) {
+		eng, deadline, frac, budget := tr.eng, tr.deadline, tr.frac, tr.budget
 		scan := scanTwin(t, eng)
 		if _, ok := eng.Frontier(); !ok {
 			t.Fatalf("trial %d: random catalog did not index", trial)
@@ -104,15 +128,12 @@ func TestIndexEqualsScanRandomized(t *testing.T) {
 			}
 			return true
 		})
-		deadline := units.Seconds(3600 * (1 + 20*rng.Float64()))
-		frac := 0.2 + 0.7*rng.Float64()
 		d := maxCap * frac * float64(deadline)
 		p := workload.Params{N: d, A: 1}
 
 		// Cycle through constraint shapes: both axes, one axis,
 		// unconstrained (zero = +Inf), and an unmeetable deadline.
 		var conss []Constraints
-		budget := units.USD(0.01 + 100*rng.Float64())
 		conss = append(conss,
 			Constraints{Deadline: deadline, Budget: budget},
 			Constraints{Deadline: deadline},
@@ -187,17 +208,10 @@ func TestIndexEqualsScanRandomized(t *testing.T) {
 	}
 }
 
-// TestIndexEqualsScanTwoDigitCounts is the fixed-catalog trial beside
-// the randomized harness. Its type limits reach 10–12 nodes, so the
-// index's tie-breaks compare two-digit counts, which the random
-// catalogs (1–3 nodes per type) never produce: lessDecimal's mid-tuple
-// rule (2 < 10, since ',' sorts below every digit) and its last-position
-// rule (10 < 2, since ']' sorts above). The aa family is linear in size
-// and price — k small nodes and k/2 double-size ones sum to the same
-// pair — so most pairs aggregate several configurations. Index and scan
-// must agree on Analyze and both argmins at every deadline × budget
-// pair, under both billings.
-func TestIndexEqualsScanTwoDigitCounts(t *testing.T) {
+// twoDigitEngine is TestIndexEqualsScanTwoDigitCounts' fixed catalog:
+// type limits 12, 10, 11 and 3, so tie-breaks compare two-digit counts.
+func twoDigitEngine(t *testing.T) *Engine {
+	t.Helper()
 	cat, err := ec2.NewCatalog([]ec2.InstanceType{
 		{Name: "aa.0", Category: "aa", VCPUs: 1, BaseGHz: 1, Price: 0.1},
 		{Name: "aa.1", Category: "aa", VCPUs: 2, BaseGHz: 1, Price: 0.2},
@@ -221,6 +235,22 @@ func TestIndexEqualsScanTwoDigitCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return eng
+}
+
+// TestIndexEqualsScanTwoDigitCounts is the fixed-catalog trial beside
+// the randomized harness. Its type limits reach 10–12 nodes, so the
+// index's tie-breaks compare two-digit counts, which the random
+// catalogs (1–3 nodes per type) never produce: lessDecimal's mid-tuple
+// rule (1 < 10, since ',' sorts below every digit) and its last-position
+// rule (10 < 1, since ']' sorts above). The aa family is linear in size
+// and price — k small nodes and k/2 double-size ones sum to the same
+// pair — so most pairs aggregate several configurations. Index and scan
+// must agree on Analyze and both argmins at every deadline × budget
+// pair, under both billings.
+func TestIndexEqualsScanTwoDigitCounts(t *testing.T) {
+	eng := twoDigitEngine(t)
+	caps := eng.Capacities()
 	x, ok := eng.Frontier()
 	if !ok {
 		t.Fatal("fixed catalog did not index")

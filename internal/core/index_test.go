@@ -31,19 +31,24 @@ func indexedEngine(t *testing.T, app workload.App, maxNodes int) *Engine {
 }
 
 // paperIndexes builds one frontier index per paper application, once
-// per test binary: a paper-space build takes seconds (far longer under
-// -race), and an index is immutable, so tests share it.
+// per test binary: a paper-space build is not free (several times
+// slower under -race), and an index is immutable, so tests share it.
 var paperIndexes sync.Map // app name → func() *FrontierIndex
+
+// paperIndex returns app's shared paper-space index.
+func paperIndex(app workload.App) *FrontierIndex {
+	build, _ := paperIndexes.LoadOrStore(app.Name(), sync.OnceValue(func() *FrontierIndex {
+		return buildFrontierIndex(NewPaperEngine(app))
+	}))
+	return build.(func() *FrontierIndex)()
+}
 
 // indexedPaperEngine returns a fresh paper engine for app with the
 // shared index installed; its billing policy is the caller's to set.
 func indexedPaperEngine(t *testing.T, app workload.App) *Engine {
 	t.Helper()
-	build, _ := paperIndexes.LoadOrStore(app.Name(), sync.OnceValue(func() *FrontierIndex {
-		return buildFrontierIndex(NewPaperEngine(app))
-	}))
 	eng := NewPaperEngine(app)
-	if err := eng.InstallIndex(build.(func() *FrontierIndex)()); err != nil {
+	if err := eng.InstallIndex(paperIndex(app)); err != nil {
 		t.Fatal(err)
 	}
 	return eng
@@ -612,6 +617,61 @@ func TestParallelDerivationMatchesSerial(t *testing.T) {
 		runtime.GOMAXPROCS(prev)
 		if (errOne == nil) != (errChunked == nil) {
 			t.Fatalf("flip at %d: one-chunk err %v, three-chunk err %v", flip, errOne, errChunked)
+		}
+	}
+}
+
+// TestDerivationSpanCrossesChunks pins finishIndex's span-aligned chunk
+// boundaries. The first span holds three quarters of the pairs, so at
+// GOMAXPROCS 4 the first two boundaries move past it and leave empty
+// chunks; every derived table must still equal a plain one-walk
+// derivation, and the index the one-chunk derivation gives.
+func TestDerivationSpanCrossesChunks(t *testing.T) {
+	const n = 4 * parallelCodecMin
+	pairs := make([]idxPair, n)
+	var total uint64
+	for i := range pairs {
+		u, cu := units.Rate(1), units.USDPerHour(i+1)
+		if i >= 3*n/4 {
+			u = units.Rate(2 + (i-3*n/4)/2) // two-pair spans
+		}
+		pairs[i] = idxPair{
+			u:       u,
+			cu:      cu,
+			count:   uint64(1 + i%5),
+			minIdx:  uint64(i * 7919 % n),
+			lessMin: config.MustTuple(i%256, i/256%256, i%7),
+		}
+		total += pairs[i].count
+	}
+
+	derive := func(procs int) *FrontierIndex {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		return finishIndex(pairs, total)
+	}
+	oneChunk, chunked := derive(1), derive(4)
+	if !reflect.DeepEqual(oneChunk, chunked) {
+		t.Fatal("derivation differs between one chunk and four")
+	}
+	if got, want := len(chunked.spans), 1+n/8; got != want {
+		t.Fatalf("%d spans, want %d", got, want)
+	}
+	var sum uint64
+	var less config.Tuple
+	var minIdx uint64
+	for i, pr := range pairs {
+		if i == 0 || pr.u != pairs[i-1].u {
+			less, minIdx = pr.lessMin, pr.minIdx
+		}
+		if lessTupleFast(pr.lessMin, less) {
+			less = pr.lessMin
+		}
+		minIdx = min(minIdx, pr.minIdx)
+		sum += pr.count
+		if chunked.prefix[i+1] != sum || chunked.spanLess[i] != less || chunked.spanMinIdx[i] != minIdx {
+			t.Fatalf("pair %d: prefix %d, less %v, minIdx %d; want %d, %v, %d",
+				i, chunked.prefix[i+1], chunked.spanLess[i], chunked.spanMinIdx[i], sum, less, minIdx)
 		}
 	}
 }

@@ -85,19 +85,28 @@ func (c *Capacities) PerVCPU(i int) units.Rate { return c.perVCPU[i] }
 // W reports the per-node capacity W_i (Eq. 4).
 func (c *Capacities) W(i int) units.Rate { return c.perNode[i] }
 
+// AddNodes is one type's step of Sums: it adds m nodes of per-node
+// capacity w and cost c to partial sums u and cu, and leaves them bit
+// for bit untouched when m = 0. Core's index build extends partial sums
+// with it one catalog type at a time, so its pairs are Sums' floats by
+// construction.
+func AddNodes(u units.Rate, cu units.USDPerHour, m int, w units.Rate, c units.USDPerHour) (units.Rate, units.USDPerHour) {
+	if m > 0 {
+		u += units.Rate(m) * w
+		cu += units.USDPerHour(m) * c
+	}
+	return u, cu
+}
+
 // Sums computes a configuration's capacity U_j (Eq. 3) and unit cost
-// C_j,u (Eq. 6) over per-node arrays (NodeArrays), adding each type's
-// m·W_i and m·c_i in catalog order and skipping m = 0. It is the one
-// (U, C_u) loop: Capacity, UnitCost and PredictBilled call it, and so
-// do core's scans and index build, so the pairs an index stores and the
-// Prediction a query returns are the scan's floats by construction.
-// Small enough to inline into every hot loop.
+// C_j,u (Eq. 6) over per-node arrays (NodeArrays), applying AddNodes
+// for each type in catalog order. It is the one (U, C_u) loop:
+// Capacity, UnitCost and PredictBilled call it, and so do core's scans,
+// so the Prediction a query returns is the scan's floats by
+// construction. Small enough to inline into every hot loop.
 func Sums(t config.Tuple, w []units.Rate, cost []units.USDPerHour) (u units.Rate, cu units.USDPerHour) {
 	for i := 0; i < t.Len(); i++ {
-		if m := t.Count(i); m > 0 {
-			u += units.Rate(m) * w[i]
-			cu += units.USDPerHour(m) * cost[i]
-		}
+		u, cu = AddNodes(u, cu, t.Count(i), w[i], cost[i])
 	}
 	return u, cu
 }

@@ -18,8 +18,8 @@ import (
 )
 
 // galaxyIndex builds the paper galaxy frontier index once per test
-// binary: a paper-space build takes seconds (far longer under -race)
-// and an index is immutable, so every frontdoor test shares it.
+// binary: a paper-space build is not free (several times slower under
+// -race) and an index is immutable, so every frontdoor test shares it.
 var galaxyIndex = sync.OnceValue(func() *core.FrontierIndex {
 	x, _ := core.NewPaperEngine(galaxy.App{}).Frontier()
 	return x
