@@ -22,6 +22,7 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/migrate"
 	"repro/internal/model"
 	"repro/internal/pareto"
@@ -479,8 +480,7 @@ func BenchmarkFailureInjection(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts := cloudsim.DefaultOptions()
-		opts.FailInstance = 2
-		opts.FailAt = base.Makespan / 2
+		opts.Trace = faults.NewTrace(faults.Event{Instance: 2, At: base.Makespan / 2})
 		res, err := cloudsim.Run(x264.App{}, p, tuple, cat, opts)
 		if err != nil {
 			b.Fatal(err)
@@ -633,11 +633,11 @@ func BenchmarkExtensionTradeSurface(b *testing.B) {
 // internal/serving.TestCachedPathSpeedup.
 func BenchmarkServingColdVsCached(b *testing.B) {
 	engines := map[string]*core.Engine{"galaxy": core.NewPaperEngine(galaxy.App{})}
-	q := serving.Query{Kind: "analyze", App: "galaxy", N: 65536, A: 8000,
-		DeadlineHours: 24, BudgetUSD: 350}
+	q := serving.Query{Kind: "analyze", App: "galaxy",
+		Extra: `{"n":65536,"a":8000,"deadline_hours":24,"budget_usd":350}`}
 	compute := func(_ context.Context, eng *core.Engine) ([]byte, error) {
-		an, err := eng.Analyze(workload.Params{N: q.N, A: q.A}, core.Constraints{
-			Deadline: q.DeadlineHours.Seconds(), Budget: q.BudgetUSD,
+		an, err := eng.Analyze(workload.Params{N: 65536, A: 8000}, core.Constraints{
+			Deadline: units.Hours(24).Seconds(), Budget: 350,
 		}, core.Options{})
 		if err != nil {
 			return nil, err

@@ -95,7 +95,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 
 // Suite returns the full rule set in stable order.
 func Suite() []*Analyzer {
-	return []*Analyzer{Nodeterm, Floateq, Metricname, Httpenvelope, Nakedgo, Unitsafe, Ctxflow, Atomicpub, Lockdiscipline, Cachekey}
+	return []*Analyzer{Nodeterm, Floateq, Metricname, Httpenvelope, Nakedgo, Unitsafe, Ctxflow, Atomicpub, Lockdiscipline}
 }
 
 // Run applies the analyzers to every package and returns the findings

@@ -49,7 +49,6 @@ func TestAnalyzersFireOnBadFixtures(t *testing.T) {
 		{"ctxflow", "ctxflow_bad", []string{"12:12", "18:13", "23:13", "24:13", "28:11", "30:2", "39:11", "41:2", "53:9"}},
 		{"atomicpub", "atomicpub_bad", []string{"20:2", "26:2", "34:2", "40:2", "56:2"}},
 		{"lockdiscipline", "lockdiscipline_bad", []string{"21:2", "34:7", "42:2", "51:12", "60:2", "69:2"}},
-		{"cachekey", "cachekey_bad", []string{"39:6", "52:27", "64:9"}},
 		{"ctxflow", "ctxflow_callee_bad", []string{"38:9", "46:9"}},
 		{"lockdiscipline", "lockdiscipline_callee_bad", []string{"37:2", "45:9"}},
 	}
@@ -85,7 +84,6 @@ func TestAnalyzersQuietOnGoodFixtures(t *testing.T) {
 		"ctxflow_good",
 		"atomicpub_good",
 		"lockdiscipline_good",
-		"cachekey_good",
 		"ctxflow_callee_good",
 		"lockdiscipline_callee_good",
 	}

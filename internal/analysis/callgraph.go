@@ -1,6 +1,6 @@
 // The interprocedural layer: a module-wide call graph over every
 // checked package, feeding the bottom-up function summaries in
-// summary.go and the three rules that consult them (cachekey, ctxflow,
+// summary.go and the two rules that consult them (ctxflow,
 // lockdiscipline).
 //
 // Resolution is deliberately conservative and purely go/types-based

@@ -122,11 +122,10 @@ func TestMutantsTripFlowRules(t *testing.T) {
 }
 
 // TestMutantsTripInterproceduralRules re-introduces the production
-// bugs the summary-consulting checks were built to catch: drop a Query
-// field from the serving cache key, swap the context-threaded risk
-// estimate back to the context-free one, and pull a lock-re-acquiring
-// call inside the critical section. Each mutant must fail the full
-// suite under exactly the rule built for it.
+// bugs the summary-consulting checks were built to catch: swap the
+// context-threaded risk estimate back to the context-free one, and
+// pull a lock-re-acquiring call inside the critical section. Each
+// mutant must fail the full suite under exactly the rule built for it.
 func TestMutantsTripInterproceduralRules(t *testing.T) {
 	l := newTestLoader(t)
 	// The interprocedural rules need the whole-module summary universe:
@@ -135,20 +134,6 @@ func TestMutantsTripInterproceduralRules(t *testing.T) {
 	if _, err := l.LoadModule(); err != nil {
 		t.Fatal(err)
 	}
-
-	t.Run("cachekey/key-builder-drops-BudgetUSD", func(t *testing.T) {
-		dir := t.TempDir()
-		copyPackageGo(t, "../serving", dir)
-		mutateFile(t, filepath.Join(dir, "serving.go"),
-			"[5]float64{q.N, q.A, float64(q.DeadlineHours), float64(q.BudgetUSD), q.HazardPerHour}",
-			"[4]float64{q.N, q.A, float64(q.DeadlineHours), q.HazardPerHour}")
-		writeIdentity(t, dir, "serving", "repro/internal/serving/lintmutant_cachekey")
-		cp, err := l.LoadDir(dir)
-		if err != nil {
-			t.Fatalf("mutated serving no longer type-checks: %v", err)
-		}
-		assertOnly(t, cp, "cachekey", "dropping BudgetUSD from the key builder")
-	})
 
 	t.Run("ctxflow/risk-timeline-drops-ctx", func(t *testing.T) {
 		dir := t.TempDir()

@@ -3,12 +3,6 @@
 // monotone over-approximation of one function's externally visible
 // effects:
 //
-//   - Reads: which fields of each parameter (and the receiver) the
-//     function may read, transitively through callees, as dotted paths
-//     ("Trace.Name"; "" means the whole value). Passing a value to an
-//     unresolved callee, storing it, or using it wholesale reads "".
-//     The cachekey rule compares these read sets against the key
-//     builder's field-write set.
 //   - Blocks: whether the function may park on goroutine coordination —
 //     channel send/receive/range, select without default,
 //     WaitGroup.Wait, time.Sleep — directly or through a synchronous
@@ -26,14 +20,12 @@
 // they plainly run on its path — immediately invoked, deferred, or
 // passed as a call argument (the synchronous-callback assumption that
 // matches ForEach*, sync.Once.Do, and the serving compute closures).
-// Literals that are go'd, stored, or returned contribute only their
-// captured reads (the value escapes), not their blocking behavior.
+// Literals that are go'd, stored, or returned contribute nothing: they
+// do not run on the enclosing function's path.
 //
-// Soundness directions: Reads over-approximates (unknown → wholesale),
-// which is the safe direction for cachekey's "every read field must be
-// keyed". Blocks/Scans over-approximate too, so ctxflow and
-// lockdiscipline may over-flag in principle — the //lint:allow
-// escape hatch with a mandatory reason is the pressure valve.
+// Soundness direction: Blocks/Scans over-approximate, so ctxflow and
+// lockdiscipline may over-flag in principle — the //lint:allow escape
+// hatch with a mandatory reason is the pressure valve.
 package analysis
 
 import (
@@ -46,71 +38,9 @@ import (
 	"sync/atomic"
 )
 
-// PathSet is a set of dotted field paths below one root value. The
-// empty path "" means the whole value (wholesale).
-type PathSet map[string]bool
-
-const (
-	// maxPathDepth truncates deeper selector chains to their prefix —
-	// which behaves like a wholesale read of that subtree (conservative).
-	maxPathDepth = 4
-	// maxPaths collapses oversized sets to wholesale.
-	maxPaths = 64
-	// maxSummaryFixpoint bounds per-SCC iteration; the lattice is finite
-	// so this should never bind, but the fuzzer gets a guarantee.
-	maxSummaryFixpoint = 20
-)
-
-// add inserts a path, applying the depth cap and keeping the set
-// canonical: a path subsumed by an existing ancestor is dropped, and
-// inserting a path evicts its own descendants. Canonical form makes
-// the set — and therefore DumpSummaries — independent of merge order,
-// which the fuzzer checks across independent module builds.
-func (s PathSet) add(path string) {
-	if parts := strings.Split(path, "."); len(parts) > maxPathDepth {
-		path = strings.Join(parts[:maxPathDepth], ".")
-	}
-	if s.Covers(path) {
-		return
-	}
-	if path == "" {
-		for k := range s {
-			delete(s, k)
-		}
-		s[""] = true
-		return
-	}
-	prefix := path + "."
-	for k := range s {
-		if strings.HasPrefix(k, prefix) {
-			delete(s, k)
-		}
-	}
-	s[path] = true
-}
-
-// Covers reports whether the set accounts for a read of path: the
-// whole value, the exact path, or an ancestor of it.
-func (s PathSet) Covers(path string) bool {
-	if s[""] || s[path] {
-		return true
-	}
-	for i := len(path) - 1; i > 0; i-- {
-		if path[i] == '.' && s[path[:i]] {
-			return true
-		}
-	}
-	return false
-}
-
-func (s PathSet) sorted() []string {
-	out := make([]string, 0, len(s))
-	for p := range s {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
+// maxSummaryFixpoint bounds per-SCC iteration; the lattice is finite so
+// this should never bind, but the fuzzer gets a guarantee.
+const maxSummaryFixpoint = 20
 
 // joinPath concatenates dotted path segments, skipping empties.
 func joinPath(a, b string) string {
@@ -123,7 +53,7 @@ func joinPath(a, b string) string {
 	return a + "." + b
 }
 
-// RecvRoot is the Reads / LockRef root index denoting the receiver;
+// RecvRoot is the LockRef root index denoting the receiver;
 // non-negative roots are parameter indices.
 const RecvRoot = -1
 
@@ -177,33 +107,6 @@ type Summary struct {
 	Scans    bool
 	ScansWhy string
 	Acquires []LockRef
-	// Reads maps root (parameter index or RecvRoot) to the field paths
-	// the function may read from it.
-	Reads map[int]PathSet
-}
-
-func newSummary(fn *types.Func) *Summary {
-	return &Summary{Fn: fn, Reads: map[int]PathSet{}}
-}
-
-func (s *Summary) readSet(root int) PathSet {
-	ps := s.Reads[root]
-	if ps == nil {
-		ps = PathSet{}
-		s.Reads[root] = ps
-	}
-	return ps
-}
-
-func (s *Summary) addRead(root int, path string) {
-	ps := s.readSet(root)
-	if ps.Covers(path) {
-		return
-	}
-	ps.add(path)
-	if len(ps) > maxPaths {
-		s.Reads[root] = PathSet{"": true}
-	}
 }
 
 func (s *Summary) addLock(ref LockRef) {
@@ -242,23 +145,12 @@ func (s *Summary) equal(o *Summary) bool {
 	if s.Blocks != o.Blocks || s.Joins != o.Joins || s.Scans != o.Scans || s.HasCtxParam != o.HasCtxParam {
 		return false
 	}
-	if len(s.Acquires) != len(o.Acquires) || len(s.Reads) != len(o.Reads) {
+	if len(s.Acquires) != len(o.Acquires) {
 		return false
 	}
 	for i := range s.Acquires {
 		if s.Acquires[i] != o.Acquires[i] {
 			return false
-		}
-	}
-	for root, ps := range s.Reads {
-		ops := o.Reads[root]
-		if len(ps) != len(ops) {
-			return false
-		}
-		for p := range ps {
-			if !ops[p] {
-				return false
-			}
 		}
 	}
 	return true
@@ -294,20 +186,6 @@ func (s *Summary) Dump() string {
 	for _, r := range refs {
 		sb.WriteString(" ")
 		sb.WriteString(r.String())
-	}
-	roots := make([]int, 0, len(s.Reads))
-	for root := range s.Reads {
-		if len(s.Reads[root]) > 0 {
-			roots = append(roots, root)
-		}
-	}
-	sort.Ints(roots)
-	for _, root := range roots {
-		name := fmt.Sprintf("p%d", root)
-		if root == RecvRoot {
-			name = "recv"
-		}
-		fmt.Fprintf(&sb, " %s{%s}", name, strings.Join(s.Reads[root].sorted(), ","))
 	}
 	return sb.String()
 }
@@ -345,7 +223,7 @@ func (m *Module) DumpSummaries() string {
 // fixpoint (summaries are monotone and the lattice is finite).
 func (m *Module) computeSummaries() {
 	for fn := range m.Funcs {
-		m.summaries[fn] = newSummary(fn)
+		m.summaries[fn] = &Summary{Fn: fn}
 	}
 	for _, scc := range m.sccs {
 		for iter := 0; iter < maxSummaryFixpoint; iter++ {
@@ -383,12 +261,12 @@ func selfRecursive(m *Module, fn *types.Func) bool {
 // current summaries of its callees.
 func (m *Module) summarize(fn *types.Func) *Summary {
 	fi := m.Funcs[fn]
-	s := newSummary(fn)
+	s := &Summary{Fn: fn}
 	w := &effectWalker{
 		m:    m,
 		pkg:  fi.Pkg,
 		out:  s,
-		vars: map[*types.Var][]rootTaint{},
+		vars: map[*types.Var]int{},
 	}
 	sig, _ := fn.Type().(*types.Signature)
 	if sig != nil {
@@ -401,7 +279,7 @@ func (m *Module) summarize(fn *types.Func) *Summary {
 	if fi.Decl.Recv != nil && len(fi.Decl.Recv.List) > 0 {
 		for _, name := range fi.Decl.Recv.List[0].Names {
 			if v, ok := fi.Pkg.Info.Defs[name].(*types.Var); ok {
-				w.vars[v] = []rootTaint{{root: RecvRoot}}
+				w.vars[v] = RecvRoot
 			}
 		}
 	}
@@ -414,7 +292,7 @@ func (m *Module) summarize(fn *types.Func) *Summary {
 			}
 			for _, name := range field.Names {
 				if v, ok := fi.Pkg.Info.Defs[name].(*types.Var); ok {
-					w.vars[v] = []rootTaint{{root: idx}}
+					w.vars[v] = idx
 				}
 				idx++
 			}
@@ -422,28 +300,6 @@ func (m *Module) summarize(fn *types.Func) *Summary {
 	}
 	w.stmtList(fi.Decl.Body.List)
 	return s
-}
-
-// rootTaint ties a variable to a root. For a chain taint (x := req or
-// x := req.Trace), reading x.Sub reads prefix.Sub of the root — the
-// variable is an alias into the root's structure. For an opaque taint
-// (x derived from root fields through a call or expression: est, err
-// := risk.Estimate(..., req.Seed, ...)), reading ANY part of x reads
-// exactly prefix — x's own field structure has nothing to do with the
-// root's.
-type rootTaint struct {
-	root   int
-	prefix string
-	opaque bool
-}
-
-// extend maps a field path below the tainted variable onto the root's
-// path space.
-func (t rootTaint) extend(path string) string {
-	if t.opaque {
-		return t.prefix
-	}
-	return joinPath(t.prefix, path)
 }
 
 // loopEscapes reports whether a loop body contains any return, break,
@@ -470,50 +326,27 @@ func loopEscapes(body *ast.BlockStmt) bool {
 	return escapes
 }
 
-// effectWalker accumulates one body's effects into out. The cachekey
-// rule reuses it with onRead set (and effects ignored) to collect a
-// closure's request reads with positions.
+// effectWalker accumulates one body's effects into out. vars maps each
+// parameter and the receiver to its root index, so locks acquired
+// through them can be re-rooted at call sites.
 type effectWalker struct {
 	m    *Module
 	pkg  *CheckedPackage
 	out  *Summary
-	vars map[*types.Var][]rootTaint
-	// onRead, when set, observes every rooted read with its position.
-	onRead func(root int, path string, pos token.Pos)
+	vars map[*types.Var]int
 }
 
 func (w *effectWalker) info() *types.Info { return w.pkg.Info }
 
-func (w *effectWalker) read(taints []rootTaint, path string, pos token.Pos) {
-	for _, t := range taints {
-		full := t.extend(path)
-		w.out.addRead(t.root, full)
-		if w.onRead != nil {
-			w.onRead(t.root, full, pos)
-		}
-	}
-}
-
-// taintsOf resolves an identifier to its root taints (nil if untainted).
-func (w *effectWalker) taintsOf(id *ast.Ident) []rootTaint {
-	obj := w.info().Uses[id]
-	if obj == nil {
-		obj = w.info().Defs[id]
-	}
-	v, ok := obj.(*types.Var)
-	if !ok {
-		return nil
-	}
-	return w.vars[v]
-}
-
-// chain resolves an expression to (taints, dotted field path) when it
-// is an unbroken value/field selector chain from a tainted variable.
-func (w *effectWalker) chain(e ast.Expr) ([]rootTaint, string, bool) {
+// chain resolves an expression to (root, dotted field path) when it is
+// an unbroken value/field selector chain from a parameter or the
+// receiver.
+func (w *effectWalker) chain(e ast.Expr) (int, string, bool) {
 	switch e := e.(type) {
 	case *ast.Ident:
-		if ts := w.taintsOf(e); ts != nil {
-			return ts, "", true
+		if v, ok := w.info().ObjectOf(e).(*types.Var); ok {
+			root, ok := w.vars[v]
+			return root, "", ok
 		}
 	case *ast.ParenExpr:
 		return w.chain(e.X)
@@ -522,15 +355,15 @@ func (w *effectWalker) chain(e ast.Expr) ([]rootTaint, string, bool) {
 	case *ast.SelectorExpr:
 		sel, ok := w.info().Selections[e]
 		if !ok || sel.Kind() != types.FieldVal {
-			return nil, "", false
+			return 0, "", false
 		}
-		ts, path, ok := w.chain(e.X)
+		root, path, ok := w.chain(e.X)
 		if !ok {
-			return nil, "", false
+			return 0, "", false
 		}
-		return ts, joinPath(path, e.Sel.Name), true
+		return root, joinPath(path, e.Sel.Name), true
 	}
-	return nil, "", false
+	return 0, "", false
 }
 
 func (w *effectWalker) stmtList(list []ast.Stmt) {
@@ -631,8 +464,8 @@ func (w *effectWalker) stmt(s ast.Stmt) {
 		w.stmt(s.Comm)
 		w.stmtList(s.Body)
 	case *ast.GoStmt:
-		// The goroutine's effects are not this function's path; its
-		// arguments (and captures) escape, which reads them wholesale.
+		// The goroutine's effects are not this function's path; only
+		// its arguments are evaluated here.
 		w.call(s.Call, true)
 	case *ast.DeferStmt:
 		// Deferred calls run before this function returns: full effects.
@@ -674,24 +507,13 @@ func trimPath(file string) string {
 func (w *effectWalker) expr(e ast.Expr) {
 	switch e := e.(type) {
 	case nil:
-	case *ast.Ident:
-		if ts := w.taintsOf(e); ts != nil {
-			w.read(ts, "", e.Pos())
-		}
 	case *ast.SelectorExpr:
-		if ts, path, ok := w.chain(e); ok {
-			w.read(ts, path, e.Pos())
-			return
-		}
-		// Method value / qualified name / selection off a computed base.
 		w.expr(e.X)
 	case *ast.CallExpr:
 		w.call(e, false)
 	case *ast.FuncLit:
 		// Reached only for stored/returned literals (call arguments and
-		// go/defer are intercepted): captures escape, effects don't run
-		// here.
-		w.captures(e)
+		// go/defer are intercepted): their effects don't run here.
 	case *ast.UnaryExpr:
 		if e.Op == token.ARROW {
 			w.out.setBlocks("channel receive" + w.at(e.Pos()))
@@ -721,40 +543,21 @@ func (w *effectWalker) expr(e ast.Expr) {
 			w.expr(el)
 		}
 	case *ast.KeyValueExpr:
-		// Struct keys are field names, not reads; map keys are.
-		if _, isIdent := e.Key.(*ast.Ident); !isIdent {
-			w.expr(e.Key)
-		} else if tv, ok := w.info().Types[e.Key]; ok && tv.Value != nil {
-			w.expr(e.Key)
-		}
+		w.expr(e.Key)
 		w.expr(e.Value)
 	}
 }
 
-// captures records wholesale reads for every tainted variable a stored
-// or go'd literal mentions.
-func (w *effectWalker) captures(lit *ast.FuncLit) {
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if ts := w.taintsOf(id); ts != nil {
-				w.read(ts, "", id.Pos())
-			}
-		}
-		return true
-	})
-}
-
-// call handles one call expression. async marks go'd calls: arguments
-// escape but the callee's effects do not run on this path.
+// call handles one call expression. async marks go'd calls: the
+// receiver and arguments are evaluated here, but the callee's effects
+// do not run on this path.
 func (w *effectWalker) call(call *ast.CallExpr, async bool) {
 	info := w.info()
 	fun := ast.Unparen(call.Fun)
 
 	// Immediately invoked literal: the body runs right here.
 	if lit, ok := fun.(*ast.FuncLit); ok {
-		if async {
-			w.captures(lit)
-		} else {
+		if !async {
 			w.stmtList(lit.Body.List)
 		}
 		for _, arg := range call.Args {
@@ -763,7 +566,7 @@ func (w *effectWalker) call(call *ast.CallExpr, async bool) {
 		return
 	}
 
-	// Builtins and conversions: arguments are ordinary reads.
+	// Builtins and conversions: arguments are ordinary expressions.
 	if id, ok := fun.(*ast.Ident); ok {
 		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
 			for _, arg := range call.Args {
@@ -784,82 +587,15 @@ func (w *effectWalker) call(call *ast.CallExpr, async bool) {
 		w.classifyStdlibCall(call, fun)
 	}
 
-	callees, allKnown := w.m.ResolveCall(info, call)
-	var sums []*Summary
-	if allKnown && !async {
-		for _, c := range callees {
-			if s := w.m.SummaryOf(c); s != nil {
-				sums = append(sums, s)
-			} else {
-				sums = nil
-				allKnown = false
-				break
-			}
-		}
-		if len(callees) == 0 {
-			allKnown = false // stdlib or dynamic: no summaries to consult
-		}
-	} else {
-		allKnown = false
-	}
-
-	// Receiver: re-root the callee's receiver reads when possible.
 	if sel, ok := fun.(*ast.SelectorExpr); ok {
-		if msel, isSel := info.Selections[sel]; isSel {
-			if ts, path, rooted := w.chain(sel.X); rooted {
-				if allKnown {
-					for _, s := range sums {
-						for p := range s.Reads[RecvRoot] {
-							for _, t := range ts {
-								full := t.extend(joinPath(path, p))
-								w.out.addRead(t.root, full)
-								if w.onRead != nil {
-									w.onRead(t.root, full, sel.X.Pos())
-								}
-							}
-						}
-					}
-				} else {
-					w.read(ts, path, sel.X.Pos())
-				}
-			} else {
-				w.expr(sel.X)
-			}
-			_ = msel
-		} else {
-			w.expr(sel.X)
-		}
+		w.expr(sel.X)
 	}
-
-	// Arguments.
-	for i, arg := range call.Args {
+	for _, arg := range call.Args {
 		if lit, ok := arg.(*ast.FuncLit); ok {
 			// Synchronous-callback assumption: the literal runs on this
 			// path (ForEach*, Once.Do, serving compute closures).
-			if async {
-				w.captures(lit)
-			} else {
+			if !async {
 				w.stmtList(lit.Body.List)
-			}
-			continue
-		}
-		ts, path, rooted := w.chain(arg)
-		if rooted && allKnown {
-			for _, s := range sums {
-				pi := paramIndexFor(s, i)
-				if pi < 0 {
-					w.read(ts, path, arg.Pos())
-					break
-				}
-				for p := range s.Reads[pi] {
-					for _, t := range ts {
-						full := t.extend(joinPath(path, p))
-						w.out.addRead(t.root, full)
-						if w.onRead != nil {
-							w.onRead(t.root, full, arg.Pos())
-						}
-					}
-				}
 			}
 			continue
 		}
@@ -874,6 +610,7 @@ func (w *effectWalker) call(call *ast.CallExpr, async bool) {
 	w.lockAcquire(call, fun)
 
 	// Transitive effects from module callees.
+	callees, _ := w.m.ResolveCall(info, call)
 	for _, c := range callees {
 		s := w.m.SummaryOf(c)
 		if s == nil {
@@ -943,10 +680,8 @@ func (w *effectWalker) lockAcquire(call *ast.CallExpr, fun ast.Expr) {
 	default:
 		return
 	}
-	if ts, path, rooted := w.chain(sel.X); rooted && !ts[0].opaque {
-		for _, t := range ts {
-			w.out.addLock(LockRef{Root: t.root, Path: joinPath(t.prefix, path), Read: read})
-		}
+	if root, path, rooted := w.chain(sel.X); rooted {
+		w.out.addLock(LockRef{Root: root, Path: path, Read: read})
 		return
 	}
 	w.out.addLock(LockRef{Root: lockRootFree, Path: exprKey(sel.X), Read: read})
@@ -972,30 +707,10 @@ func (w *effectWalker) rerootLock(ref LockRef, call *ast.CallExpr, fun ast.Expr)
 	if base == nil {
 		return LockRef{Root: lockRootFree, Path: ref.Path, Read: ref.Read}
 	}
-	if ts, path, rooted := w.chain(base); rooted && len(ts) == 1 && ts[0].prefix == "" && !ts[0].opaque {
-		return LockRef{Root: ts[0].root, Path: joinPath(path, ref.Path), Read: ref.Read}
+	if root, path, rooted := w.chain(base); rooted {
+		return LockRef{Root: root, Path: joinPath(path, ref.Path), Read: ref.Read}
 	}
 	return LockRef{Root: lockRootFree, Path: joinPath(exprKey(base), ref.Path), Read: ref.Read}
-}
-
-// paramIndexFor maps a call-site argument index onto the callee's
-// parameter index (folding variadics); -1 when out of range.
-func paramIndexFor(s *Summary, arg int) int {
-	sig, ok := s.Fn.Type().(*types.Signature)
-	if !ok {
-		return -1
-	}
-	n := sig.Params().Len()
-	if n == 0 {
-		return -1
-	}
-	if arg < n {
-		return arg
-	}
-	if sig.Variadic() {
-		return n - 1
-	}
-	return -1
 }
 
 // calleeDisplay renders a callee for messages: pkg.Func, (pkg.Type).Method

@@ -28,7 +28,10 @@
 //     Retry-After header; clients should back off and retry.
 //   - A panic inside a query computation is recovered at the serving
 //     boundary and reported as 500 with the envelope, never a crash.
-//   - Responses carry an X-Cache header (hit, miss, or coalesced).
+//   - Responses carry an X-Cache header (hit, miss, or coalesced). Two
+//     bodies posted to one route share a cache entry exactly when they
+//     decode to the same request once defaults are written in; key
+//     order, whitespace and number spelling do not matter.
 //   - Query responses carry an X-Index header, and GET /readyz and
 //     GET /v1/apps report index state; all three read the serving
 //     layer's one per-app derivation, so they never disagree. Its
@@ -63,8 +66,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -75,6 +76,7 @@ import (
 	"repro/internal/demand"
 	"repro/internal/faults"
 	"repro/internal/faults/risk"
+	"repro/internal/model"
 	"repro/internal/schedule"
 	"repro/internal/serving"
 	"repro/internal/telemetry"
@@ -309,9 +311,20 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request) (Request, bool) 
 }
 
 // serve runs a query through the frontdoor and writes the outcome. The
-// request context flows into compute so scan-path queries abort when
-// the client goes away or the deadline passes.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, q serving.Query, compute func(context.Context, *core.Engine) ([]byte, error)) {
+// cache key is kind, app and the JSON re-encoding of req, the decoded
+// request with its defaults already written in. compute reads only req,
+// values derived from it and the engine, so every field it can read is
+// keyed by construction, and requests equal after decoding share an
+// entry: encoding/json writes each float64 in its shortest round-trip
+// form. The request context flows into compute so scan-path queries
+// abort when the client goes away or the deadline passes.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, kind, app string, req any, compute func(context.Context, *core.Engine) ([]byte, error)) {
+	canon, err := json.Marshal(req)
+	if err != nil {
+		s.writeError(w, fmt.Errorf("%w: encode request: %v", serving.ErrInternal, err))
+		return
+	}
+	q := serving.Query{Kind: kind, App: app, Extra: string(canon)}
 	body, status, err := s.fd.Do(r.Context(), q, compute)
 	if err != nil {
 		s.writeError(w, err)
@@ -376,13 +389,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	maxRows := req.MaxFrontier
-	if maxRows <= 0 {
-		maxRows = 100
+	if req.MaxFrontier <= 0 {
+		req.MaxFrontier = 100
 	}
-	q := serving.Query{Kind: "analyze", App: req.App, N: req.N, A: req.A,
-		DeadlineHours: req.DeadlineH, BudgetUSD: req.BudgetUSD, MaxFrontier: maxRows}
-	s.serve(w, r, q, func(ctx context.Context, eng *core.Engine) ([]byte, error) {
+	s.serve(w, r, "analyze", req.App, req, func(ctx context.Context, eng *core.Engine) ([]byte, error) {
 		an, err := eng.AnalyzeContext(ctx, workload.Params{N: req.N, A: req.A}, core.Constraints{
 			Deadline: req.DeadlineH.Seconds(),
 			Budget:   req.BudgetUSD,
@@ -394,7 +404,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		lo, hi, _ := an.CostSpan()
 		resp.CostLowUSD, resp.CostHiUSD = lo, hi
 		for i, f := range an.Frontier {
-			if i >= maxRows {
+			if i >= req.MaxFrontier {
 				break
 			}
 			resp.Frontier = append(resp.Frontier, ConfigResult{
@@ -416,22 +426,13 @@ func (s *Server) handleMinCost(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{"mincost requires deadline_hours"})
 		return
 	}
-	q := serving.Query{Kind: "mincost", App: req.App, N: req.N, A: req.A, DeadlineHours: req.DeadlineH}
-	s.serve(w, r, q, func(ctx context.Context, eng *core.Engine) ([]byte, error) {
+	s.serve(w, r, "mincost", req.App, req, func(ctx context.Context, eng *core.Engine) ([]byte, error) {
 		pred, feasible, err := eng.MinCostForDeadlineContext(ctx, workload.Params{N: req.N, A: req.A},
 			req.DeadlineH.Seconds())
 		if err != nil {
 			return nil, err
 		}
-		resp := OptimizeResponse{App: req.App, Feasible: feasible}
-		if feasible {
-			resp.Best = &ConfigResult{
-				Config:    pred.Config.Counts(),
-				TimeHours: pred.Time.InHours(),
-				CostUSD:   pred.Cost,
-			}
-		}
-		return json.Marshal(resp)
+		return optimizeResponse(req.App, pred, feasible, 0)
 	})
 }
 
@@ -444,22 +445,13 @@ func (s *Server) handleMinTime(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{"mintime requires budget_usd"})
 		return
 	}
-	q := serving.Query{Kind: "mintime", App: req.App, N: req.N, A: req.A, BudgetUSD: req.BudgetUSD}
-	s.serve(w, r, q, func(ctx context.Context, eng *core.Engine) ([]byte, error) {
+	s.serve(w, r, "mintime", req.App, req, func(ctx context.Context, eng *core.Engine) ([]byte, error) {
 		pred, feasible, err := eng.MinTimeForBudgetContext(ctx, workload.Params{N: req.N, A: req.A},
 			req.BudgetUSD)
 		if err != nil {
 			return nil, err
 		}
-		resp := OptimizeResponse{App: req.App, Feasible: feasible}
-		if feasible {
-			resp.Best = &ConfigResult{
-				Config:    pred.Config.Counts(),
-				TimeHours: pred.Time.InHours(),
-				CostUSD:   pred.Cost,
-			}
-		}
-		return json.Marshal(resp)
+		return optimizeResponse(req.App, pred, feasible, 0)
 	})
 }
 
@@ -472,9 +464,7 @@ func (s *Server) handleMaxAccuracy(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{"maxaccuracy requires a deadline or a budget"})
 		return
 	}
-	q := serving.Query{Kind: "maxaccuracy", App: req.App, N: req.N,
-		DeadlineHours: req.DeadlineH, BudgetUSD: req.BudgetUSD}
-	s.serve(w, r, q, func(ctx context.Context, eng *core.Engine) ([]byte, error) {
+	s.serve(w, r, "maxaccuracy", req.App, req, func(ctx context.Context, eng *core.Engine) ([]byte, error) {
 		p, pred, feasible, err := eng.MaxAccuracyContext(ctx, req.N, core.Constraints{
 			Deadline: req.DeadlineH.Seconds(),
 			Budget:   req.BudgetUSD,
@@ -482,17 +472,24 @@ func (s *Server) handleMaxAccuracy(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		resp := OptimizeResponse{App: req.App, Feasible: feasible}
-		if feasible {
-			resp.Accuracy = p.A
-			resp.Best = &ConfigResult{
-				Config:    pred.Config.Counts(),
-				TimeHours: pred.Time.InHours(),
-				CostUSD:   pred.Cost,
-			}
-		}
-		return json.Marshal(resp)
+		return optimizeResponse(req.App, pred, feasible, p.A)
 	})
+}
+
+// optimizeResponse encodes a mincost, mintime or maxaccuracy answer.
+// accuracy is reported only for a feasible answer; mincost and mintime
+// pass 0, which the encoding omits.
+func optimizeResponse(app string, pred model.Prediction, feasible bool, accuracy float64) ([]byte, error) {
+	resp := OptimizeResponse{App: app, Feasible: feasible}
+	if feasible {
+		resp.Accuracy = accuracy
+		resp.Best = &ConfigResult{
+			Config:    pred.Config.Counts(),
+			TimeHours: pred.Time.InHours(),
+			CostUSD:   pred.Cost,
+		}
+	}
+	return json.Marshal(resp)
 }
 
 // riskRequest is the body of POST /v1/risk. Config pins an explicit
@@ -525,19 +522,6 @@ type RiskResponse struct {
 	CostP50USD      units.USD   `json:"cost_p50_usd"`
 	CostP90USD      units.USD   `json:"cost_p90_usd"`
 	CostP99USD      units.USD   `json:"cost_p99_usd"`
-}
-
-// canonicalConfig renders a tuple request field for the cache key:
-// numerically equal configurations collide, everything else does not.
-func canonicalConfig(counts []int) string {
-	if len(counts) == 0 {
-		return ""
-	}
-	parts := make([]string, len(counts))
-	for i, c := range counts {
-		parts[i] = strconv.Itoa(c)
-	}
-	return strings.Join(parts, ",")
 }
 
 func (s *Server) handleRisk(w http.ResponseWriter, r *http.Request) {
@@ -573,16 +557,12 @@ func (s *Server) handleRisk(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	trials := req.Trials
-	if trials == 0 {
-		trials = risk.DefaultTrials
+	if req.Trials == 0 {
+		req.Trials = risk.DefaultTrials
 	}
 
-	q := serving.Query{Kind: "risk", App: req.App, N: req.N, A: req.A,
-		DeadlineHours: req.DeadlineH, HazardPerHour: req.HazardPerHour,
-		Trials: trials, Seed: req.Seed, Config: canonicalConfig(req.Config)}
 	trialsRun := s.reg.Counter("risk.trials")
-	s.serve(w, r, q, func(ctx context.Context, eng *core.Engine) ([]byte, error) {
+	s.serve(w, r, "risk", req.App, req, func(ctx context.Context, eng *core.Engine) ([]byte, error) {
 		p := workload.Params{N: req.N, A: req.A}
 		t := tuple
 		if len(req.Config) == 0 {
@@ -600,7 +580,7 @@ func (s *Server) handleRisk(w http.ResponseWriter, r *http.Request) {
 			return nil, fmt.Errorf("config arity %d does not match the catalog's %d types", t.Len(), cat.Len())
 		}
 		est, err := risk.EstimateContext(ctx, app, p, t, cat, risk.Options{
-			Trials:        trials,
+			Trials:        req.Trials,
 			Seed:          req.Seed,
 			HazardPerHour: req.HazardPerHour,
 			Deadline:      req.DeadlineH.Seconds(),
@@ -726,30 +706,20 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	riskEvery := req.RiskEvery
-	if riskEvery <= 0 {
-		riskEvery = 8
+	req.BootSeconds = boot
+	if req.RiskEvery <= 0 {
+		req.RiskEvery = 8
 	}
-	maxTimeline := req.MaxTimeline
-	if maxTimeline == 0 {
-		maxTimeline = 1000
+	if req.MaxTimeline == 0 {
+		req.MaxTimeline = 1000
 	}
 
-	// The trace hash plus every policy knob that shapes the response
-	// body goes into the cache key via Extra; hazard, trials, and seed
-	// ride the shared Query fields. The advisory trace name is keyed
-	// too — Hash deliberately skips it, but the response echoes it, so
-	// two traces differing only in name must not share a cache entry.
-	q := serving.Query{Kind: "schedule", App: req.App,
-		HazardPerHour: req.HazardPerHour, Trials: req.RiskTrials, Seed: req.Seed,
-		Extra: fmt.Sprintf("%s|boot=%s|every=%d|cap=%d|name=%s", req.Trace.Hash(),
-			strconv.FormatFloat(float64(boot), 'g', -1, 64), riskEvery, maxTimeline, req.Trace.Name)}
 	solves := s.reg.Counter("serving.schedule.solves")
 	stepsSolved := s.reg.Counter("serving.schedule.steps")
 	riskSteps := s.reg.Counter("serving.schedule.risk_steps")
-	s.serve(w, r, q, func(ctx context.Context, eng *core.Engine) ([]byte, error) {
+	s.serve(w, r, "schedule", req.App, req, func(ctx context.Context, eng *core.Engine) ([]byte, error) {
 		pol := schedule.PolicyFor(eng)
-		pol.Boot = boot
+		pol.Boot = req.BootSeconds
 		solved, err := schedule.SolveContext(ctx, eng, req.Trace, pol)
 		if err != nil {
 			return nil, err
@@ -766,7 +736,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			points, err := schedule.RiskTimelineContext(ctx, app, eng, req.Trace, solved, schedule.RiskOptions{
 				HazardPerHour: req.HazardPerHour,
 				Trials:        req.RiskTrials,
-				Every:         riskEvery,
+				Every:         req.RiskEvery,
 				Seed:          req.Seed,
 			})
 			if err != nil {
@@ -799,7 +769,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			SavingsVsReactivePct: schedule.SavingsPct(solved.TotalCost, baseline.TotalCost),
 		}
 		for t, st := range solved.Steps {
-			if maxTimeline < 0 || t >= maxTimeline {
+			if req.MaxTimeline < 0 || t >= req.MaxTimeline {
 				break
 			}
 			row := ScheduleStepResult{

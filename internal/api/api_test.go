@@ -199,6 +199,8 @@ func TestErrorPaths(t *testing.T) {
 		{"maxaccuracy unconstrained", "/v1/maxaccuracy", Request{App: "galaxy", N: 65536}, http.StatusBadRequest},
 		{"out of domain", "/v1/mincost", Request{App: "galaxy", N: 1, A: 1, DeadlineH: 1}, http.StatusUnprocessableEntity},
 		{"negative deadline", "/v1/mincost", Request{App: "galaxy", N: 65536, A: 8000, DeadlineH: -1}, http.StatusBadRequest},
+		{"maxaccuracy n below domain", "/v1/maxaccuracy", Request{App: "galaxy", N: -5, DeadlineH: 24}, http.StatusUnprocessableEntity},
+		{"maxaccuracy n above domain", "/v1/maxaccuracy", Request{App: "galaxy", N: 1e12, DeadlineH: 24}, http.StatusUnprocessableEntity},
 	}
 	for _, c := range cases {
 		var eb errorBody

@@ -70,12 +70,6 @@ type Options struct {
 	// plans re-dispatch lost tasks without bound, gang-scheduled BSP
 	// and master-anchored work-queue plans abort with an error.
 	Recovery faults.Recovery
-
-	// Legacy single-failure injection, superseded by Trace: when Trace
-	// is empty and FailAt > 0, the pair is treated as a one-event
-	// trace.
-	FailInstance int
-	FailAt       units.Seconds
 }
 
 // AppStartup reports the default application startup time on the
@@ -128,18 +122,6 @@ func (o Options) startup(appName string) units.Seconds {
 	return AppStartup(appName)
 }
 
-// trace normalizes the failure injection: the legacy FailInstance /
-// FailAt pair becomes a one-event trace when Trace itself is empty.
-func (o Options) trace() faults.Trace {
-	if !o.Trace.Empty() {
-		return o.Trace
-	}
-	if o.FailAt > 0 {
-		return faults.NewTrace(faults.Event{Instance: o.FailInstance, At: o.FailAt})
-	}
-	return faults.Trace{}
-}
-
 // Result reports one simulated run.
 type Result struct {
 	Makespan  units.Seconds // application launch → completion (what a user times)
@@ -176,11 +158,10 @@ func Run(app workload.App, p workload.Params, tuple config.Tuple, cat *ec2.Catal
 		return Result{}, err
 	}
 	cluster := provision(tuple, cat, app, opts)
-	trace := opts.trace()
-	if err := trace.Validate(len(cluster)); err != nil {
+	if err := opts.Trace.Validate(len(cluster)); err != nil {
 		return Result{}, err
 	}
-	failing := !trace.Empty()
+	failing := !opts.Trace.Empty()
 	recovering := opts.Recovery.Mode == faults.Recover
 
 	r := &runner{
@@ -188,7 +169,7 @@ func Run(app workload.App, p workload.Params, tuple config.Tuple, cat *ec2.Catal
 		plan:    plan,
 		opts:    opts,
 		rec:     opts.Recovery,
-		trace:   trace,
+		trace:   opts.Trace,
 		cluster: cluster,
 		orig:    len(cluster),
 		startup: opts.startup(app.Name()),
@@ -221,11 +202,11 @@ func Run(app workload.App, p workload.Params, tuple config.Tuple, cat *ec2.Catal
 		Instances: r.orig,
 		Tasks:     tasks,
 		Events:    r.sim.Events(),
-		Failures:  trace.Len(),
+		Failures:  opts.Trace.Len(),
 		Respawned: len(r.respawns),
 	}
-	failAt := make(map[int]units.Seconds, trace.Len())
-	for _, e := range trace.Events() {
+	failAt := make(map[int]units.Seconds, opts.Trace.Len())
+	for _, e := range opts.Trace.Events() {
 		failAt[e.Instance] = e.At
 	}
 	for i := 0; i < r.orig; i++ {

@@ -280,8 +280,7 @@ func TestFailureIndependentRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	failed := DefaultOptions()
-	failed.FailInstance = 1
-	failed.FailAt = base.Makespan / 2
+	failed.Trace = faults.NewTrace(faults.Event{Instance: 1, At: base.Makespan / 2})
 	res, err := Run(app, p, tuple, cat, failed)
 	if err != nil {
 		t.Fatal(err)
@@ -305,8 +304,7 @@ func TestFailureIndependentRecovers(t *testing.T) {
 func TestFailureAbortsBSPAndMasterWorker(t *testing.T) {
 	cat := ec2.Oregon()
 	opts := DefaultOptions()
-	opts.FailInstance = 0
-	opts.FailAt = 10
+	opts.Trace = faults.NewTrace(faults.Event{Instance: 0, At: 10})
 	if _, err := Run(galaxy.App{}, workload.Params{N: 2048, A: 10},
 		config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0), cat, opts); err == nil {
 		t.Fatal("BSP survived an instance failure")
@@ -320,8 +318,7 @@ func TestFailureAbortsBSPAndMasterWorker(t *testing.T) {
 func TestFailureValidation(t *testing.T) {
 	cat := ec2.Oregon()
 	opts := DefaultOptions()
-	opts.FailInstance = 99
-	opts.FailAt = 10
+	opts.Trace = faults.NewTrace(faults.Event{Instance: 99, At: 10})
 	if _, err := Run(x264.App{}, workload.Params{N: 8, A: 20},
 		config.MustTuple(1, 0, 0, 0, 0, 0, 0, 0, 0), cat, opts); err == nil {
 		t.Fatal("out-of-cluster fail instance accepted")
@@ -339,8 +336,7 @@ func TestFailureWorkConservation(t *testing.T) {
 	one := config.MustTuple(1, 0, 0, 0, 0, 0, 0, 0, 0)
 
 	failEarly := DefaultOptions()
-	failEarly.FailInstance = 1
-	failEarly.FailAt = units.Seconds(0.001)
+	failEarly.Trace = faults.NewTrace(faults.Event{Instance: 1, At: units.Seconds(0.001)})
 	resFail, err := Run(app, p, two, cat, failEarly)
 	if err != nil {
 		t.Fatal(err)

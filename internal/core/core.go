@@ -466,9 +466,15 @@ func (e *Engine) MaxAccuracyContext(ctx context.Context, n float64, cons Constra
 		tol = 1e-3
 	}
 	lo, hi := e.domain.MinA, e.domain.MaxA
+	// Every probe's a lies in the domain, so only n can put a probe
+	// outside it: that is the caller's error, not an infeasible a.
+	if err := e.domain.CheckParams(workload.Params{N: n, A: lo}); err != nil {
+		return workload.Params{}, model.Prediction{}, false, err
+	}
 	check := func(a float64) (model.Prediction, bool, error) {
 		d, err := e.Demand(workload.Params{N: n, A: a})
 		if err != nil {
+			// A non-positive demand at an in-domain a: infeasible there.
 			return model.Prediction{}, false, nil
 		}
 		return e.searchBest(ctx, d, cons, objectiveCost)

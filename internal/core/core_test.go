@@ -319,6 +319,24 @@ func TestMaxAccuracy(t *testing.T) {
 	}
 }
 
+// TestMaxAccuracyRejectsOutOfDomainN: an n outside the app's domain is
+// the caller's error, reported the way the other queries report it,
+// not an answer that no accuracy is feasible.
+func TestMaxAccuracyRejectsOutOfDomainN(t *testing.T) {
+	eng := NewPaperEngine(galaxy.App{})
+	cons := Constraints{Deadline: units.FromHours(24)}
+	for _, n := range []float64{-5, 1e12} {
+		_, want := eng.Demand(workload.Params{N: n, A: galaxy.App{}.Domain().MinA})
+		if want == nil {
+			t.Fatalf("test premise broken: n=%g is inside galaxy's domain", n)
+		}
+		_, _, ok, err := eng.MaxAccuracy(n, cons, 1e-3)
+		if err == nil || err.Error() != want.Error() || ok {
+			t.Fatalf("MaxAccuracy(n=%g) = ok %v, err %v; want the domain error %q", n, ok, err, want)
+		}
+	}
+}
+
 func TestCostSpan(t *testing.T) {
 	a := Analysis{Frontier: []FrontierPoint{
 		{Cost: 126}, {Cost: 140}, {Cost: 167},

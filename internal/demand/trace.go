@@ -91,7 +91,7 @@ func (tr Trace) Params(t int) workload.Params {
 // Hash fingerprints the demand-relevant content of the trace (version,
 // and the exact bit patterns of the step length, the accuracy and every
 // problem size — not the advisory name fields) as 16 hex digits.
-// Serving uses it as the cache-key component for POST /v1/schedule.
+// POST /v1/schedule reports it as the response's trace_hash.
 func (tr Trace) Hash() string {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -56,8 +56,8 @@ type Options struct {
 	Deadline units.Seconds
 	// Workers caps the parallelism; 0 means GOMAXPROCS.
 	Workers int
-	// Sim is the base simulator configuration; its Trace and legacy
-	// failure fields are overwritten per trial.
+	// Sim is the base simulator configuration; its Trace is
+	// overwritten per trial.
 	Sim cloudsim.Options
 	// Recovery is the failure-handling policy applied to every trial
 	// and to the base run (so checkpointing overhead shows up in the
@@ -140,7 +140,6 @@ func EstimateContext(ctx context.Context, app workload.App, p workload.Params, t
 
 	base := opts.Sim
 	base.Trace = faults.Trace{}
-	base.FailInstance, base.FailAt = 0, 0
 	base.Recovery = opts.Recovery
 	ref, err := cloudsim.Run(app, p, tuple, cat, base)
 	if err != nil {

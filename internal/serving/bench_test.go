@@ -3,21 +3,23 @@ package serving
 import (
 	"context"
 	"encoding/json"
+	"strconv"
 	"testing"
 
 	"repro/internal/apps/galaxy"
 	"repro/internal/core"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
 // analyzeCompute is the same work internal/api performs for
 // POST /v1/analyze: a full configuration-space census plus JSON
-// encoding of the frontier.
-func analyzeCompute(q Query) func(context.Context, *core.Engine) ([]byte, error) {
+// encoding of the frontier, for the paper's galaxy scenario at size n.
+func analyzeCompute(n float64) func(context.Context, *core.Engine) ([]byte, error) {
 	return func(_ context.Context, eng *core.Engine) ([]byte, error) {
-		an, err := eng.Analyze(workload.Params{N: q.N, A: q.A}, core.Constraints{
-			Deadline: q.DeadlineHours.Seconds(),
-			Budget:   q.BudgetUSD,
+		an, err := eng.Analyze(workload.Params{N: n, A: 8000}, core.Constraints{
+			Deadline: units.Hours(24).Seconds(),
+			Budget:   350,
 		}, core.Options{})
 		if err != nil {
 			return nil, err
@@ -38,7 +40,9 @@ func analyzeCompute(q Query) func(context.Context, *core.Engine) ([]byte, error)
 	}
 }
 
-var benchQuery = Query{Kind: "analyze", App: "galaxy", N: 65536, A: 8000, DeadlineHours: 24, BudgetUSD: 350}
+const benchN = 65536
+
+var benchQuery = Query{Kind: "analyze", App: "galaxy", Extra: `{"n":65536,"a":8000,"deadline_hours":24,"budget_usd":350}`}
 
 // BenchmarkAnalyzeCold measures the uncached path: every iteration is a
 // full S = 6⁹−1 census through the frontdoor (cache disabled).
@@ -51,7 +55,7 @@ func BenchmarkAnalyzeCold(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := f.Do(context.Background(), benchQuery, analyzeCompute(benchQuery)); err != nil {
+		if _, _, err := f.Do(context.Background(), benchQuery, analyzeCompute(benchN)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -68,13 +72,13 @@ func BenchmarkAnalyzeCached(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := f.Do(context.Background(), benchQuery, analyzeCompute(benchQuery)); err != nil {
+	if _, _, err := f.Do(context.Background(), benchQuery, analyzeCompute(benchN)); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := f.Do(context.Background(), benchQuery, analyzeCompute(benchQuery))
+		_, st, err := f.Do(context.Background(), benchQuery, analyzeCompute(benchN))
 		if err != nil || st != StatusHit {
 			b.Fatalf("status %v, err %v", st, err)
 		}
@@ -90,16 +94,16 @@ func TestCachedPathSpeedup(t *testing.T) {
 	f := newTestFrontdoor(t, Config{})
 	cold := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			q := benchQuery
-			q.N += float64(i) * 1e-9 // unique key: never cached
-			if _, _, err := f.Do(context.Background(), q, analyzeCompute(q)); err != nil {
+			n := benchN + float64(i)*1e-9 // unique key: never cached
+			q := Query{Kind: "analyze", App: "galaxy", Extra: strconv.FormatFloat(n, 'g', -1, 64)}
+			if _, _, err := f.Do(context.Background(), q, analyzeCompute(n)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	warm := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, st, err := f.Do(context.Background(), benchQuery, analyzeCompute(benchQuery)); err != nil || st != StatusHit {
+			if _, st, err := f.Do(context.Background(), benchQuery, analyzeCompute(benchN)); err != nil || st != StatusHit {
 				b.Fatalf("status %v, err %v", st, err)
 			}
 		}

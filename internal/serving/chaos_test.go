@@ -19,7 +19,6 @@ import (
 	"repro/internal/ec2"
 	"repro/internal/model"
 	"repro/internal/snapshot"
-	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -107,7 +106,7 @@ func TestQueuedCancelReturnsPromptly(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, _ = f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", N: 1},
+		_, _, _ = f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", Extra: `{"n":1}`},
 			func(context.Context, *core.Engine) ([]byte, error) {
 				close(started)
 				<-release
@@ -119,7 +118,7 @@ func TestQueuedCancelReturnsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := f.Do(ctx, Query{Kind: "analyze", App: "galaxy", N: 2},
+		_, _, err := f.Do(ctx, Query{Kind: "analyze", App: "galaxy", Extra: `{"n":2}`},
 			func(context.Context, *core.Engine) ([]byte, error) {
 				t.Error("canceled request's compute ran")
 				return nil, nil
@@ -165,7 +164,7 @@ func TestSnapshotMissingDegradesThenRebuilds(t *testing.T) {
 	}
 	// Degraded mode still answers: the scan path is the fallback, not a
 	// rejection.
-	if _, _, err := f.Do(context.Background(), Query{Kind: "mincost", App: "galaxy", DeadlineHours: 24},
+	if _, _, err := f.Do(context.Background(), Query{Kind: "mincost", App: "galaxy", Extra: `{"deadline_hours":24}`},
 		func(_ context.Context, eng *core.Engine) ([]byte, error) {
 			_, _, err := eng.MinCostForDeadline(workload.Params{N: 1e6, A: 100}, 24*3600)
 			return []byte("ok"), err
@@ -299,7 +298,7 @@ func TestRebuildFailureStaysDegraded(t *testing.T) {
 	if _, degraded := f.IndexStatuses(); degraded != 1 {
 		t.Fatalf("%d degraded apps after a failed rebuild, want 1", degraded)
 	}
-	if _, _, err := f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", N: 3},
+	if _, _, err := f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", Extra: `{"n":3}`},
 		func(context.Context, *core.Engine) ([]byte, error) { return []byte("scan"), nil }); err != nil {
 		t.Fatalf("degraded app stopped serving: %v", err)
 	}
@@ -324,7 +323,7 @@ func TestRebuildPanicContained(t *testing.T) {
 // ErrInternal, process intact.
 func TestComputePanicIsolated(t *testing.T) {
 	f := newTestFrontdoor(t, Config{})
-	_, _, err := f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", N: 9}, chaos.PanicCompute)
+	_, _, err := f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", Extra: `{"n":9}`}, chaos.PanicCompute)
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("err = %v, want ErrInternal", err)
 	}
@@ -336,7 +335,7 @@ func TestComputePanicIsolated(t *testing.T) {
 func TestHangComputeTimesOut(t *testing.T) {
 	f := newTestFrontdoor(t, Config{RequestTimeout: 50 * time.Millisecond, CacheBytes: -1})
 	start := time.Now()
-	_, _, err := f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", N: 10}, chaos.HangCompute)
+	_, _, err := f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", Extra: `{"n":10}`}, chaos.HangCompute)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -352,7 +351,7 @@ func TestHangComputeTimesOut(t *testing.T) {
 func TestSwapEnginePurgesCacheAndRebuilds(t *testing.T) {
 	dir := t.TempDir()
 	f := chaosFrontdoor(t, Config{SnapshotDir: dir})
-	q := Query{Kind: "mincost", App: "galaxy", DeadlineHours: 24}
+	q := Query{Kind: "mincost", App: "galaxy", Extra: `{"deadline_hours":24}`}
 	identity := func(_ context.Context, eng *core.Engine) ([]byte, error) {
 		return []byte(fmt.Sprintf("%p", eng)), nil
 	}
@@ -420,7 +419,7 @@ func TestSwapEngineUnderTraffic(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				q := Query{Kind: "mincost", App: "galaxy", DeadlineHours: units.Hours(1 + (w*perWorker+i)%7)}
+				q := Query{Kind: "mincost", App: "galaxy", Extra: fmt.Sprintf(`{"deadline_hours":%d}`, 1+(w*perWorker+i)%7)}
 				body, _, err := f.Do(context.Background(), q, identity)
 				if err != nil {
 					errc <- fmt.Errorf("worker %d iter %d: %w", w, i, err)

@@ -4,8 +4,9 @@
 // traffic is repetitive and bursty, so the Frontdoor puts three
 // defenses in front of every engine run:
 //
-//  1. a byte-bounded LRU result cache with TTL, keyed by the canonical
-//     (kind, app, params, constraints, options, billing) tuple;
+//  1. a byte-bounded LRU result cache with TTL, keyed by the query
+//     kind, the app, its billing policy and the request's canonical
+//     form (Query.Extra);
 //  2. singleflight request coalescing, so N identical in-flight
 //     queries cost one engine run;
 //  3. admission control: a bounded worker pool (sized from
@@ -56,14 +57,12 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/telemetry"
-	"repro/internal/units"
 )
 
 // ErrOverloaded is returned when admission control rejects a request:
@@ -150,30 +149,15 @@ func (c Config) withDefaults() Config {
 }
 
 // Query identifies one engine invocation for caching and coalescing.
-// Every field participates in the cache key; two requests coalesce or
-// share a cache entry exactly when all fields (plus the mounted
-// engine's billing policy) are equal.
+// Two queries coalesce or share a cache entry exactly when Kind, App
+// and Extra (plus the mounted engine's billing policy) are equal.
 type Query struct {
-	Kind          string // "analyze", "mincost", "mintime", "maxaccuracy", "risk", ...
-	App           string
-	N, A          float64
-	DeadlineHours units.Hours
-	BudgetUSD     units.USD
-	MaxFrontier   int
-
-	// Risk-query parameters (Kind "risk"); zero for the analytic kinds,
-	// so legacy keys are unaffected in practice but every field still
-	// participates in the key.
-	HazardPerHour float64
-	Trials        int
-	Seed          uint64
-	// Config pins an explicit configuration tuple (canonical "n1,...,n9"
-	// form); empty means "solve for the cheapest deadline-feasible one".
-	Config string
-	// Extra carries kind-specific key material that does not fit the
-	// shared fields — for Kind "schedule", the demand-trace hash and
-	// the policy digest. Callers must render it canonically: two
-	// requests with the same Extra (and other fields) share a result.
+	Kind string // "analyze", "mincost", "mintime", "maxaccuracy", "risk", "schedule"
+	App  string
+	// Extra is the request's canonical form: everything the compute
+	// reads besides the engine. internal/api sets it to the JSON
+	// re-encoding of the decoded, defaulted request, so every field a
+	// compute can read is keyed by construction.
 	Extra string
 }
 
@@ -424,33 +408,10 @@ func (f *Frontdoor) Engine(app string) (*core.Engine, bool) {
 	return e, ok
 }
 
-// key derives the canonical cache/coalescing key. Floats use the 'g'
-// shortest-round-trip form, so numerically equal requests collide and
-// nothing else does. The engine's billing policy is included because
-// it changes every predicted cost.
+// key derives the cache/coalescing key. The engine's billing policy is
+// included because it changes every predicted cost.
 func (f *Frontdoor) key(q Query, eng *core.Engine) string {
-	var b strings.Builder
-	b.Grow(64)
-	b.WriteString(q.Kind)
-	b.WriteByte('|')
-	b.WriteString(q.App)
-	for _, v := range [5]float64{q.N, q.A, float64(q.DeadlineHours), float64(q.BudgetUSD), q.HazardPerHour} {
-		b.WriteByte('|')
-		b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(q.MaxFrontier))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(q.Trials))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatUint(q.Seed, 10))
-	b.WriteByte('|')
-	b.WriteString(q.Config)
-	b.WriteByte('|')
-	b.WriteString(q.Extra)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(int(eng.Billing())))
-	return b.String()
+	return q.Kind + "|" + q.App + "|" + strconv.Itoa(int(eng.Billing())) + "|" + q.Extra
 }
 
 // Do serves one query: cache lookup, then coalescing, then admission,

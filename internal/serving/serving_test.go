@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/telemetry"
+	"repro/internal/units"
 	"repro/internal/workload"
 )
 
@@ -62,7 +63,7 @@ func TestUnknownApp(t *testing.T) {
 
 func TestCacheHitReturnsIdenticalBytes(t *testing.T) {
 	f := newTestFrontdoor(t, Config{})
-	q := Query{Kind: "mincost", App: "galaxy", N: 65536, A: 8000, DeadlineHours: 24}
+	q := Query{Kind: "mincost", App: "galaxy", Extra: `{"n":65536,"a":8000,"deadline_hours":24}`}
 	var runs atomic.Int64
 	compute := func(context.Context, *core.Engine) ([]byte, error) {
 		runs.Add(1)
@@ -94,9 +95,9 @@ func TestDistinctQueriesDistinctEntries(t *testing.T) {
 	compute := func(body string) func(context.Context, *core.Engine) ([]byte, error) {
 		return func(context.Context, *core.Engine) ([]byte, error) { return []byte(body), nil }
 	}
-	a, _, _ := f.Do(context.Background(), Query{Kind: "mincost", App: "galaxy", DeadlineHours: 24}, compute("a"))
-	b, _, _ := f.Do(context.Background(), Query{Kind: "mincost", App: "galaxy", DeadlineHours: 48}, compute("b"))
-	c, _, _ := f.Do(context.Background(), Query{Kind: "mintime", App: "galaxy", DeadlineHours: 24}, compute("c"))
+	a, _, _ := f.Do(context.Background(), Query{Kind: "mincost", App: "galaxy", Extra: `{"deadline_hours":24}`}, compute("a"))
+	b, _, _ := f.Do(context.Background(), Query{Kind: "mincost", App: "galaxy", Extra: `{"deadline_hours":48}`}, compute("b"))
+	c, _, _ := f.Do(context.Background(), Query{Kind: "mintime", App: "galaxy", Extra: `{"deadline_hours":24}`}, compute("c"))
 	if string(a) != "a" || string(b) != "b" || string(c) != "c" {
 		t.Fatalf("key collision: %q %q %q", a, b, c)
 	}
@@ -104,7 +105,7 @@ func TestDistinctQueriesDistinctEntries(t *testing.T) {
 
 func TestCoalescingSingleEngineRun(t *testing.T) {
 	f := newTestFrontdoor(t, Config{})
-	q := Query{Kind: "analyze", App: "galaxy", N: 65536, A: 8000}
+	q := Query{Kind: "analyze", App: "galaxy", Extra: `{"n":65536,"a":8000}`}
 	var runs atomic.Int64
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -162,7 +163,7 @@ func TestCoalescingSingleEngineRun(t *testing.T) {
 
 func TestCoalescedErrorPropagates(t *testing.T) {
 	f := newTestFrontdoor(t, Config{})
-	q := Query{Kind: "analyze", App: "galaxy", N: 1}
+	q := Query{Kind: "analyze", App: "galaxy", Extra: `{"n":1}`}
 	boom := errors.New("demand out of domain")
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -211,7 +212,7 @@ func TestOverloadRejects(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, err := f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", N: 1}, func(context.Context, *core.Engine) ([]byte, error) {
+		_, _, err := f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", Extra: `{"n":1}`}, func(context.Context, *core.Engine) ([]byte, error) {
 			close(started)
 			<-release
 			return []byte("slow"), nil
@@ -223,7 +224,7 @@ func TestOverloadRejects(t *testing.T) {
 	<-started
 
 	// Different query (no coalescing), pool and queue are full.
-	_, _, err := f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", N: 2}, func(context.Context, *core.Engine) ([]byte, error) {
+	_, _, err := f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", Extra: `{"n":2}`}, func(context.Context, *core.Engine) ([]byte, error) {
 		t.Error("rejected request ran compute")
 		return nil, nil
 	})
@@ -245,7 +246,7 @@ func TestQueuedRequestTimesOut(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, _ = f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", N: 1}, func(context.Context, *core.Engine) ([]byte, error) {
+		_, _, _ = f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", Extra: `{"n":1}`}, func(context.Context, *core.Engine) ([]byte, error) {
 			close(started)
 			<-release
 			return []byte("slow"), nil
@@ -253,7 +254,7 @@ func TestQueuedRequestTimesOut(t *testing.T) {
 	}()
 	<-started
 	// Fits in the queue but never gets a slot before the deadline.
-	_, _, err := f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", N: 2}, func(context.Context, *core.Engine) ([]byte, error) {
+	_, _, err := f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", Extra: `{"n":2}`}, func(context.Context, *core.Engine) ([]byte, error) {
 		return nil, nil
 	})
 	if !errors.Is(err, ErrOverloaded) {
@@ -269,7 +270,7 @@ func TestCacheTTLExpiry(t *testing.T) {
 	now := time.Now()
 	f.cache.now = func() time.Time { return now }
 
-	q := Query{Kind: "mincost", App: "galaxy", DeadlineHours: 24}
+	q := Query{Kind: "mincost", App: "galaxy", Extra: `{"deadline_hours":24}`}
 	var runs atomic.Int64
 	compute := func(context.Context, *core.Engine) ([]byte, error) {
 		runs.Add(1)
@@ -299,7 +300,7 @@ func TestCacheByteBoundEviction(t *testing.T) {
 	body := bytes.Repeat([]byte("x"), 1024)
 	compute := func(context.Context, *core.Engine) ([]byte, error) { return body, nil }
 	for i := 0; i < 3; i++ {
-		q := Query{Kind: "analyze", App: "galaxy", N: float64(i)}
+		q := Query{Kind: "analyze", App: "galaxy", Extra: fmt.Sprintf(`{"n":%d}`, i)}
 		if _, _, err := f.Do(context.Background(), q, compute); err != nil {
 			t.Fatal(err)
 		}
@@ -314,10 +315,10 @@ func TestCacheByteBoundEviction(t *testing.T) {
 		t.Fatalf("cache bytes %d exceed budget", b)
 	}
 	// Oldest entry (N=0) was evicted; newest (N=2) still resident.
-	if _, st, _ := f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", N: 2}, compute); st != StatusHit {
+	if _, st, _ := f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", Extra: `{"n":2}`}, compute); st != StatusHit {
 		t.Fatalf("newest entry: status %v, want hit", st)
 	}
-	if _, st, _ := f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", N: 0}, compute); st != StatusMiss {
+	if _, st, _ := f.Do(context.Background(), Query{Kind: "analyze", App: "galaxy", Extra: `{"n":0}`}, compute); st != StatusMiss {
 		t.Fatalf("oldest entry: status %v, want evicted miss", st)
 	}
 }
@@ -339,7 +340,7 @@ func TestOversizedValueNotCached(t *testing.T) {
 
 func TestCachingDisabled(t *testing.T) {
 	f := newTestFrontdoor(t, Config{CacheBytes: -1})
-	q := Query{Kind: "mincost", App: "galaxy", DeadlineHours: 24}
+	q := Query{Kind: "mincost", App: "galaxy", Extra: `{"deadline_hours":24}`}
 	var runs atomic.Int64
 	compute := func(context.Context, *core.Engine) ([]byte, error) {
 		runs.Add(1)
@@ -356,10 +357,10 @@ func TestCachingDisabled(t *testing.T) {
 // actual analytic kernel: a real mincost query, cached on repeat.
 func TestRealEngineThroughFrontdoor(t *testing.T) {
 	f := newTestFrontdoor(t, Config{})
-	q := Query{Kind: "mincost", App: "galaxy", N: 65536, A: 8000, DeadlineHours: 24}
+	q := Query{Kind: "mincost", App: "galaxy", Extra: `{"n":65536,"a":8000,"deadline_hours":24}`}
 	compute := func(_ context.Context, eng *core.Engine) ([]byte, error) {
 		pred, feasible, err := eng.MinCostForDeadline(
-			workload.Params{N: q.N, A: q.A}, q.DeadlineHours.Seconds())
+			workload.Params{N: 65536, A: 8000}, units.Hours(24).Seconds())
 		if err != nil {
 			return nil, err
 		}
@@ -430,10 +431,10 @@ func TestFrontdoorIndexOptIn(t *testing.T) {
 	// A stubbed analytic leader compute on the scan-backed engine is a
 	// bypass; the non-analytic "risk" kind is counted as neither.
 	stub := func(context.Context, *core.Engine) ([]byte, error) { return []byte("v"), nil }
-	if _, _, err := off.Do(context.Background(), Query{Kind: "mincost", App: "galaxy", DeadlineHours: 24}, stub); err != nil {
+	if _, _, err := off.Do(context.Background(), Query{Kind: "mincost", App: "galaxy", Extra: `{"deadline_hours":24}`}, stub); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := off.Do(context.Background(), Query{Kind: "risk", App: "galaxy", Trials: 1}, stub); err != nil {
+	if _, _, err := off.Do(context.Background(), Query{Kind: "risk", App: "galaxy", Extra: `{"trials":1}`}, stub); err != nil {
 		t.Fatal(err)
 	}
 	m := off.Metrics()
@@ -456,7 +457,7 @@ func TestPendingAppBuildsOnFirstLeaderCompute(t *testing.T) {
 	f := chaosFrontdoor(t, Config{})
 	eng, _ := f.Engine("galaxy")
 	var sawIndex bool
-	if _, _, err := f.Do(context.Background(), Query{Kind: "risk", App: "galaxy", Trials: 1},
+	if _, _, err := f.Do(context.Background(), Query{Kind: "risk", App: "galaxy", Extra: `{"trials":1}`},
 		func(_ context.Context, e *core.Engine) ([]byte, error) {
 			sawIndex = e.FrontierBuilt()
 			return []byte("v"), nil
@@ -487,7 +488,7 @@ func TestFrontdoorBypassBillingSplit(t *testing.T) {
 		t.Fatalf("uncertified-billing status = %+v, want bypassed/billing", st)
 	}
 	stub := func(context.Context, *core.Engine) ([]byte, error) { return []byte("v"), nil }
-	if _, _, err := f.Do(context.Background(), Query{Kind: "mincost", App: "galaxy", DeadlineHours: 24}, stub); err != nil {
+	if _, _, err := f.Do(context.Background(), Query{Kind: "mincost", App: "galaxy", Extra: `{"deadline_hours":24}`}, stub); err != nil {
 		t.Fatal(err)
 	}
 	m := f.Metrics()
@@ -526,10 +527,9 @@ func TestAnalyticKind(t *testing.T) {
 
 func TestExtraPartitionsCacheKeys(t *testing.T) {
 	f := newTestFrontdoor(t, Config{})
-	base := Query{Kind: "schedule", App: "galaxy", Seed: 7,
-		Extra: "aaaa|boot=120|every=8|cap=1000"}
+	base := Query{Kind: "schedule", App: "galaxy", Extra: `{"trace":{"steps_n":[6000]}}`}
 	other := base
-	other.Extra = "bbbb|boot=120|every=8|cap=1000"
+	other.Extra = `{"trace":{"steps_n":[6001]}}`
 
 	for i, q := range []Query{base, other} {
 		want := []byte(fmt.Sprintf("sched-%d", i))
@@ -561,16 +561,17 @@ func TestParallelMixedLoad(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				q := Query{Kind: "analyze", App: "galaxy", N: float64(i % 5)}
+				want := fmt.Sprintf("n=%d", i%5)
+				q := Query{Kind: "analyze", App: "galaxy", Extra: want}
 				body, _, err := f.Do(context.Background(), q, func(context.Context, *core.Engine) ([]byte, error) {
 					engineRuns.Add(1)
-					return []byte(fmt.Sprintf("n=%v", q.N)), nil
+					return []byte(want), nil
 				})
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
-				if want := fmt.Sprintf("n=%v", q.N); string(body) != want {
+				if string(body) != want {
 					t.Errorf("body %q, want %q", body, want)
 					return
 				}
@@ -588,7 +589,7 @@ func TestParallelMixedLoad(t *testing.T) {
 func TestComputePanicRecovered(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	f := newTestFrontdoor(t, Config{Metrics: reg})
-	q := Query{Kind: "mincost", App: "galaxy", N: 1, A: 1}
+	q := Query{Kind: "mincost", App: "galaxy", Extra: `{"n":1,"a":1}`}
 	_, _, err := f.Do(context.Background(), q, func(context.Context, *core.Engine) ([]byte, error) {
 		panic("boom")
 	})
@@ -605,45 +606,5 @@ func TestComputePanicRecovered(t *testing.T) {
 	})
 	if err != nil || string(val) != "ok" || status != StatusMiss {
 		t.Fatalf("frontdoor wedged after panic: val %q status %v err %v", val, status, err)
-	}
-}
-
-func TestRiskFieldsPartitionCacheKeys(t *testing.T) {
-	f := newTestFrontdoor(t, Config{})
-	base := Query{Kind: "risk", App: "galaxy", N: 1, A: 1, DeadlineHours: 2,
-		HazardPerHour: 0.5, Trials: 100, Seed: 7, Config: "1,0,0,0,0,0,0,0,0"}
-	variants := []Query{base}
-	v := base
-	v.HazardPerHour = 0.6
-	variants = append(variants, v)
-	v = base
-	v.Trials = 200
-	variants = append(variants, v)
-	v = base
-	v.Seed = 8
-	variants = append(variants, v)
-	v = base
-	v.Config = "2,0,0,0,0,0,0,0,0"
-	variants = append(variants, v)
-
-	for i, q := range variants {
-		want := []byte(fmt.Sprintf("resp-%d", i))
-		val, status, err := f.Do(context.Background(), q, func(context.Context, *core.Engine) ([]byte, error) {
-			return want, nil
-		})
-		if err != nil || status != StatusMiss {
-			t.Fatalf("variant %d: status %v err %v (risk fields collided in the key)", i, status, err)
-		}
-		if !bytes.Equal(val, want) {
-			t.Fatalf("variant %d: val %q", i, val)
-		}
-	}
-	// And the base query is now a pure cache hit.
-	val, status, err := f.Do(context.Background(), base, func(context.Context, *core.Engine) ([]byte, error) {
-		t.Fatal("cache miss on repeated risk query")
-		return nil, nil
-	})
-	if err != nil || status != StatusHit || string(val) != "resp-0" {
-		t.Fatalf("repeat risk query: val %q status %v err %v", val, status, err)
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"repro/internal/ec2"
 	"repro/internal/faults"
 	"repro/internal/model"
+	"repro/internal/stats"
 	"repro/internal/units"
 )
 
@@ -143,23 +144,8 @@ func (m *Market) Quantile(typeIdx int, horizon units.Seconds, q float64) units.U
 	for i, p := range h {
 		sorted[i] = float64(p) //lint:allow unitsafe quantile kernel sorts raw float64; the result is re-typed on return
 	}
-	// Insertion-free selection via sort.
-	return units.USDPerHour(quantileSorted(sorted, q))
-}
-
-func quantileSorted(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sort.Float64s(xs)
-	pos := q * float64(len(xs)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if hi >= len(xs) {
-		return xs[len(xs)-1]
-	}
-	frac := pos - float64(lo)
-	return xs[lo]*(1-frac) + xs[hi]*frac
+	sort.Float64s(sorted)
+	return units.USDPerHour(stats.Quantile(sorted, q))
 }
 
 // InterruptionRate estimates the per-hour rate at which a bid at `bid`

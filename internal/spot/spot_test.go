@@ -1,7 +1,6 @@
 package spot
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -256,16 +255,6 @@ func TestRecommendImpossibleDeadline(t *testing.T) {
 		units.FromHours(1), 0.9)
 	if err == nil {
 		t.Fatal("impossible deadline accepted")
-	}
-}
-
-func TestQuantileSortedHelper(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if got := quantileSorted(xs, 0.5); got != 2 {
-		t.Fatalf("median = %v", got)
-	}
-	if !math.IsNaN(quantileSorted(nil, 0.5)) {
-		t.Fatal("empty quantile not NaN")
 	}
 }
 

@@ -76,6 +76,9 @@ func TestQuantile(t *testing.T) {
 	if got := Quantile(sorted, 0.5); math.Abs(got-25) > 1e-12 {
 		t.Fatalf("Quantile(0.5) = %v, want 25", got)
 	}
+	if got := Quantile(nil, 0.5); !math.IsNaN(got) {
+		t.Fatalf("Quantile(nil) = %v, want NaN", got)
+	}
 }
 
 func TestOLSRecoversLine(t *testing.T) {
