@@ -25,6 +25,7 @@ package cloudsim
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"math"
 
@@ -67,8 +68,11 @@ type Options struct {
 
 	// Recovery selects the failure-handling policy. The zero value is
 	// faults.StrictAbort — the paper-faithful fault model: independent
-	// plans re-dispatch lost tasks without bound, gang-scheduled BSP
-	// and master-anchored work-queue plans abort with an error.
+	// plans re-dispatch lost tasks without bound, while gang-scheduled
+	// BSP and master-anchored work-queue plans abort with an error at
+	// the first event that fires before they complete. Under strict
+	// abort the policy's other fields are ignored; an event after
+	// completion changes nothing under either mode.
 	Recovery faults.Recovery
 }
 
@@ -161,18 +165,27 @@ func Run(app workload.App, p workload.Params, tuple config.Tuple, cat *ec2.Catal
 	if err := opts.Trace.Validate(len(cluster)); err != nil {
 		return Result{}, err
 	}
-	failing := !opts.Trace.Empty()
-	recovering := opts.Recovery.Mode == faults.Recover
 
 	r := &runner{
 		app:     app,
 		plan:    plan,
 		opts:    opts,
 		rec:     opts.Recovery,
-		trace:   opts.Trace,
 		cluster: cluster,
 		orig:    len(cluster),
 		startup: opts.startup(app.Name()),
+	}
+	// The policy is decided here, once. Strict abort runs with no
+	// recovery machinery, and a plan that cannot lose an instance fails
+	// at the first event that fires before it completes.
+	if r.rec.Mode == faults.StrictAbort {
+		r.rec = faults.Recovery{}
+		switch plan.Kind {
+		case workload.BSP:
+			r.abort = errors.New("cloudsim: gang-scheduled BSP job aborts on instance failure")
+		case workload.MasterWorker:
+			r.abort = errors.New("cloudsim: work-queue job aborts when an instance fails (master-anchored)")
+		}
 	}
 
 	var span units.Seconds
@@ -181,14 +194,8 @@ func Run(app workload.App, p workload.Params, tuple config.Tuple, cat *ec2.Catal
 	case workload.Independent:
 		span, tasks = r.runIndependent()
 	case workload.BSP:
-		if failing && !recovering {
-			return Result{}, fmt.Errorf("cloudsim: gang-scheduled BSP job aborts on instance failure")
-		}
 		span, tasks = r.runBSP()
 	case workload.MasterWorker:
-		if failing && !recovering {
-			return Result{}, fmt.Errorf("cloudsim: work-queue job aborts when an instance fails (master-anchored)")
-		}
 		span, tasks = r.runMasterWorker()
 	default:
 		return Result{}, fmt.Errorf("cloudsim: unknown plan kind %v", plan.Kind)
@@ -252,20 +259,21 @@ type respawn struct {
 }
 
 // runner carries the state shared by the per-plan schedulers: the
-// (growing) instance list, the failure trace, the recovery policy, and
+// (growing) instance list, the recovery policy as Run decided it, and
 // the first fatal error.
 type runner struct {
 	sim     des.Sim
 	app     workload.App
 	plan    workload.Plan
 	opts    Options
-	rec     faults.Recovery
-	trace   faults.Trace
-	cluster []vm.Instance // originals, then replacements
+	rec     faults.Recovery // opts.Recovery, or the zero policy under strict abort
+	abort   error           // strict abort's error for plans that cannot lose an instance
+	cluster []vm.Instance   // originals, then replacements
 	orig    int
 	startup units.Seconds
 
 	respawns []respawn
+	booting  int // replacements ordered but not yet booted
 	err      error
 }
 
@@ -275,14 +283,41 @@ func (r *runner) fail(format string, args ...interface{}) {
 	}
 }
 
-// spawnReplacement orders a replacement for a failed instance and
-// returns its index in r.cluster; onBoot runs when it finishes booting.
-func (r *runner) spawnReplacement(failed int, onBoot func(idx int)) {
-	id := len(r.cluster)
-	repl := vm.Replacement(id, r.cluster[failed], r.app, r.opts.Seed)
-	r.cluster = append(r.cluster, repl)
-	r.respawns = append(r.respawns, respawn{at: r.sim.Now(), price: repl.Type.Price})
-	r.sim.Schedule(r.opts.Boot, func() { onBoot(id) })
+// onFailures schedules every trace event; the plans call it after
+// scheduling their launch and before anything completes, so an event at
+// a completion's instant fires first. An event changes nothing once the
+// run is over or has failed. Otherwise it aborts a strict run, or calls
+// lose with the failed instance, orders a replacement under Respawn
+// (boot mounts it once it has booted, unless the run is over by then),
+// and calls resume.
+func (r *runner) onFailures(over func() bool, lose func(inst int), boot func(idx int), resume func()) {
+	for _, e := range r.opts.Trace.Events() {
+		inst := e.Instance
+		r.sim.At(e.At, func() {
+			if over() || r.err != nil {
+				return
+			}
+			if r.abort != nil {
+				r.err = r.abort
+				return
+			}
+			lose(inst)
+			if r.rec.Respawn {
+				idx := len(r.cluster)
+				repl := vm.Replacement(idx, r.cluster[inst], r.app, r.opts.Seed)
+				r.cluster = append(r.cluster, repl)
+				r.respawns = append(r.respawns, respawn{at: r.sim.Now(), price: repl.Type.Price})
+				r.booting++
+				r.sim.Schedule(r.opts.Boot, func() {
+					r.booting--
+					if !over() && r.err == nil {
+						boot(idx)
+					}
+				})
+			}
+			resume()
+		})
+	}
 }
 
 // vcpuRef identifies one vCPU of one instance.
@@ -312,139 +347,171 @@ func networkFactor(instances int, appName string) float64 {
 	return 1
 }
 
-// runIndependent schedules plan.Tasks independent tasks onto all vCPUs
-// via greedy pull (x264's clip farm). Independent tasks tolerate
-// instance failure: in-flight work of a failed instance is
-// re-dispatched from scratch to surviving workers — without bound under
-// StrictAbort (the paper's fault model for x264), within the per-task
-// retry budget under Recover, where failed instances may also be
-// respawned.
-func (r *runner) runIndependent() (units.Seconds, int) {
-	sim := &r.sim
-	plan := r.plan
-	appName := r.app.Name()
-	factor := networkFactor(len(r.cluster), appName)
-	vcpus := clusterVCPUs(r.cluster, appName)
-	next := 0
-	retry := []int{}
-	dead := make([]bool, len(vcpus))
-	gen := make([]int, len(vcpus))
-	current := make([]int, len(vcpus))
-	for i := range current {
-		current[i] = -1
-	}
-	var finish units.Seconds
-	completed := 0
-	var retries map[int]int // per-task re-dispatch count, lazily allocated
+// workers is the vCPU pool both task plans run on: one slot per vCPU,
+// each running at most one task. A slot's generation voids the
+// completion of a task that its instance's failure took down.
+type workers struct {
+	r         *runner
+	slots     []slot
+	retries   map[int]int // per-task re-dispatch count, lazily allocated
+	completed int
+	finish    units.Seconds
 
-	take := func() (int, bool) {
-		if len(retry) > 0 {
-			t := retry[len(retry)-1]
-			retry = retry[:len(retry)-1]
-			return t, true
-		}
-		if next < plan.Tasks {
-			t := next
-			next++
-			return t, true
-		}
-		return -1, false
+	free    func(w int)    // slot w completed its task
+	requeue func(task int) // a lost task within its retry budget
+}
+
+// slot is one vCPU of the pool.
+type slot struct {
+	vcpuRef
+	dead    bool
+	gen     int
+	current int // task in flight, -1 when idle
+}
+
+// newWorkers mounts the provisioned cluster's vCPUs.
+func (r *runner) newWorkers() *workers {
+	p := &workers{r: r}
+	for i := range r.cluster {
+		p.mount(i, nil)
 	}
-	started := false
-	var pull func(w int)
-	pull = func(w int) {
-		if dead[w] || !started || current[w] >= 0 || r.err != nil {
-			return
-		}
-		task, ok := take()
-		if !ok {
-			current[w] = -1
-			return
-		}
-		current[w] = task
-		myGen := gen[w]
-		dur := units.Time(plan.TaskInstr(task), vcpus[w].rate)
-		sim.Schedule(dur, func() {
-			if gen[w] != myGen {
-				return // completion from before this worker's failure
-			}
-			current[w] = -1
-			completed++
-			if sim.Now() > finish {
-				finish = sim.Now()
-			}
-			pull(w)
+	return p
+}
+
+// mount adds instance idx's vCPUs as idle slots, handing each new slot
+// to ready when it is non-nil. A replacement loses the same
+// network-processing share as the instance it replaces.
+func (p *workers) mount(idx int, ready func(w int)) {
+	in := p.r.cluster[idx]
+	factor := networkFactor(p.r.orig, p.r.app.Name())
+	for v := 0; v < in.Type.VCPUs; v++ {
+		p.slots = append(p.slots, slot{
+			vcpuRef: vcpuRef{inst: idx, rate: in.PerVCPURate() * units.Rate(factor)},
+			current: -1,
 		})
-	}
-	sim.At(r.startup, func() {
-		started = true
-		for w := range vcpus {
-			pull(w)
+		if ready != nil {
+			ready(len(p.slots) - 1)
 		}
+	}
+}
+
+// start runs task on slot w; free(w) follows its completion unless the
+// slot's instance fails first.
+func (p *workers) start(w, task int) {
+	p.slots[w].current = task
+	gen := p.slots[w].gen
+	p.r.sim.Schedule(units.Time(p.r.plan.TaskInstr(task), p.slots[w].rate), func() {
+		s := &p.slots[w]
+		if s.gen != gen {
+			return // lost to a failure; the task was requeued
+		}
+		s.current = -1
+		p.completed++
+		if now := p.r.sim.Now(); now > p.finish {
+			p.finish = now
+		}
+		p.free(w)
 	})
+}
 
-	// requeue re-dispatches a task lost to an instance failure,
-	// enforcing the retry budget under Recover.
-	requeue := func(task int) {
-		if retries == nil {
-			retries = map[int]int{}
+// kill takes down instance inst's slots and re-dispatches the tasks in
+// flight on them.
+func (p *workers) kill(inst int) {
+	for w := range p.slots {
+		s := &p.slots[w]
+		if s.inst != inst || s.dead {
+			continue
 		}
-		retries[task]++
-		if r.rec.Mode == faults.Recover && r.rec.MaxTaskRetries > 0 && retries[task] > r.rec.MaxTaskRetries {
-			r.fail("cloudsim: task %d exceeded its retry budget of %d re-dispatches", task, r.rec.MaxTaskRetries)
+		s.dead = true
+		s.gen++
+		if s.current >= 0 {
+			p.lost(s.current)
+			s.current = -1
+		}
+	}
+}
+
+// lost charges one re-dispatch to task and requeues it, or fails the run
+// once the task exceeds its retry budget.
+func (p *workers) lost(task int) {
+	if p.retries == nil {
+		p.retries = map[int]int{}
+	}
+	p.retries[task]++
+	if budget := p.r.rec.MaxTaskRetries; budget > 0 && p.retries[task] > budget {
+		p.r.fail("cloudsim: task %d exceeded its retry budget of %d re-dispatches", task, budget)
+		return
+	}
+	p.requeue(task)
+}
+
+func (p *workers) done() bool { return p.completed >= p.r.plan.Tasks }
+
+// firstLive returns the lowest-indexed instance with a live vCPU, or -1.
+// Slots are mounted in instance order: replacements boot in the order
+// they were ordered.
+func (p *workers) firstLive() int {
+	for _, s := range p.slots {
+		if !s.dead {
+			return s.inst
+		}
+	}
+	return -1
+}
+
+// run simulates to the end and reports the span from launch to the last
+// completion; tasks left over fail the run.
+func (p *workers) run(why string) units.Seconds {
+	p.r.sim.Run()
+	if left := p.r.plan.Tasks - p.completed; left > 0 {
+		p.r.fail("cloudsim: %d of %d tasks incomplete after failures%s", left, p.r.plan.Tasks, why)
+	}
+	if p.finish < p.r.startup {
+		return p.r.startup
+	}
+	return p.finish
+}
+
+// runIndependent schedules plan.Tasks independent tasks onto all vCPUs
+// via greedy pull (x264's clip farm), retried tasks first. Independent
+// tasks tolerate instance failure under either policy: in-flight work
+// of a failed instance is re-dispatched from scratch to surviving (or,
+// under Respawn, replacement) workers, without bound under StrictAbort
+// and within the retry budget under Recover.
+func (r *runner) runIndependent() (units.Seconds, int) {
+	plan := r.plan
+	pool := r.newWorkers()
+	next := 0
+	var retry []int
+	started := false
+	pull := func(w int) {
+		if s := pool.slots[w]; s.dead || !started || s.current >= 0 || r.err != nil {
 			return
 		}
-		retry = append(retry, task)
+		switch {
+		case len(retry) > 0:
+			task := retry[len(retry)-1]
+			retry = retry[:len(retry)-1]
+			pool.start(w, task)
+		case next < plan.Tasks:
+			task := next
+			next++
+			pool.start(w, task)
+		}
 	}
-	for _, e := range r.trace.Events() {
-		e := e
-		sim.At(e.At, func() {
-			if completed >= plan.Tasks || r.err != nil {
-				return // run already over (or already failed)
-			}
-			for w := range vcpus {
-				if vcpus[w].inst != e.Instance || dead[w] {
-					continue
-				}
-				dead[w] = true
-				gen[w]++
-				if current[w] >= 0 {
-					requeue(current[w])
-					current[w] = -1
-				}
-			}
-			if r.rec.Mode == faults.Recover && r.rec.Respawn {
-				r.spawnReplacement(e.Instance, func(idx int) {
-					if completed >= plan.Tasks || r.err != nil {
-						return
-					}
-					in := r.cluster[idx]
-					for v := 0; v < in.Type.VCPUs; v++ {
-						vcpus = append(vcpus, vcpuRef{inst: idx, rate: in.PerVCPURate() * units.Rate(factor)})
-						dead = append(dead, false)
-						gen = append(gen, 0)
-						current = append(current, -1)
-						pull(len(vcpus) - 1)
-					}
-				})
-			}
-			// Wake idle survivors for the re-dispatched work.
-			for w := range vcpus {
-				if !dead[w] && current[w] < 0 {
-					pull(w)
-				}
-			}
-		})
+	pool.free = pull
+	pool.requeue = func(task int) { retry = append(retry, task) }
+	wakeAll := func() {
+		for w := range pool.slots {
+			pull(w)
+		}
 	}
-	sim.Run()
-	if r.err == nil && completed < plan.Tasks {
-		r.fail("cloudsim: %d of %d tasks incomplete after failures (no surviving workers)",
-			plan.Tasks-completed, plan.Tasks)
-	}
-	if finish < r.startup {
-		finish = r.startup
-	}
-	return finish, plan.Tasks
+	r.sim.At(r.startup, func() {
+		started = true
+		wakeAll()
+	})
+	r.onFailures(pool.done, pool.kill, func(idx int) { pool.mount(idx, pull) }, wakeAll)
+	return pool.run(" (no surviving workers)"), plan.Tasks
 }
 
 // runBSP executes plan.Steps bulk-synchronous steps (galaxy): elements
@@ -459,27 +526,16 @@ func (r *runner) runIndependent() (units.Seconds, int) {
 // replacements join when the MPI world is next rebuilt: at a failure
 // restart or a checkpoint boundary.
 func (r *runner) runBSP() (units.Seconds, int) {
-	if r.trace.Empty() && !(r.rec.Mode == faults.Recover && r.rec.CheckpointEverySteps > 0) {
-		// No failure machinery in play: the plain barrier loop, which a
-		// zero-event trace must reproduce bit-for-bit.
-		return r.runBSPPlain()
-	}
 	sim := &r.sim
 	plan := r.plan
 	appName := r.app.Name()
-	ckptEvery := 0
-	var ckptCost units.Seconds
-	if r.rec.Mode == faults.Recover {
-		ckptEvery = r.rec.CheckpointEverySteps
-		ckptCost = r.rec.CheckpointCost
-	}
+	ckptEvery, ckptCost := r.rec.CheckpointEverySteps, r.rec.CheckpointCost
 
 	alive := make([]bool, len(r.cluster))
 	for i := range alive {
 		alive[i] = true
 	}
 	booted := []int{} // replacements up but not yet in the MPI world
-	pendingBoots := 0
 
 	var slowest, comm units.Seconds
 	ranks := 0
@@ -569,7 +625,7 @@ func (r *runner) runBSP() (units.Seconds, int) {
 		join()
 		rebuild()
 		if ranks == 0 {
-			if pendingBoots == 0 {
+			if r.booting == 0 {
 				r.fail("cloudsim: all BSP ranks failed")
 			}
 			return // wait for a replacement to boot
@@ -596,75 +652,27 @@ func (r *runner) runBSP() (units.Seconds, int) {
 		}
 		startStep()
 	})
-	for _, e := range r.trace.Events() {
-		e := e
-		sim.At(e.At, func() {
-			if finished || r.err != nil || !alive[e.Instance] {
-				return
-			}
-			alive[e.Instance] = false
+	r.onFailures(func() bool { return finished }, func(inst int) {
+		alive[inst] = false
+		epoch++
+	}, func(idx int) {
+		for len(alive) < idx+1 {
+			alive = append(alive, false) // joins via booted at the next world rebuild
+		}
+		booted = append(booted, idx)
+		if started && ranks == 0 {
 			epoch++
-			if r.rec.Respawn {
-				pendingBoots++
-				r.spawnReplacement(e.Instance, func(idx int) {
-					pendingBoots--
-					if finished || r.err != nil {
-						return
-					}
-					for len(alive) < idx+1 {
-						alive = append(alive, false) // joins via booted at the next world rebuild
-					}
-					booted = append(booted, idx)
-					if started && ranks == 0 {
-						epoch++
-						restart()
-					}
-				})
-			}
-			if started {
-				restart()
-			}
-		})
-	}
+			restart()
+		}
+	}, func() {
+		if started {
+			restart()
+		}
+	})
 	sim.Run()
 	if r.err == nil && !finished {
 		r.fail("cloudsim: BSP job incomplete after failures (%d of %d steps)", done, plan.Steps)
 	}
-	return finish, plan.Steps
-}
-
-// runBSPPlain is the failure-free barrier loop.
-func (r *runner) runBSPPlain() (units.Seconds, int) {
-	sim := &r.sim
-	plan := r.plan
-	net := r.opts.Network
-	vcpus := clusterVCPUs(r.cluster, r.app.Name())
-	share := partitionProportional(plan.Elements, vcpus)
-	// The step's compute phase ends at the slowest rank.
-	var slowest units.Seconds
-	for rk, elems := range share {
-		t := units.Time(units.Instructions(elems)*plan.InstrPerElement, vcpus[rk].rate)
-		if t > slowest {
-			slowest = t
-		}
-	}
-	var comm units.Seconds
-	if len(r.cluster) > 1 {
-		comm = units.Seconds(net.LatencySec + plan.CommBytesPerStep/net.BytesPerSec)
-	}
-	var finish units.Seconds
-	step := 0
-	var barrier func()
-	barrier = func() {
-		if step >= plan.Steps {
-			finish = sim.Now()
-			return
-		}
-		step++
-		sim.Schedule(slowest+comm, barrier)
-	}
-	sim.At(r.startup, barrier)
-	sim.Run()
 	return finish, plan.Steps
 }
 
@@ -740,94 +748,67 @@ func (h *idleHeap) Pop() interface{} {
 func (r *runner) runMasterWorker() (units.Seconds, int) {
 	sim := &r.sim
 	plan := r.plan
-	appName := r.app.Name()
 	net := r.opts.Network
-	factor := networkFactor(len(r.cluster), appName)
 	shipping := units.Seconds(0)
 	if len(r.cluster) > 1 && net.BytesPerSec > 0 {
 		shipping = units.Seconds(plan.BytesPerTask / net.BytesPerSec)
 	}
 
-	vcpus := clusterVCPUs(r.cluster, appName)
-	dead := make([]bool, len(vcpus))
-	gen := make([]int, len(vcpus))
-	current := make([]int, len(vcpus))
-	for i := range current {
-		current[i] = -1
-	}
-	aliveInst := make([]bool, len(r.cluster))
-	for i := range aliveInst {
-		aliveInst[i] = true
-	}
-
+	pool := r.newWorkers()
 	masterInst := 0
 	masterAlive := true
+	masterEpoch := 0 // bumped when the master dies, voiding its in-flight dispatch
 	perDispatch := units.Time(plan.DispatchInstr, r.cluster[0].PerVCPURate()) + shipping
 
 	nextNew := 0          // next never-dispatched task
 	redispatch := []int{} // tasks to dispatch again (inputs lost)
 	readyTasks := []int{} // dispatched, waiting for a worker
-	completed := 0
-	finished := false
-	var finish units.Seconds
-	var retries map[int]int
 
-	idle := make(idleHeap, 0, len(vcpus))
+	idle := make(idleHeap, 0, len(pool.slots))
 	popIdle := func() (int, bool) {
 		for idle.Len() > 0 {
 			iw := heap.Pop(&idle).(idleWorker)
-			if !dead[iw.w] {
+			if !pool.slots[iw.w].dead {
 				return iw.w, true
 			}
 		}
 		return -1, false
 	}
+	// serve hands slot w the oldest dispatched task, or parks it idle.
+	serve := func(w int) {
+		if len(readyTasks) > 0 {
+			task := readyTasks[0]
+			readyTasks = readyTasks[1:]
+			pool.start(w, task)
+		} else {
+			heap.Push(&idle, idleWorker{sim.Now(), w})
+		}
+	}
+	pool.free = func(w int) {
+		if !pool.done() {
+			serve(w)
+		}
+	}
+	pool.requeue = func(task int) { redispatch = append(redispatch, task) }
 
 	dispatching := false
-	var dispatchTimer *des.Timer
 	started := false
 	var dispatch func()
-	var assign func(w, task int)
-	assign = func(w, task int) {
-		current[w] = task
-		myGen := gen[w]
-		dur := units.Time(plan.TaskInstr(task), vcpus[w].rate)
-		sim.Schedule(dur, func() {
-			if gen[w] != myGen {
-				return // worker died mid-task; the task was re-dispatched
-			}
-			current[w] = -1
-			completed++
-			if sim.Now() > finish {
-				finish = sim.Now()
-			}
-			if completed >= plan.Tasks {
-				finished = true
-				if dispatchTimer != nil {
-					dispatchTimer.Cancel()
-				}
-				return
-			}
-			if len(readyTasks) > 0 {
-				task := readyTasks[0]
-				readyTasks = readyTasks[1:]
-				assign(w, task)
-			} else {
-				heap.Push(&idle, idleWorker{sim.Now(), w})
-			}
-		})
-	}
 	dispatch = func() {
-		if dispatching || !masterAlive || finished || r.err != nil {
+		if dispatching || !masterAlive || pool.done() || r.err != nil {
 			return
 		}
 		if len(redispatch) == 0 && nextNew >= plan.Tasks {
 			return
 		}
 		dispatching = true
-		dispatchTimer = sim.ScheduleTimer(perDispatch, func() {
+		myEpoch := masterEpoch
+		sim.Schedule(perDispatch, func() {
+			if masterEpoch != myEpoch {
+				return // its master failed mid-dispatch
+			}
 			dispatching = false
-			if finished || r.err != nil {
+			if pool.done() || r.err != nil {
 				return
 			}
 			var task int
@@ -839,7 +820,7 @@ func (r *runner) runMasterWorker() (units.Seconds, int) {
 				nextNew++
 			}
 			if w, ok := popIdle(); ok {
-				assign(w, task)
+				pool.start(w, task)
 			} else {
 				readyTasks = append(readyTasks, task)
 			}
@@ -847,22 +828,10 @@ func (r *runner) runMasterWorker() (units.Seconds, int) {
 		})
 	}
 
-	requeue := func(task int) {
-		if retries == nil {
-			retries = map[int]int{}
-		}
-		retries[task]++
-		if r.rec.MaxTaskRetries > 0 && retries[task] > r.rec.MaxTaskRetries {
-			r.fail("cloudsim: task %d exceeded its retry budget of %d re-dispatches", task, r.rec.MaxTaskRetries)
-			return
-		}
-		redispatch = append(redispatch, task)
-	}
-
 	sim.At(r.startup, func() {
 		started = true
-		for w := range vcpus {
-			if !dead[w] {
+		for w, s := range pool.slots {
+			if !s.dead {
 				heap.Push(&idle, idleWorker{sim.Now(), w})
 			}
 		}
@@ -872,16 +841,10 @@ func (r *runner) runMasterWorker() (units.Seconds, int) {
 	})
 
 	promote := func() {
-		if finished || r.err != nil || masterAlive {
+		if pool.done() || r.err != nil || masterAlive {
 			return
 		}
-		best := -1
-		for i, ok := range aliveInst {
-			if ok {
-				best = i
-				break
-			}
-		}
+		best := pool.firstLive()
 		if best < 0 {
 			return // no candidate yet; a booting replacement will retry
 		}
@@ -893,93 +856,36 @@ func (r *runner) runMasterWorker() (units.Seconds, int) {
 		}
 	}
 
-	for _, e := range r.trace.Events() {
-		e := e
-		sim.At(e.At, func() {
-			if finished || r.err != nil || !aliveInst[e.Instance] {
-				return
+	r.onFailures(pool.done, func(inst int) {
+		pool.kill(inst)
+		if inst == masterInst {
+			// The master's queue of shipped-but-unstarted inputs dies
+			// with it; those tasks are re-shipped after failover.
+			masterAlive = false
+			masterEpoch++
+			dispatching = false
+			for _, task := range readyTasks {
+				pool.lost(task)
 			}
-			aliveInst[e.Instance] = false
-			for w := range vcpus {
-				if vcpus[w].inst != e.Instance || dead[w] {
-					continue
-				}
-				dead[w] = true
-				gen[w]++
-				if current[w] >= 0 {
-					requeue(current[w])
-					current[w] = -1
-				}
-			}
-			if e.Instance == masterInst {
-				// The master's queue of shipped-but-unstarted inputs
-				// dies with it; those tasks are re-shipped after
-				// failover.
-				masterAlive = false
-				if dispatchTimer != nil {
-					dispatchTimer.Cancel()
-				}
-				dispatching = false
-				for _, task := range readyTasks {
-					requeue(task)
-				}
-				readyTasks = readyTasks[:0]
-				sim.Schedule(r.rec.FailoverDetection, promote)
-			}
-			if r.rec.Respawn {
-				r.spawnReplacement(e.Instance, func(idx int) {
-					if finished || r.err != nil {
-						return
-					}
-					for len(aliveInst) < idx+1 {
-						aliveInst = append(aliveInst, false)
-					}
-					aliveInst[idx] = true
-					in := r.cluster[idx]
-					for v := 0; v < in.Type.VCPUs; v++ {
-						vcpus = append(vcpus, vcpuRef{inst: idx, rate: in.PerVCPURate() * units.Rate(factor)})
-						dead = append(dead, false)
-						gen = append(gen, 0)
-						current = append(current, -1)
-						w := len(vcpus) - 1
-						if started {
-							if len(readyTasks) > 0 {
-								task := readyTasks[0]
-								readyTasks = readyTasks[1:]
-								assign(w, task)
-							} else {
-								heap.Push(&idle, idleWorker{sim.Now(), w})
-							}
-						}
-					}
-					if !masterAlive {
-						promote()
-					}
-				})
-			}
-			if masterAlive && started {
-				dispatch() // re-dispatch work lost with the workers
-			}
-			if !masterAlive && !anyAlive(aliveInst) && !r.rec.Respawn {
-				r.fail("cloudsim: master and all workers failed")
+			readyTasks = readyTasks[:0]
+			sim.Schedule(r.rec.FailoverDetection, promote)
+		}
+	}, func(idx int) {
+		pool.mount(idx, func(w int) {
+			if started {
+				serve(w)
 			}
 		})
-	}
-	sim.Run()
-	if r.err == nil && completed < plan.Tasks {
-		r.fail("cloudsim: %d of %d tasks incomplete after failures", plan.Tasks-completed, plan.Tasks)
-	}
-	if finish < r.startup {
-		finish = r.startup
-	}
-	return finish, plan.Tasks
-}
-
-func anyAlive(alive []bool) bool {
-	for _, ok := range alive {
-		if ok {
-			return true
+		if !masterAlive {
+			promote()
 		}
-	}
-	return false
+	}, func() {
+		if masterAlive && started {
+			dispatch() // re-dispatch work lost with the workers
+		}
+		if !masterAlive && pool.firstLive() < 0 && r.booting == 0 {
+			r.fail("cloudsim: master and all workers failed")
+		}
+	})
+	return pool.run(""), plan.Tasks
 }

@@ -302,9 +302,11 @@ func TestFailureIndependentRecovers(t *testing.T) {
 }
 
 func TestFailureAbortsBSPAndMasterWorker(t *testing.T) {
+	// The event falls inside both runs: galaxy's startup ends at 0.75 s
+	// and its run takes ~3 s.
 	cat := ec2.Oregon()
 	opts := DefaultOptions()
-	opts.Trace = faults.NewTrace(faults.Event{Instance: 0, At: 10})
+	opts.Trace = faults.NewTrace(faults.Event{Instance: 0, At: 1})
 	if _, err := Run(galaxy.App{}, workload.Params{N: 2048, A: 10},
 		config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0), cat, opts); err == nil {
 		t.Fatal("BSP survived an instance failure")
@@ -392,12 +394,12 @@ func TestZeroEventTraceBitForBit(t *testing.T) {
 func TestStrictAbortTraceReproducesAborts(t *testing.T) {
 	// Multi-event traces under the zero-value (StrictAbort) policy must
 	// reproduce the exact legacy abort errors for gang-scheduled and
-	// master-anchored plans.
+	// master-anchored plans when their events fire before completion.
 	cat := ec2.Oregon()
 	opts := DefaultOptions()
 	opts.Trace = faults.NewTrace(
-		faults.Event{Instance: 0, At: 10},
-		faults.Event{Instance: 1, At: 20},
+		faults.Event{Instance: 0, At: 1},
+		faults.Event{Instance: 1, At: 2},
 	)
 	_, err := Run(galaxy.App{}, workload.Params{N: 2048, A: 10},
 		config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0), cat, opts)
@@ -743,24 +745,38 @@ func TestMultiEventBillingCaps(t *testing.T) {
 }
 
 func TestFailureAfterCompletionBillsFullSpan(t *testing.T) {
-	// An event after the run already finished changes nothing: the
-	// instance bills through the makespan, exactly as without the event.
+	// An event after the run already finished changes nothing, for every
+	// plan kind and under either policy: the instance bills through the
+	// makespan, exactly as without the event. A strict gang-scheduled or
+	// master-anchored run aborts only at an event before completion.
 	cat := ec2.Oregon()
-	var app x264.App
-	p := workload.Params{N: 16, A: 20}
-	tuple := config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0)
-	base, err := Run(app, p, tuple, cat, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		app   workload.App
+		p     workload.Params
+		tuple config.Tuple
+	}{
+		{x264.App{}, workload.Params{N: 16, A: 20}, config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0)},
+		{galaxy.App{}, workload.Params{N: 2048, A: 10}, config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0)},
+		{sand.App{}, workload.Params{N: 8e6, A: 0.32}, config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0)},
 	}
-	opts := DefaultOptions()
-	opts.Trace = faults.NewTrace(faults.Event{Instance: 1, At: base.Makespan + 1e6})
-	res, err := Run(app, p, tuple, cat, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Makespan != base.Makespan || res.Cost != base.Cost {
-		t.Fatalf("post-completion event altered the run: makespan %v vs %v, cost %v vs %v",
-			res.Makespan, base.Makespan, res.Cost, base.Cost)
+	for _, c := range cases {
+		for _, rec := range []faults.Recovery{{}, faults.DefaultRecovery()} {
+			base := DefaultOptions()
+			base.Recovery = rec
+			want, err := Run(c.app, c.p, c.tuple, cat, base)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", c.app.Name(), rec.Mode, err)
+			}
+			opts := base
+			opts.Trace = faults.NewTrace(faults.Event{Instance: 1, At: want.Makespan + 1e6})
+			res, err := Run(c.app, c.p, c.tuple, cat, opts)
+			if err != nil {
+				t.Fatalf("%s/%v: post-completion event failed the run: %v", c.app.Name(), rec.Mode, err)
+			}
+			if res.Makespan != want.Makespan || res.Cost != want.Cost {
+				t.Fatalf("%s/%v: post-completion event altered the run: makespan %v vs %v, cost %v vs %v",
+					c.app.Name(), rec.Mode, res.Makespan, want.Makespan, res.Cost, want.Cost)
+			}
+		}
 	}
 }

@@ -2,7 +2,9 @@
 // clock and an event calendar. The cloud simulator schedules task
 // completions, barrier releases, and dispatch events on it; events at
 // equal timestamps fire in scheduling order, which keeps runs exactly
-// reproducible.
+// reproducible. An event is never taken back: work that a failure
+// voids still fires, and its owner's generation or epoch counter turns
+// it into a no-op.
 package des
 
 import (
@@ -52,9 +54,6 @@ func (s *Sim) Now() units.Seconds { return s.now }
 // Events reports how many events have fired.
 func (s *Sim) Events() uint64 { return s.events }
 
-// Pending reports how many events are scheduled but not yet fired.
-func (s *Sim) Pending() int { return s.queue.Len() }
-
 // Schedule arranges for fn to run delay after the current time.
 // Negative delays are rejected: simulated time only advances.
 func (s *Sim) Schedule(delay units.Seconds, fn func()) {
@@ -74,64 +73,14 @@ func (s *Sim) At(t units.Seconds, fn func()) {
 	s.seq++
 }
 
-// Timer is a handle to a scheduled event that can be canceled before
-// it fires. The failure-recovery paths of the cloud simulator use it
-// for work that a failure invalidates (a master's in-flight dispatch,
-// for example): canceling is O(1) — the calendar entry stays queued but
-// fires as a no-op.
-type Timer struct {
-	canceled bool
-	fired    bool
-}
-
-// Cancel stops the timer's event from running. It reports whether the
-// cancellation happened before the event fired.
-func (t *Timer) Cancel() bool {
-	if t.fired || t.canceled {
-		return false
-	}
-	t.canceled = true
-	return true
-}
-
-// ScheduleTimer is Schedule with a cancellation handle: fn runs delay
-// after the current time unless the returned timer is canceled first.
-func (s *Sim) ScheduleTimer(delay units.Seconds, fn func()) *Timer {
-	t := &Timer{}
-	s.Schedule(delay, func() {
-		if t.canceled {
-			return
-		}
-		t.fired = true
-		fn()
-	})
-	return t
-}
-
 // Run fires events in timestamp order until the calendar is empty and
 // returns the final time.
 func (s *Sim) Run() units.Seconds {
 	for s.queue.Len() > 0 {
-		s.step()
+		e := heap.Pop(&s.queue).(event)
+		s.now = e.at
+		s.events++
+		e.fn()
 	}
 	return s.now
-}
-
-// RunUntil fires events up to and including time t, then stops. Events
-// scheduled later stay pending.
-func (s *Sim) RunUntil(t units.Seconds) units.Seconds {
-	for s.queue.Len() > 0 && s.queue[0].at <= t {
-		s.step()
-	}
-	if s.now < t {
-		s.now = t
-	}
-	return s.now
-}
-
-func (s *Sim) step() {
-	e := heap.Pop(&s.queue).(event)
-	s.now = e.at
-	s.events++
-	e.fn()
 }

@@ -51,21 +51,6 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	var s Sim
-	fired := 0
-	s.Schedule(10, func() { fired++ })
-	s.Schedule(20, func() { fired++ })
-	s.RunUntil(15)
-	if fired != 1 || s.Now() != 15 || s.Pending() != 1 {
-		t.Fatalf("fired=%d now=%v pending=%d", fired, s.Now(), s.Pending())
-	}
-	s.Run()
-	if fired != 2 || s.Now() != 20 {
-		t.Fatalf("after Run: fired=%d now=%v", fired, s.Now())
-	}
-}
-
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -115,37 +100,5 @@ func TestManyEventsStress(t *testing.T) {
 	end := s.Run()
 	if count != 100000 || end != 100000 {
 		t.Fatalf("count=%d end=%v", count, end)
-	}
-}
-
-func TestScheduleTimerFiresAndCancels(t *testing.T) {
-	var s Sim
-	fired := 0
-	s.ScheduleTimer(5, func() { fired++ })
-	tm := s.ScheduleTimer(10, func() { fired++ })
-	if !tm.Cancel() {
-		t.Fatal("pending timer refused cancellation")
-	}
-	if tm.Cancel() {
-		t.Fatal("second cancel reported success")
-	}
-	end := s.Run()
-	if fired != 1 {
-		t.Fatalf("fired %d events, want 1 (canceled timer ran?)", fired)
-	}
-	// The canceled event still occupies the calendar, so the clock
-	// advances through it.
-	if end != 10 {
-		t.Fatalf("end = %v, want 10", end)
-	}
-}
-
-func TestTimerCancelAfterFire(t *testing.T) {
-	var s Sim
-	var tm *Timer
-	tm = s.ScheduleTimer(1, func() {})
-	s.Run()
-	if tm.Cancel() {
-		t.Fatal("cancel after firing reported success")
 	}
 }

@@ -139,8 +139,10 @@ const (
 	// StrictAbort is the paper-faithful fault model and the zero value:
 	// independent plans re-dispatch lost tasks without bound (x264's
 	// clip farm shrugs off node loss), while gang-scheduled BSP and
-	// master-anchored work-queue plans abort with an error. This is the
-	// Table IV validation path.
+	// master-anchored work-queue plans abort with an error at the first
+	// event that fires before they complete. An event after completion
+	// changes nothing. The Recovery fields other than Mode are ignored.
+	// This is the Table IV validation path.
 	StrictAbort Mode = iota
 	// Recover applies the per-plan-kind recovery policies below instead
 	// of aborting.
@@ -160,7 +162,9 @@ func (m Mode) String() string {
 
 // Recovery configures failure handling per plan kind. The zero value is
 // StrictAbort with no recovery machinery — exactly the pre-fault-model
-// simulator behavior.
+// simulator behavior. The fields below take effect under Recover only:
+// the simulator runs a StrictAbort policy as the zero value whatever
+// they hold.
 type Recovery struct {
 	Mode Mode
 

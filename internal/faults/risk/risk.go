@@ -54,8 +54,6 @@ type Options struct {
 	// exceeds it. Trials whose run errors out (aborts, exhausted retry
 	// budgets, dead clusters) always count as misses.
 	Deadline units.Seconds
-	// Workers caps the parallelism; 0 means GOMAXPROCS.
-	Workers int
 	// Sim is the base simulator configuration; its Trace is
 	// overwritten per trial.
 	Sim cloudsim.Options
@@ -102,19 +100,20 @@ func trialSeed(seed uint64, trial int) uint64 {
 }
 
 // Estimate runs the Monte-Carlo evaluation without external
-// cancellation (offline callers: the CLI and the sweep). The serving
-// path uses EstimateContext.
+// cancellation. Only this package's tests call it; the serving path
+// (/v1/risk and /v1/schedule's risk timeline) uses EstimateContext.
 func Estimate(app workload.App, p workload.Params, tuple config.Tuple, cat *ec2.Catalog, opts Options) (Result, error) {
 	return EstimateContext(context.Background(), app, p, tuple, cat, opts)
 }
 
-// EstimateContext is Estimate under a request context. Deterministic
-// for equal inputs regardless of Workers: results are collected by
-// trial index and aggregated in order. The trial dispatch loop races
-// each hand-off against ctx, so a canceled request stops after the
-// in-flight trials instead of paying for the full draw count; a
-// canceled estimate returns ctx's error and no partial result (a
-// partial aggregate would not be replayable).
+// EstimateContext is Estimate under a request context. It runs the
+// trials on GOMAXPROCS workers and is deterministic for equal inputs
+// under any GOMAXPROCS: results are collected by trial index and
+// aggregated in order. The trial dispatch loop races each hand-off
+// against ctx, so a canceled request stops after the in-flight trials
+// instead of paying for the full draw count; a canceled estimate
+// returns ctx's error and no partial result (a partial aggregate would
+// not be replayable).
 func EstimateContext(ctx context.Context, app workload.App, p workload.Params, tuple config.Tuple, cat *ec2.Catalog, opts Options) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -160,13 +159,7 @@ func EstimateContext(ctx context.Context, app workload.App, p workload.Params, t
 		err      error
 	}
 	trials := make([]trial, opts.Trials)
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > opts.Trials {
-		workers = opts.Trials
-	}
+	workers := min(runtime.GOMAXPROCS(0), opts.Trials)
 	var wg sync.WaitGroup
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {

@@ -3,6 +3,7 @@ package risk
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -98,28 +99,34 @@ func TestDeadlineBelowBaseAlwaysMisses(t *testing.T) {
 	}
 }
 
+// setProcs sets GOMAXPROCS to n until the test ends: the estimator
+// sizes its trial workers from it.
+func setProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestEstimateDeterministicAcrossWorkerCounts(t *testing.T) {
 	// Same seed and hazard → identical output, serial or parallel.
 	cat := ec2.Oregon()
 	tuple := config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0)
 	p := workload.Params{N: 16, A: 20}
 
-	serial := baseOpts()
-	serial.Workers = 1
-	a, err := Estimate(x264.App{}, p, tuple, cat, serial)
+	setProcs(t, 1)
+	a, err := Estimate(x264.App{}, p, tuple, cat, baseOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel := baseOpts()
-	parallel.Workers = 8
-	b, err := Estimate(x264.App{}, p, tuple, cat, parallel)
+	setProcs(t, 8)
+	b, err := Estimate(x264.App{}, p, tuple, cat, baseOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatalf("worker count changed the estimate:\n%+v\n%+v", a, b)
 	}
-	c, err := Estimate(x264.App{}, p, tuple, cat, parallel)
+	c, err := Estimate(x264.App{}, p, tuple, cat, baseOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +254,7 @@ func TestEstimateContextCancellation(t *testing.T) {
 	// surface the cancellation, not drain all trials and return a result.
 	opts := baseOpts()
 	opts.Trials = MaxTrials
-	opts.Workers = 1
+	setProcs(t, 1)
 	res, err := EstimateContext(newCancelAfterEntry(), x264.App{}, p, tuple, cat, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel: err = %v, want context.Canceled", err)

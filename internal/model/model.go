@@ -251,6 +251,7 @@ func DefaultComm() CommParams {
 // PredictWithComm extends Eq. 2 with the communication the base model
 // ignores: per-step exchanges for BSP plans and serialized master
 // dispatch for master-worker plans. Independent plans are unchanged.
+// Like Predict, it bills per second.
 func (c *Capacities) PredictWithComm(d units.Instructions, t config.Tuple, plan workload.Plan, comm CommParams) Prediction {
 	p := c.Predict(d, t)
 	var extra units.Seconds
@@ -270,6 +271,6 @@ func (c *Capacities) PredictWithComm(d units.Instructions, t config.Tuple, plan 
 		}
 	}
 	p.Time += extra
-	p.Cost = units.Cost(p.Time, p.UnitCost)
+	p.Cost = Bill(p.Time, p.UnitCost, PerSecond)
 	return p
 }

@@ -113,12 +113,6 @@ func Time(demand Instructions, capacity Rate) Seconds {
 	return Seconds(float64(demand) / float64(capacity))
 }
 
-// Cost applies the paper's cost model (Eq. 5): execution time multiplied
-// by the configuration's total price per unit time.
-func Cost(t Seconds, unit USDPerHour) USD {
-	return unit.Over(t)
-}
-
 // PerDollar reports a capacity's cost-efficiency in instructions per
 // second per dollar per hour — the y-axis of Figure 3 ("normalized
 // performance"). Returns +Inf for a free resource and 0 for zero capacity.

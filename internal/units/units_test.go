@@ -136,7 +136,7 @@ func TestUSDPerSecondConsistency(t *testing.T) {
 
 func TestCostModel(t *testing.T) {
 	// $1/h held for 2 hours costs $2 (Eq. 5).
-	got := Cost(FromHours(2), USDPerHour(1))
+	got := USDPerHour(1).Over(FromHours(2))
 	if math.Abs(float64(got)-2) > 1e-9 {
 		t.Fatalf("Cost = %v, want $2", got)
 	}
@@ -204,9 +204,9 @@ func TestCostLinearityProperty(t *testing.T) {
 		}
 		d := FromHours(math.Abs(math.Mod(h, 1e6)))
 		price := USDPerHour(math.Abs(math.Mod(p, 1e6)))
-		c1 := Cost(d, price)
-		c2 := Cost(d*2, price)
-		c3 := Cost(d, price*2)
+		c1 := price.Over(d)
+		c2 := price.Over(d * 2)
+		c3 := (price * 2).Over(d)
 		return floatsClose(float64(c2), 2*float64(c1)) && floatsClose(float64(c3), 2*float64(c1))
 	}
 	if err := quick.Check(f, nil); err != nil {
