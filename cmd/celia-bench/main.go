@@ -121,6 +121,13 @@ func main() {
 			return err
 		}),
 	)
+	perHourMinCost := run("MinCostPerHourIndexedPaper", func() error {
+		_, ok, err := idxEng.MinCostForDeadline(p, cons.Deadline)
+		if err == nil && !ok {
+			return fmt.Errorf("infeasible")
+		}
+		return err
+	})
 	scanEng.SetBilling(model.PerSecond)
 	idxEng.SetBilling(model.PerSecond)
 
@@ -137,6 +144,17 @@ func main() {
 		log.Fatalf("per-hour indexed Analyze is only %.1fx faster than the scan; need >= 20x (the billing-aware index is the fix for the per-hour slow path)",
 			perHourIdx.Speedup)
 	}
+
+	// Indexed rungs without a scan twin: the per-hour min-cost search,
+	// and the accuracy bisection, one indexed min-cost search per probe
+	// (its scan twin would take some twenty full scans).
+	rows = append(rows, perHourMinCost, run("MaxAccuracyIndexedPaper", func() error {
+		_, _, ok, err := idxEng.MaxAccuracy(p.N, cons, 1e-3)
+		if err == nil && !ok {
+			return fmt.Errorf("infeasible")
+		}
+		return err
+	}))
 
 	// The horizon-solver rung: a 1,000-step diurnal trace solved against
 	// the already-built staircase. Its speedup is measured against the

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 
 	"repro/internal/profile"
 	"repro/internal/report"
@@ -44,8 +45,14 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	for app, e := range validate.MaxErrByApp(rows) {
-		fmt.Printf("max time error %-6s %.1f%%\n", app, e)
+	maxErr := validate.MaxErrByApp(rows)
+	apps := make([]string, 0, len(maxErr))
+	for app := range maxErr {
+		apps = append(apps, app)
+	}
+	slices.Sort(apps) // map order varies run to run; the report must not
+	for _, app := range apps {
+		fmt.Printf("max time error %-6s %.1f%%\n", app, maxErr[app])
 	}
 	fmt.Println("paper: max errors 9.5% (x264), 13.1% (galaxy), 16.7% (sand); all < 17%")
 }

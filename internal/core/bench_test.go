@@ -15,7 +15,7 @@ import (
 // of magnitude faster than the exhaustive scan, at identical output.
 // Run the paper-space pair with
 //
-//	go test ./internal/core -bench 'Analyze|Frontier' -benchtime 1x
+//	go test ./internal/core -bench 'Analyze|Frontier|MinCost|MaxAccuracy' -benchtime 1x
 //
 // (CI's smoke invocation) or longer benchtimes for stable ratios.
 
@@ -110,6 +110,39 @@ func BenchmarkMinCostIndexedPaper(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := eng.indexFor().minSearch(eng, d, benchCons(), objectiveCost); !ok {
 			b.Fatal("infeasible")
+		}
+	}
+}
+
+func BenchmarkMinCostPerHourIndexedPaper(b *testing.B) {
+	eng := NewPaperEngine(galaxy.App{})
+	eng.SetBilling(model.PerHour)
+	if _, ok := eng.Frontier(); !ok {
+		b.Fatal("index did not build under per-hour billing")
+	}
+	d, err := eng.Demand(benchParams)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := eng.indexFor().minSearch(eng, d, benchCons(), objectiveCost); !ok {
+			b.Fatal("infeasible")
+		}
+	}
+}
+
+// BenchmarkMaxAccuracyIndexedPaper bisects the accuracy at the paper's
+// running example: one indexed min-cost search per probe.
+func BenchmarkMaxAccuracyIndexedPaper(b *testing.B) {
+	eng := NewPaperEngine(galaxy.App{})
+	if _, ok := eng.Frontier(); !ok {
+		b.Fatal("index did not build")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, ok, err := eng.MaxAccuracy(benchParams.N, benchCons(), 1e-3); err != nil || !ok {
+			b.Fatal("infeasible", err)
 		}
 	}
 }

@@ -10,11 +10,13 @@
 // Every query takes one of two paths, proven equivalent by tests:
 //
 //   - Frontier index (index.go): the demand-invariant (capacity, unit
-//     cost) pair table and its Pareto staircase, built once per catalog
-//     and published on the engine. Under a billing policy certified by
+//     cost) pair table, its Pareto staircase and its blocks of equal-
+//     capacity spans, built once per catalog and published on the
+//     engine. Under a billing policy certified by
 //     model.Billing.Indexable, queries answer from it in
-//     O(|staircase| + spans·log) with the scan's exact floats and tie
-//     winners.
+//     O(|staircase| + blocks·log), plus an exact walk of the few spans a
+//     block's corners cannot decide, with the scan's exact floats and
+//     tie winners.
 //
 //   - Exhaustive scan: a parallel streaming scan of all S
 //     configurations (Eq. 1), exactly Algorithm 1 — the reference the

@@ -175,7 +175,7 @@ func TestAnalyzeSampling(t *testing.T) {
 	}
 }
 
-func TestDecomposedMatchesExhaustiveMinCost(t *testing.T) {
+func TestIndexedMinCostMatchesExhaustive(t *testing.T) {
 	// The core equivalence claim, on the surviving fast path: an engine
 	// with a published index returns Algorithm 1's argmin exactly —
 	// same tuple, same cost bits.
@@ -496,7 +496,7 @@ func TestHourlyBillingRaisesCostsAndKeepsOptima(t *testing.T) {
 	}
 }
 
-func TestHourlyBillingDecomposedMatchesExhaustive(t *testing.T) {
+func TestHourlyBillingIndexedMatchesExhaustive(t *testing.T) {
 	eng := indexedEngine(t, galaxy.App{}, 2)
 	eng.SetBilling(model.PerHour)
 	p := workload.Params{N: 32768, A: 2000}

@@ -70,37 +70,61 @@ type idxPair struct {
 // idxSpan is one run of pairs sharing an exact capacity U, as
 // [start, end) offsets into the (U asc, c_u asc)-sorted pair table.
 // Within a span every pair predicts the same time, so feasibility and
-// cost ordering reduce to a binary search on c_u.
+// cost ordering reduce to a walk up c_u from the span's start.
 type idxSpan struct {
 	u          units.Rate
 	start, end int
 }
 
+// blockSpans caps the spans in one block, and blockGrowth closes a
+// block before a span whose capacity exceeds the block's first by more
+// than 0.3%. A census pays one binary search per block and an exact
+// walk of each span the block's corners leave open, and the corners
+// spread with the block's capacity range, so the caps trade block count
+// against open spans. On the paper catalogs the growth cut sets every
+// block (839 per catalog, of 1 to 381 spans); the span cap bounds
+// blocks on denser catalogs. Over 2,000 fresh-mix-shaped queries per
+// paper engine and billing, a census plus a min-cost tie pass averaged
+// ~97 µs at 0.3%, 89–108 µs at 1%, 115–150 µs at 0.1% and ~290 µs at
+// 0.03%, and moving the span cap between 256 and 1,024 changed it by
+// under 10% (2-vCPU host). blockSpans is a variable only so tests can
+// force tiny blocks.
+var blockSpans = 512
+
+const blockGrowth = 1.003
+
+// blockEntry is one span of a block, placed in the block's (hi, span)
+// order. hi and lo are the unit costs of the span's dearest and
+// cheapest pairs, sufLo is the least lo from this entry to the block's
+// end, and cum counts the configurations of the block's entries up to
+// and including this one.
+type blockEntry struct {
+	span   int
+	hi, lo units.USDPerHour
+	sufLo  units.USDPerHour
+	cum    uint64
+}
+
 // FrontierIndex is the precomputed demand-invariant view of one
 // engine's configuration space. Built once per catalog from model.Sums'
 // own per-type step (buildPairs), it answers any query under an
-// Indexable billing policy in O(|staircase| + spans·log) instead of a
-// scan of all S configurations. Immutable after construction; safe for
-// concurrent use.
+// Indexable billing policy by walking the staircase and deciding whole
+// blocks of spans at their corners: O(|staircase| + blocks·log), plus
+// an exact walk of the few spans a block's corners leave open, instead
+// of a scan of all S configurations. Immutable after construction; safe
+// for concurrent use.
 type FrontierIndex struct {
 	pairs []idxPair
 	spans []idxSpan
-	// prefix[i] is the configuration count of pairs[:i], so a
-	// cost-feasible prefix of a span counts in O(1) after the search.
-	prefix []uint64
-	// spanLess[i] is the lessTupleFast-minimal member of pairs[start..i]
-	// within i's span (running minimum, reset at each span start), and
-	// spanMinIdx[i] the minimal configuration index over the same
-	// prefix. Both resolve value ties, whose achievers are always a
-	// cost-ordered prefix of one or more capacity spans: distinct exact
-	// (U, c_u) pairs — typically ULP-apart accumulations of a
-	// mathematically identical configuration family — can round to
-	// bit-equal (time, cost) under a particular demand, and the scan
-	// breaks such ties by configuration order, so the index must
-	// aggregate over the whole rounding-collapse class, not just the
-	// staircase pair that represents it.
-	spanLess   []config.Tuple
-	spanMinIdx []uint64
+	// blocks[b] is the first span of block b, a run of consecutive
+	// spans, and the last element is len(spans). entries holds every
+	// block's spans in the block's own (hi, span) order, at the block's
+	// span positions: block b's are entries[blocks[b]:blocks[b+1]].
+	// Every span of a block predicts a time between the block's corners,
+	// the times of its first and last spans, so each pair of a span costs
+	// between Bill(last time, lo) and Bill(first time, hi) (see census).
+	blocks  []int
+	entries []blockEntry
 	// stair is the (capacity ↑, unit cost ↓) Pareto staircase in
 	// descending-capacity order, as pair indexes: each step is a span's
 	// cheapest pair, kept only when its unit cost undercuts every
@@ -196,9 +220,9 @@ func lessTupleFast(a, b config.Tuple) bool {
 }
 
 // buildFrontierIndex builds the exact (U, c_u) pair table level by
-// level (buildPairs) and derives the span table, prefix counts, running
-// tie-break minima, and the staircase. Returns nil when the pair table
-// exceeds maxIndexPairs (the catalog does not compress).
+// level (buildPairs) and derives the span table, the block table and
+// the staircase. Returns nil when the pair table exceeds maxIndexPairs
+// (the catalog does not compress).
 func buildFrontierIndex(e *Engine) *FrontierIndex {
 	start := time.Now()
 	pairs := buildPairs(e)
@@ -248,7 +272,10 @@ func buildPairs(e *Engine) []idxPair {
 		}
 		radix *= uint64(e.space.Max(k) + 1)
 	}
-	pairs := level[1:]
+	// The last merge sized its output for every shifted state; an
+	// exact-length copy drops that dead capacity for the index's life.
+	pairs := make([]idxPair, len(level)-1)
+	copy(pairs, level[1:])
 	for i := range pairs {
 		pairs[i].minIdx-- // mixed-radix value → AtIndex's index
 	}
@@ -388,24 +415,20 @@ func (p *idxPair) absorb(q *idxPair) {
 	}
 }
 
-// finishIndex derives every secondary table — spans, prefix counts,
-// running tie-break minima, and the staircase — from a (u asc, cu asc)-
-// sorted pair table. Shared by the level build above and the snapshot
-// decoder (index_codec.go): both produce the derived state through this
-// one code path, so a decoded index is structurally identical to the
-// freshly built one it was encoded from.
+// finishIndex derives every secondary table — spans, blocks and the
+// staircase — from a (u asc, cu asc)-sorted pair table. Shared by the
+// level build above and the snapshot decoder (index_codec.go): both
+// produce the derived state through this one code path, so a decoded
+// index is structurally identical to the freshly built one it was
+// encoded from.
 func finishIndex(pairs []idxPair, total uint64) *FrontierIndex {
 	x := &FrontierIndex{pairs: pairs, total: total}
 
 	// One pass per chunk of about equal pair count derives the chunk's
-	// spans, prefix counts (relative to the chunk) and running minima.
-	// Each chunk boundary moves forward to the next span start, so no
-	// span straddles two chunks and the result does not depend on the
+	// spans. Each chunk boundary moves forward to the next span start, so
+	// no span straddles two chunks and the result does not depend on the
 	// chunk count (property-tested in index_test.go). A restore pays this
 	// pass like the build does, so it runs on every core.
-	x.prefix = make([]uint64, len(x.pairs)+1)
-	x.spanLess = make([]config.Tuple, len(x.pairs))
-	x.spanMinIdx = make([]uint64, len(x.pairs))
 	workers := chunkWorkers(len(x.pairs))
 	bounds := make([]int, workers+1)
 	for w := 1; w < workers; w++ {
@@ -420,16 +443,21 @@ func finishIndex(pairs []idxPair, total uint64) *FrontierIndex {
 	spans := make([][]idxSpan, workers)
 	forChunks(workers, workers, func(_, lo, hi int) {
 		for w := lo; w < hi; w++ {
-			spans[w] = x.deriveChunk(bounds[w], bounds[w+1])
+			spans[w] = x.spanChunk(bounds[w], bounds[w+1])
 		}
 	})
-	for w := 1; w < workers; w++ {
-		off := x.prefix[bounds[w]]
-		for i := bounds[w] + 1; i <= bounds[w+1]; i++ {
-			x.prefix[i] += off
-		}
-	}
 	x.spans = slices.Concat(spans...)
+
+	// Blocks are cut in one serial pass over the spans, so they too do
+	// not depend on the chunk count; each block's entries then derive on
+	// their own, on every core.
+	x.blocks = blockRuns(x.spans)
+	x.entries = make([]blockEntry, len(x.spans))
+	forChunks(len(x.blocks)-1, workers, func(_, lo, hi int) {
+		for b := lo; b < hi; b++ {
+			x.deriveBlock(x.blocks[b], x.blocks[b+1])
+		}
+	})
 
 	// Staircase: walk spans from the highest capacity down; a span's
 	// cheapest pair survives only when it strictly undercuts every
@@ -447,33 +475,70 @@ func finishIndex(pairs []idxPair, total uint64) *FrontierIndex {
 	return x
 }
 
-// deriveChunk fills prefix (counting from lo), spanLess and spanMinIdx
-// for pairs[lo:hi], which starts at a span start and ends at a span end,
-// and returns the chunk's spans. Chunks touch disjoint ranges, so
-// concurrent calls over distinct chunks never overlap.
-func (x *FrontierIndex) deriveChunk(lo, hi int) []idxSpan {
+// spanChunk returns the spans of pairs[lo:hi], which starts at a span
+// start and ends at a span end.
+func (x *FrontierIndex) spanChunk(lo, hi int) []idxSpan {
 	var spans []idxSpan
-	var sum uint64
 	for i := lo; i < hi; {
-		run, runIdx := x.pairs[i].lessMin, x.pairs[i].minIdx
 		j := i
 		//lint:allow floateq span grouping needs exact capacity identity: equal floats predict bit-equal times
-		for ; j < hi && x.pairs[j].u == x.pairs[i].u; j++ {
-			pr := &x.pairs[j]
-			if lessTupleFast(pr.lessMin, run) {
-				run = pr.lessMin
-			}
-			if pr.minIdx < runIdx {
-				runIdx = pr.minIdx
-			}
-			x.spanLess[j], x.spanMinIdx[j] = run, runIdx
-			sum += pr.count
-			x.prefix[j+1] = sum
+		for j < hi && x.pairs[j].u == x.pairs[i].u {
+			j++
 		}
 		spans = append(spans, idxSpan{u: x.pairs[i].u, start: i, end: j})
 		i = j
 	}
 	return spans
+}
+
+// blockRuns cuts the capacity-sorted spans into blocks and returns each
+// block's first span, then len(spans): a block closes after blockSpans
+// spans, or before a span whose capacity exceeds the block's first by
+// more than blockGrowth.
+func blockRuns(spans []idxSpan) []int {
+	blocks := []int{}
+	for si := range spans {
+		if n := len(blocks); n == 0 || si-blocks[n-1] == blockSpans ||
+			spans[si].u > spans[blocks[n-1]].u*blockGrowth {
+			blocks = append(blocks, si)
+		}
+	}
+	return append(blocks, len(spans))
+}
+
+// deriveBlock fills the entries of the block of spans [lo, hi): one per
+// span, sorted by (hi, span), with the running count and the suffix
+// minimum of lo. Blocks touch disjoint ranges, so concurrent calls over
+// distinct blocks never overlap.
+func (x *FrontierIndex) deriveBlock(lo, hi int) {
+	blk := x.entries[lo:hi]
+	for k := range blk {
+		// cum holds the span's own count until the sort has placed it.
+		sp := x.spans[lo+k]
+		var n uint64
+		for i := sp.start; i < sp.end; i++ {
+			n += x.pairs[i].count
+		}
+		blk[k] = blockEntry{span: lo + k, hi: x.pairs[sp.end-1].cu, lo: x.pairs[sp.start].cu, cum: n}
+	}
+	slices.SortFunc(blk, func(a, b blockEntry) int {
+		switch {
+		case a.hi < b.hi:
+			return -1
+		case a.hi > b.hi:
+			return 1
+		}
+		return a.span - b.span
+	})
+	for k := 1; k < len(blk); k++ {
+		blk[k].cum += blk[k-1].cum
+	}
+	for k := len(blk) - 1; k >= 0; k-- {
+		blk[k].sufLo = blk[k].lo
+		if k+1 < len(blk) {
+			blk[k].sufLo = min(blk[k].sufLo, blk[k+1].sufLo)
+		}
+	}
 }
 
 // spanRange returns the half-open range of span indices whose exact
@@ -492,28 +557,73 @@ func (x *FrontierIndex) spanRange(d units.Instructions, T units.Seconds) (lo, hi
 	return lo, hi
 }
 
+// timeCut splits the time-feasible spans, a suffix of the capacity-
+// sorted span table (predicted time is non-increasing in capacity, as
+// IEEE division is monotone), at the first block they wholly contain:
+// spans [lo, x.blocks[b]) are the tail of the block the deadline cuts,
+// and blocks b onward are time-feasible throughout.
+func (x *FrontierIndex) timeCut(d units.Instructions, deadline units.Seconds) (lo, b int) {
+	lo = sort.Search(len(x.spans), func(i int) bool {
+		return units.Time(d, x.spans[i].u) < deadline
+	})
+	b = sort.Search(len(x.blocks)-1, func(b int) bool { return x.blocks[b] >= lo })
+	return lo, b
+}
+
+// block returns block b's corner times — ta of its first (slowest) span,
+// tb of its last (fastest) — and its entries. Every span of the block
+// predicts a time in [tb, ta], and model.Bill is jointly monotone in
+// (T, c_u) as computed floats under every Indexable policy, so every
+// pair of an entry costs at least Bill(tb, lo) and at most Bill(ta, hi).
+func (x *FrontierIndex) block(d units.Instructions, b int) (ta, tb units.Seconds, blk []blockEntry) {
+	lo, hi := x.blocks[b], x.blocks[b+1]
+	return units.Time(d, x.spans[lo].u), units.Time(d, x.spans[hi-1].u), x.entries[lo:hi]
+}
+
+// countBelow counts the configurations of span si that cost less than
+// budget at the span's own time: a prefix of its cost-ordered pairs.
+func (x *FrontierIndex) countBelow(e *Engine, d units.Instructions, si int, budget units.USD) uint64 {
+	sp := x.spans[si]
+	T := units.Time(d, sp.u)
+	var n uint64
+	for i := sp.start; i < sp.end && model.Bill(T, x.pairs[i].cu, e.billing) < budget; i++ {
+		n += x.pairs[i].count
+	}
+	return n
+}
+
 // census answers Analyze's aggregate questions from the index: the
 // exact feasible count and the streaming frontier, both produced with
 // the same float operations and the same insertion order as the scan.
 func (x *FrontierIndex) census(e *Engine, d units.Instructions, cons Constraints) (uint64, []pareto.Point) {
 	deadline, budget := cons.deadlineOrInf(), cons.budgetOrInf()
 
-	// Predicted time is non-increasing in capacity (IEEE division is
-	// monotone), so the time-feasible spans are a suffix of the
-	// capacity-sorted span table; within a span cost is non-decreasing
-	// in c_u, so the budget-feasible pairs are a prefix of the span.
-	lo := sort.Search(len(x.spans), func(i int) bool {
-		return units.Time(d, x.spans[i].u) < deadline
-	})
+	// Within a span cost is non-decreasing in c_u, so the budget-feasible
+	// pairs are a prefix of the span. The block the deadline cuts is
+	// counted span by span; every later block is time-feasible, and its
+	// corners decide most of its spans at once. Entries are in hi order,
+	// so those billed below budget at ta form a prefix, and each of their
+	// pairs is feasible; from there on the walk stops where even the
+	// cheapest remaining pair at tb reaches the budget, skips each span
+	// whose own cheapest pair does, and counts the rest exactly.
+	lo, b0 := x.timeCut(d, deadline)
 	var feasible uint64
-	for si := lo; si < len(x.spans); si++ {
-		sp := x.spans[si]
-		T := units.Time(d, sp.u)
-		n := sp.end - sp.start
-		b := sort.Search(n, func(i int) bool {
-			return model.Bill(T, x.pairs[sp.start+i].cu, e.billing) >= budget
+	for si := lo; si < x.blocks[b0]; si++ {
+		feasible += x.countBelow(e, d, si, budget)
+	}
+	for b := b0; b+1 < len(x.blocks); b++ {
+		ta, tb, blk := x.block(d, b)
+		k := sort.Search(len(blk), func(i int) bool {
+			return model.Bill(ta, blk[i].hi, e.billing) >= budget
 		})
-		feasible += x.prefix[sp.start+b] - x.prefix[sp.start]
+		if k > 0 {
+			feasible += blk[k-1].cum
+		}
+		for ; k < len(blk) && model.Bill(tb, blk[k].sufLo, e.billing) < budget; k++ {
+			if model.Bill(tb, blk[k].lo, e.billing) < budget {
+				feasible += x.countBelow(e, d, blk[k].span, budget)
+			}
+		}
 	}
 
 	// The staircase is a superset of every per-query frontier's
@@ -540,24 +650,45 @@ func (x *FrontierIndex) census(e *Engine, d units.Instructions, cons Constraints
 	// every span predicting exactly T, restricted to the pairs costing
 	// exactly C. Those pairs are a prefix of each such span (cost is
 	// non-decreasing in c_u, and a cheaper pair in an equal-T span would
-	// have knocked the point off the frontier), so the precomputed
-	// prefix minima answer each span in one search.
+	// have knocked the point off the frontier), so each span's walk
+	// stops at its first pair costing more.
 	for fi := range front {
 		T, C := units.Seconds(front[fi].X), units.USD(front[fi].Y)
 		lo, hi := x.spanRange(d, T)
 		best := front[fi].ID
 		for si := lo; si < hi; si++ {
 			sp := x.spans[si]
-			ub := sort.Search(sp.end-sp.start, func(i int) bool {
-				return model.Bill(T, x.pairs[sp.start+i].cu, e.billing) > C
-			})
-			if ub > 0 && x.spanMinIdx[sp.start+ub-1] < best {
-				best = x.spanMinIdx[sp.start+ub-1]
+			for i := sp.start; i < sp.end && model.Bill(T, x.pairs[i].cu, e.billing) <= C; i++ {
+				best = min(best, x.pairs[i].minIdx)
 			}
 		}
 		front[fi].ID = best
 	}
 	return feasible, front
+}
+
+// leastTuple is a running lessTupleFast minimum over the argmin's
+// achievers.
+type leastTuple struct {
+	t    config.Tuple
+	have bool
+}
+
+func (m *leastTuple) take(t config.Tuple) {
+	if !m.have || lessTupleFast(t, m.t) {
+		m.t, m.have = t, true
+	}
+}
+
+// takeAtMost folds into m the lessTupleFast-minimal members of span
+// si's pairs billed at most limit at the span's own time: a prefix of
+// its cost-ordered pairs.
+func (m *leastTuple) takeAtMost(x *FrontierIndex, e *Engine, d units.Instructions, si int, limit units.USD) {
+	sp := x.spans[si]
+	T := units.Time(d, sp.u)
+	for i := sp.start; i < sp.end && model.Bill(T, x.pairs[i].cu, e.billing) <= limit; i++ {
+		m.take(x.pairs[i].lessMin)
+	}
 }
 
 // minSearch answers the argmin queries from the index with the scan's
@@ -583,21 +714,14 @@ func (x *FrontierIndex) minSearch(e *Engine, d units.Instructions, cons Constrai
 				continue
 			}
 			lo, hi := x.spanRange(d, T)
-			var bestTuple config.Tuple
-			have := false
+			var best leastTuple
 			for si := lo; si < hi; si++ {
 				sp := x.spans[si]
-				b := sort.Search(sp.end-sp.start, func(i int) bool {
-					return model.Bill(T, x.pairs[sp.start+i].cu, e.billing) >= budget
-				})
-				if b == 0 {
-					continue
-				}
-				if cand := x.spanLess[sp.start+b-1]; !have || lessTupleFast(cand, bestTuple) {
-					bestTuple, have = cand, true
+				for i := sp.start; i < sp.end && model.Bill(T, x.pairs[i].cu, e.billing) < budget; i++ {
+					best.take(x.pairs[i].lessMin)
 				}
 			}
-			return e.caps.PredictBilled(d, bestTuple, e.billing), true
+			return e.caps.PredictBilled(d, best.t, e.billing), true
 		}
 		return model.Prediction{}, false
 	}
@@ -605,9 +729,9 @@ func (x *FrontierIndex) minSearch(e *Engine, d units.Instructions, cons Constrai
 	// time-feasible pair is weakly dominated by a time-feasible step
 	// costing no more — but the scan's tie-break runs over every
 	// achiever, so a second pass gathers the lexicographically least
-	// tuple from the exact-cost prefix of every time-feasible span
-	// (no time-feasible pair costs less than the optimum, so the
-	// achievers are exactly each span's cost-ordered prefix at it).
+	// tuple from the pairs costing exactly the optimum in every
+	// time-feasible span. No time-feasible pair costs less, so those are
+	// the pairs costing at most bestC.
 	bestC := units.USD(0)
 	found := false
 	for _, pi := range x.stair {
@@ -624,25 +748,25 @@ func (x *FrontierIndex) minSearch(e *Engine, d units.Instructions, cons Constrai
 	if !found {
 		return model.Prediction{}, false
 	}
-	lo := sort.Search(len(x.spans), func(i int) bool {
-		return units.Time(d, x.spans[i].u) < deadline
-	})
-	var bestTuple config.Tuple
-	have := false
-	for si := lo; si < len(x.spans); si++ {
-		sp := x.spans[si]
-		T := units.Time(d, sp.u)
-		ub := sort.Search(sp.end-sp.start, func(i int) bool {
-			return model.Bill(T, x.pairs[sp.start+i].cu, e.billing) > bestC
-		})
-		if ub == 0 {
-			continue
-		}
-		if cand := x.spanLess[sp.start+ub-1]; !have || lessTupleFast(cand, bestTuple) {
-			bestTuple, have = cand, true
+	// The block the deadline cuts is walked span by span. In a wholly
+	// time-feasible block no span has every pair below bestC, so the
+	// walk starts at the block's first entry; it stops where the cheapest
+	// remaining pair at tb costs more than bestC and skips each span whose
+	// own cheapest pair does.
+	lo, b0 := x.timeCut(d, deadline)
+	var best leastTuple
+	for si := lo; si < x.blocks[b0]; si++ {
+		best.takeAtMost(x, e, d, si, bestC)
+	}
+	for b := b0; b+1 < len(x.blocks); b++ {
+		_, tb, blk := x.block(d, b)
+		for k := 0; k < len(blk) && model.Bill(tb, blk[k].sufLo, e.billing) <= bestC; k++ {
+			if model.Bill(tb, blk[k].lo, e.billing) <= bestC {
+				best.takeAtMost(x, e, d, blk[k].span, bestC)
+			}
 		}
 	}
-	return e.caps.PredictBilled(d, bestTuple, e.billing), true
+	return e.caps.PredictBilled(d, best.t, e.billing), true
 }
 
 // Candidate is one staircase step of the demand-invariant frontier:

@@ -1,8 +1,8 @@
 // Binary encoding of the frontier index, the payload inside
 // internal/snapshot's checksummed envelope. Only the aggregated pair
-// table is serialized: every secondary structure (spans, prefix counts,
-// running tie-break minima, the staircase) is a pure function of the
-// sorted pairs and is re-derived on decode through finishIndex — the
+// table is serialized: every secondary structure (spans, blocks, the
+// staircase) is a pure function of the sorted pairs and is re-derived
+// on decode through finishIndex — the
 // same code path the build uses — so a decoded index is
 // structurally identical to the one it was encoded from, and the format
 // cannot drift from the derivation logic.

@@ -118,12 +118,13 @@ func requireLevelBuildMatchesEnumeration(t *testing.T, label string, eng *Engine
 	// under -race tripled this test's time, so the long tables compare
 	// typed and DeepEqual takes the rest, any field added later included.
 	built, want := *x, *oracle
-	if !slices.Equal(built.spans, want.spans) || !slices.Equal(built.prefix, want.prefix) ||
-		!slices.Equal(built.spanLess, want.spanLess) || !slices.Equal(built.spanMinIdx, want.spanMinIdx) {
+	if !slices.Equal(built.spans, want.spans) || !slices.Equal(built.blocks, want.blocks) ||
+		!slices.Equal(built.entries, want.entries) {
 		t.Fatalf("%s: derived tables differ from the enumeration's", label)
 	}
-	built.pairs, built.spans, built.prefix, built.spanLess, built.spanMinIdx, built.buildWall = nil, nil, nil, nil, nil, 0
-	want.pairs, want.spans, want.prefix, want.spanLess, want.spanMinIdx, want.buildWall = nil, nil, nil, nil, nil, 0
+	requireBlockTable(t, label, x)
+	built.pairs, built.spans, built.blocks, built.entries, built.buildWall = nil, nil, nil, nil, 0
+	want.pairs, want.spans, want.blocks, want.entries, want.buildWall = nil, nil, nil, nil, 0
 	if !reflect.DeepEqual(built, want) {
 		t.Fatalf("%s: finished index differs from the enumeration's", label)
 	}
@@ -194,6 +195,21 @@ func TestLevelBuildMatchesEnumerationPaper(t *testing.T) {
 	}
 	for _, app := range []workload.App{galaxy.App{}, sand.App{}, x264.App{}} {
 		requirePairsMatchEnumeration(t, app.Name(), NewPaperEngine(app), paperIndex(app))
+	}
+}
+
+// TestPaperPairTableExactSize pins the pair table's capacity to its
+// length on the three paper builds: the last level's merge sizes its
+// output for every shifted state (979,061 slots for galaxy's 657,394
+// pairs), and an index keeps its pair table for the life of the process.
+func TestPaperPairTableExactSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-space builds in -short mode")
+	}
+	for _, app := range []workload.App{galaxy.App{}, sand.App{}, x264.App{}} {
+		if x := paperIndex(app); cap(x.pairs) != len(x.pairs) {
+			t.Errorf("%s: pair table holds %d pairs in %d slots", app.Name(), len(x.pairs), cap(x.pairs))
+		}
 	}
 }
 

@@ -113,99 +113,102 @@ func propertyTrials(t *testing.T) []propertyTrial {
 // frontier index: across random catalogs, constraints (including
 // unconstrained and infeasible ones), the indexed Analyze and all
 // argmin queries must equal the exhaustive scan exactly — same floats,
-// same tie winners.
+// same tie winners — at the default block cap and with blocks forced to
+// one and to three spans.
 func TestIndexEqualsScanRandomized(t *testing.T) {
-	for trial, tr := range propertyTrials(t) {
-		eng, deadline, frac, budget := tr.eng, tr.deadline, tr.frac, tr.budget
-		scan := scanTwin(t, eng)
-		if _, ok := eng.Frontier(); !ok {
-			t.Fatalf("trial %d: random catalog did not index", trial)
-		}
-		maxCap := 0.0
-		eng.Space().ForEach(func(tp config.Tuple) bool {
-			if u := float64(eng.Capacities().Capacity(tp)); u > maxCap {
-				maxCap = u
+	forBlockSizes(t, func(t *testing.T) {
+		for trial, tr := range propertyTrials(t) {
+			eng, deadline, frac, budget := tr.eng, tr.deadline, tr.frac, tr.budget
+			scan := scanTwin(t, eng)
+			if _, ok := eng.Frontier(); !ok {
+				t.Fatalf("trial %d: random catalog did not index", trial)
 			}
-			return true
-		})
-		d := maxCap * frac * float64(deadline)
-		p := workload.Params{N: d, A: 1}
+			maxCap := 0.0
+			eng.Space().ForEach(func(tp config.Tuple) bool {
+				if u := float64(eng.Capacities().Capacity(tp)); u > maxCap {
+					maxCap = u
+				}
+				return true
+			})
+			d := maxCap * frac * float64(deadline)
+			p := workload.Params{N: d, A: 1}
 
-		// Cycle through constraint shapes: both axes, one axis,
-		// unconstrained (zero = +Inf), and an unmeetable deadline.
-		var conss []Constraints
-		conss = append(conss,
-			Constraints{Deadline: deadline, Budget: budget},
-			Constraints{Deadline: deadline},
-			Constraints{Budget: budget},
-			Constraints{},
-			Constraints{Deadline: 1e-9},
-		)
-		for ci, cons := range conss {
-			requireIndexMatchesScan(t, fmt.Sprintf("trial %d cons %d", trial, ci), eng, scan, p, cons)
-		}
+			// Cycle through constraint shapes: both axes, one axis,
+			// unconstrained (zero = +Inf), and an unmeetable deadline.
+			var conss []Constraints
+			conss = append(conss,
+				Constraints{Deadline: deadline, Budget: budget},
+				Constraints{Deadline: deadline},
+				Constraints{Budget: budget},
+				Constraints{},
+				Constraints{Deadline: 1e-9},
+			)
+			for ci, cons := range conss {
+				requireIndexMatchesScan(t, fmt.Sprintf("trial %d cons %d", trial, ci), eng, scan, p, cons)
+			}
 
-		// Codec round-trip: the snapshot payload must decode to an index
-		// bit-identical to the built one — pair table and every derived
-		// table — and the decoded index must re-encode to the same
-		// bytes, so a restored process is indistinguishable from one
-		// that paid the build.
-		built := eng.indexFor()
-		if built == nil {
-			t.Fatalf("trial %d: no index to encode", trial)
-		}
-		payload := built.EncodeBinary()
-		decoded, err := DecodeFrontierIndex(payload)
-		if err != nil {
-			t.Fatalf("trial %d: decode: %v", trial, err)
-		}
-		if !reflect.DeepEqual(decoded, built) {
-			t.Fatalf("trial %d: decoded index differs from built", trial)
-		}
-		if re := decoded.EncodeBinary(); !bytes.Equal(re, payload) {
-			t.Fatalf("trial %d: re-encoded payload differs (%d vs %d bytes)",
-				trial, len(re), len(payload))
-		}
+			// Codec round-trip: the snapshot payload must decode to an index
+			// bit-identical to the built one — pair table and every derived
+			// table — and the decoded index must re-encode to the same
+			// bytes, so a restored process is indistinguishable from one
+			// that paid the build.
+			built := eng.indexFor()
+			if built == nil {
+				t.Fatalf("trial %d: no index to encode", trial)
+			}
+			payload := built.EncodeBinary()
+			decoded, err := DecodeFrontierIndex(payload)
+			if err != nil {
+				t.Fatalf("trial %d: decode: %v", trial, err)
+			}
+			if !reflect.DeepEqual(decoded, built) {
+				t.Fatalf("trial %d: decoded index differs from built", trial)
+			}
+			if re := decoded.EncodeBinary(); !bytes.Equal(re, payload) {
+				t.Fatalf("trial %d: re-encoded payload differs (%d vs %d bytes)",
+					trial, len(re), len(payload))
+			}
 
-		// MaxAccuracy bisects over searchBest: the indexed engine and its
-		// scan twin must land on the same rung and prediction.
-		cons := Constraints{Deadline: deadline, Budget: budget}
-		pS, predS, okS, err := scan.MaxAccuracy(math.Max(1, d/2), cons, 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pI, predI, okI, err := eng.MaxAccuracy(math.Max(1, d/2), cons, 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if okS != okI || pS != pI || !reflect.DeepEqual(predS, predI) {
-			t.Fatalf("trial %d: MaxAccuracy indexed (%+v, %+v, %v) != scan (%+v, %+v, %v)",
-				trial, pI, predI, okI, pS, predS, okS)
-		}
+			// MaxAccuracy bisects over searchBest: the indexed engine and its
+			// scan twin must land on the same rung and prediction.
+			cons := Constraints{Deadline: deadline, Budget: budget}
+			pS, predS, okS, err := scan.MaxAccuracy(math.Max(1, d/2), cons, 1e-3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pI, predI, okI, err := eng.MaxAccuracy(math.Max(1, d/2), cons, 1e-3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if okS != okI || pS != pI || !reflect.DeepEqual(predS, predI) {
+				t.Fatalf("trial %d: MaxAccuracy indexed (%+v, %+v, %v) != scan (%+v, %+v, %v)",
+					trial, pI, predI, okI, pS, predS, okS)
+			}
 
-		// Per-hour billing must route *through* the same index: ceil'd
-		// cost is still jointly monotone in (time, unit cost), so the
-		// billing-independent staircase stays a valid candidate
-		// superset and every answer — census, frontier, argmin tuple,
-		// tie metadata — must match the scan bit for bit.
-		eng.SetBilling(model.PerHour)
-		scan.SetBilling(model.PerHour)
-		for ci, cons := range conss {
-			requireIndexMatchesScan(t, fmt.Sprintf("trial %d cons %d per-hour", trial, ci), eng, scan, p, cons)
+			// Per-hour billing must route *through* the same index: ceil'd
+			// cost is still jointly monotone in (time, unit cost), so the
+			// billing-independent staircase stays a valid candidate
+			// superset and every answer — census, frontier, argmin tuple,
+			// tie metadata — must match the scan bit for bit.
+			eng.SetBilling(model.PerHour)
+			scan.SetBilling(model.PerHour)
+			for ci, cons := range conss {
+				requireIndexMatchesScan(t, fmt.Sprintf("trial %d cons %d per-hour", trial, ci), eng, scan, p, cons)
+			}
+			pHS, predHS, okHS, err := scan.MaxAccuracy(math.Max(1, d/2), cons, 1e-3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pHI, predHI, okHI, err := eng.MaxAccuracy(math.Max(1, d/2), cons, 1e-3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if okHS != okHI || pHS != pHI || !reflect.DeepEqual(predHS, predHI) {
+				t.Fatalf("trial %d: per-hour MaxAccuracy indexed (%+v, %+v, %v) != scan (%+v, %+v, %v)",
+					trial, pHI, predHI, okHI, pHS, predHS, okHS)
+			}
 		}
-		pHS, predHS, okHS, err := scan.MaxAccuracy(math.Max(1, d/2), cons, 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pHI, predHI, okHI, err := eng.MaxAccuracy(math.Max(1, d/2), cons, 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if okHS != okHI || pHS != pHI || !reflect.DeepEqual(predHS, predHI) {
-			t.Fatalf("trial %d: per-hour MaxAccuracy indexed (%+v, %+v, %v) != scan (%+v, %+v, %v)",
-				trial, pHI, predHI, okHI, pHS, predHS, okHS)
-		}
-	}
+	})
 }
 
 // twoDigitEngine is TestIndexEqualsScanTwoDigitCounts' fixed catalog:
@@ -247,74 +250,76 @@ func twoDigitEngine(t *testing.T) *Engine {
 // and price — k small nodes and k/2 double-size ones sum to the same
 // pair — so most pairs aggregate several configurations. Index and scan
 // must agree on Analyze and both argmins at every deadline × budget
-// pair, under both billings.
+// pair, under both billings, at every forced block size.
 func TestIndexEqualsScanTwoDigitCounts(t *testing.T) {
-	eng := twoDigitEngine(t)
-	caps := eng.Capacities()
-	x, ok := eng.Frontier()
-	if !ok {
-		t.Fatal("fixed catalog did not index")
-	}
-	twoDigit := func(tp config.Tuple) bool {
-		for i := 0; i < tp.Len(); i++ {
-			if tp.Count(i) >= 10 {
-				return true
+	forBlockSizes(t, func(t *testing.T) {
+		eng := twoDigitEngine(t)
+		caps := eng.Capacities()
+		x, ok := eng.Frontier()
+		if !ok {
+			t.Fatal("fixed catalog did not index")
+		}
+		twoDigit := func(tp config.Tuple) bool {
+			for i := 0; i < tp.Len(); i++ {
+				if tp.Count(i) >= 10 {
+					return true
+				}
+			}
+			return false
+		}
+		// Footing: the trial only bites if aggregated pairs carry winners
+		// with two-digit counts.
+		type pairKey struct {
+			u  units.Rate
+			cu units.USDPerHour
+		}
+		shared := make(map[pairKey]bool)
+		multi, multiTwoDigit := 0, 0
+		for _, pr := range x.pairs {
+			if pr.count < 2 {
+				continue
+			}
+			shared[pairKey{pr.u, pr.cu}] = true
+			multi++
+			if twoDigit(pr.lessMin) {
+				multiTwoDigit++
 			}
 		}
-		return false
-	}
-	// Footing: the trial only bites if aggregated pairs carry winners
-	// with two-digit counts.
-	type pairKey struct {
-		u  units.Rate
-		cu units.USDPerHour
-	}
-	shared := make(map[pairKey]bool)
-	multi, multiTwoDigit := 0, 0
-	for _, pr := range x.pairs {
-		if pr.count < 2 {
-			continue
+		if len(x.pairs) != 503 || multi != 468 || multiTwoDigit != 247 {
+			t.Fatalf("%d pairs, %d aggregating several configurations, %d of those with a two-digit winner; want 503, 468, 247",
+				len(x.pairs), multi, multiTwoDigit)
 		}
-		shared[pairKey{pr.u, pr.cu}] = true
-		multi++
-		if twoDigit(pr.lessMin) {
-			multiTwoDigit++
-		}
-	}
-	if len(x.pairs) != 503 || multi != 468 || multiTwoDigit != 247 {
-		t.Fatalf("%d pairs, %d aggregating several configurations, %d of those with a two-digit winner; want 503, 468, 247",
-			len(x.pairs), multi, multiTwoDigit)
-	}
 
-	scan := scanTwin(t, eng)
-	// Demands for a run of 1 and 2.5 hours at full capacity. Deadlines
-	// scale that time; budgets scale the cheapest per-second cost, of
-	// bb.0 alone at 10.4 GIPS per $/h.
-	uMax := float64(caps.Capacity(config.MustTuple(12, 10, 11, 3)))
-	tiedWinners := 0
-	for _, hours := range []float64{1, 2.5} {
-		d := uMax * 3600 * hours
-		p := workload.Params{N: d, A: 1}
-		cheapest := d / 3600 / 10.4e9
-		for _, b := range []model.Billing{model.PerSecond, model.PerHour} {
-			eng.SetBilling(b)
-			scan.SetBilling(b)
-			for _, dl := range []float64{0, 1.05, 1.3, 1.7, 2.2, 3.1, 6} {
-				for _, bu := range []float64{0, 1.01, 1.04, 1.1, 1.5, 3} {
-					cons := Constraints{Deadline: units.Seconds(3600 * hours * dl), Budget: units.USD(cheapest * bu)}
-					label := fmt.Sprintf("%gh run, %s, deadline %g×, budget %g×", hours, b, dl, bu)
-					for _, w := range requireIndexMatchesScan(t, label, eng, scan, p, cons) {
-						if shared[pairKey{caps.Capacity(w), caps.UnitCost(w)}] && twoDigit(w) {
-							tiedWinners++
+		scan := scanTwin(t, eng)
+		// Demands for a run of 1 and 2.5 hours at full capacity. Deadlines
+		// scale that time; budgets scale the cheapest per-second cost, of
+		// bb.0 alone at 10.4 GIPS per $/h.
+		uMax := float64(caps.Capacity(config.MustTuple(12, 10, 11, 3)))
+		tiedWinners := 0
+		for _, hours := range []float64{1, 2.5} {
+			d := uMax * 3600 * hours
+			p := workload.Params{N: d, A: 1}
+			cheapest := d / 3600 / 10.4e9
+			for _, b := range []model.Billing{model.PerSecond, model.PerHour} {
+				eng.SetBilling(b)
+				scan.SetBilling(b)
+				for _, dl := range []float64{0, 1.05, 1.3, 1.7, 2.2, 3.1, 6} {
+					for _, bu := range []float64{0, 1.01, 1.04, 1.1, 1.5, 3} {
+						cons := Constraints{Deadline: units.Seconds(3600 * hours * dl), Budget: units.USD(cheapest * bu)}
+						label := fmt.Sprintf("%gh run, %s, deadline %g×, budget %g×", hours, b, dl, bu)
+						for _, w := range requireIndexMatchesScan(t, label, eng, scan, p, cons) {
+							if shared[pairKey{caps.Capacity(w), caps.UnitCost(w)}] && twoDigit(w) {
+								tiedWinners++
+							}
 						}
 					}
 				}
 			}
 		}
-	}
-	if tiedWinners == 0 {
-		t.Fatal("no argmin winner came from an aggregated pair with a two-digit count; the trial lost its footing")
-	}
+		if tiedWinners == 0 {
+			t.Fatal("no argmin winner came from an aggregated pair with a two-digit count; the trial lost its footing")
+		}
+	})
 }
 
 // TestIndexPerHourPairCapFallsBack keeps the scan-fallback contract

@@ -478,7 +478,7 @@ func TestFrontierCandidatesStaircase(t *testing.T) {
 	}
 }
 
-func TestFrontierCandidatesIgnoreBillingAndOptIn(t *testing.T) {
+func TestFrontierCandidatesIgnoreBilling(t *testing.T) {
 	// Billing does not block the build: the staircase depends only on
 	// the catalog, so horizon solvers get the same candidates the query
 	// index serves, and the build publishes it for queries too.
@@ -624,8 +624,9 @@ func TestParallelDerivationMatchesSerial(t *testing.T) {
 // TestDerivationSpanCrossesChunks pins finishIndex's span-aligned chunk
 // boundaries. The first span holds three quarters of the pairs, so at
 // GOMAXPROCS 4 the first two boundaries move past it and leave empty
-// chunks; every derived table must still equal a plain one-walk
-// derivation, and the index the one-chunk derivation gives.
+// chunks; the spans must still equal a plain one-walk derivation, the
+// block table must hold its invariants, and the index must equal the
+// one the one-chunk derivation gives.
 func TestDerivationSpanCrossesChunks(t *testing.T) {
 	const n = 4 * parallelCodecMin
 	pairs := make([]idxPair, n)
@@ -657,21 +658,15 @@ func TestDerivationSpanCrossesChunks(t *testing.T) {
 	if got, want := len(chunked.spans), 1+n/8; got != want {
 		t.Fatalf("%d spans, want %d", got, want)
 	}
-	var sum uint64
-	var less config.Tuple
-	var minIdx uint64
+	var spans []idxSpan
 	for i, pr := range pairs {
 		if i == 0 || pr.u != pairs[i-1].u {
-			less, minIdx = pr.lessMin, pr.minIdx
+			spans = append(spans, idxSpan{u: pr.u, start: i})
 		}
-		if lessTupleFast(pr.lessMin, less) {
-			less = pr.lessMin
-		}
-		minIdx = min(minIdx, pr.minIdx)
-		sum += pr.count
-		if chunked.prefix[i+1] != sum || chunked.spanLess[i] != less || chunked.spanMinIdx[i] != minIdx {
-			t.Fatalf("pair %d: prefix %d, less %v, minIdx %d; want %d, %v, %d",
-				i, chunked.prefix[i+1], chunked.spanLess[i], chunked.spanMinIdx[i], sum, less, minIdx)
-		}
+		spans[len(spans)-1].end = i + 1
 	}
+	if !reflect.DeepEqual(chunked.spans, spans) {
+		t.Fatal("chunked spans differ from a one-walk derivation")
+	}
+	requireBlockTable(t, "chunked", chunked)
 }

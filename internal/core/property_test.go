@@ -64,11 +64,11 @@ func randomEngine(t *testing.T, rng *rand.Rand) *Engine {
 	return eng
 }
 
-// TestDecomposedEqualsExhaustiveRandomized certifies the argmin against
+// TestIndexedMinCostEqualsExhaustiveRandomized certifies the argmin against
 // Algorithm 1 on random catalogs: with the frontier index published,
 // MinCostForDeadline must return MinCostExhaustive's tuple and cost
 // exactly.
-func TestDecomposedEqualsExhaustiveRandomized(t *testing.T) {
+func TestIndexedMinCostEqualsExhaustiveRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 40; trial++ {
 		eng := randomEngine(t, rng)
@@ -111,10 +111,10 @@ func requireIndexedArgminExact(t *testing.T, trial int, eng *Engine, p workload.
 	}
 }
 
-// TestDecomposedEqualsExhaustiveHourlyRandomized repeats the
+// TestIndexedMinCostEqualsExhaustiveHourlyRandomized repeats the
 // certification under per-hour billing, where cost is a step function
 // of time.
-func TestDecomposedEqualsExhaustiveHourlyRandomized(t *testing.T) {
+func TestIndexedMinCostEqualsExhaustiveHourlyRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(777))
 	for trial := 0; trial < 25; trial++ {
 		eng := randomEngine(t, rng)

@@ -404,12 +404,12 @@ func TestRealEngineThroughFrontdoor(t *testing.T) {
 	}
 }
 
-// TestFrontdoorIndexOptIn pins what mounting does and does not do:
+// TestFrontdoorMountNeverBuilds pins what mounting does and does not do:
 // NewFrontdoor never builds eagerly (startup stays cheap; the first
 // leader compute pays), and an engine the index cannot serve stays on
 // the scan, counting analytic leader computes as bypasses without ever
 // triggering a build.
-func TestFrontdoorIndexOptIn(t *testing.T) {
+func TestFrontdoorMountNeverBuilds(t *testing.T) {
 	cold, err := NewFrontdoor(map[string]*core.Engine{"galaxy": core.NewPaperEngine(galaxy.App{})}, Config{})
 	if err != nil {
 		t.Fatal(err)
