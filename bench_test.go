@@ -9,7 +9,6 @@
 package repro_test
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -28,7 +27,6 @@ import (
 	"repro/internal/pareto"
 	"repro/internal/profile"
 	"repro/internal/report"
-	"repro/internal/serving"
 	"repro/internal/spot"
 	"repro/internal/sweep"
 	"repro/internal/uncertainty"
@@ -622,52 +620,4 @@ func BenchmarkExtensionTradeSurface(b *testing.B) {
 			"3-D accuracy/time/cost surface over s=%v: %d nondominated points (per rung: %v)",
 			rungs, len(surface), byRung))
 	}
-}
-
-// BenchmarkServingColdVsCached measures the serving layer added in
-// front of the engines (internal/serving): one full census through the
-// frontdoor with caching off, then the cache-hit path for the same
-// query. The cached path must be ≥ 100× faster than the cold census
-// (in practice the gap is ~10⁶: a map lookup vs 10M model
-// evaluations); the asserting test is
-// internal/serving.TestCachedPathSpeedup.
-func BenchmarkServingColdVsCached(b *testing.B) {
-	engines := map[string]*core.Engine{"galaxy": core.NewPaperEngine(galaxy.App{})}
-	q := serving.Query{Kind: "analyze", App: "galaxy",
-		Extra: `{"n":65536,"a":8000,"deadline_hours":24,"budget_usd":350}`}
-	compute := func(_ context.Context, eng *core.Engine) ([]byte, error) {
-		an, err := eng.Analyze(workload.Params{N: 65536, A: 8000}, core.Constraints{
-			Deadline: units.Hours(24).Seconds(), Budget: 350,
-		}, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return []byte(fmt.Sprintf("feasible=%d frontier=%d", an.Feasible, len(an.Frontier))), nil
-	}
-	b.Run("cold", func(b *testing.B) {
-		fd, err := serving.NewFrontdoor(engines, serving.Config{CacheBytes: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			if _, _, err := fd.Do(context.Background(), q, compute); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		fd, err := serving.NewFrontdoor(engines, serving.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := fd.Do(context.Background(), q, compute); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, st, err := fd.Do(context.Background(), q, compute); err != nil || st != serving.StatusHit {
-				b.Fatalf("status %v, err %v", st, err)
-			}
-		}
-	})
 }

@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -19,9 +20,15 @@ func loadFixture(t *testing.T, l *Loader, dir string) *CheckedPackage {
 	return cp
 }
 
+// sharedLoader is the one loader the package's tests share. Loading
+// type-checks the module and the stdlib from source, and a loader keeps
+// both, so the test binary pays for it once, not once per test. The
+// tests run sequentially; a Loader is not safe for concurrent use.
+var sharedLoader = sync.OnceValues(func() (*Loader, error) { return NewLoader(".") })
+
 func newTestLoader(t *testing.T) *Loader {
 	t.Helper()
-	l, err := NewLoader(".")
+	l, err := sharedLoader()
 	if err != nil {
 		t.Fatalf("NewLoader: %v", err)
 	}

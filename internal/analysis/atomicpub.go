@@ -1,9 +1,8 @@
 // The atomicpub rule: a value stored through atomic.Pointer[T] or
-// atomic.Value is frozen at the store site. Frontdoor.SwapEngine's
-// zero-downtime swap and core.Engine's lock-free index handoff both
-// rely on copy-on-write: readers Load a snapshot and may read it
-// forever without synchronization, which is only sound if nobody
-// writes to the published value again. The data race that breaks this
+// atomic.Value is frozen at the store site. core.Engine's lock-free
+// frontier-index handoff (Engine.idx) relies on it: readers Load the
+// published index and may read it forever without synchronization,
+// which is only sound if nobody writes to the published value again. The data race that breaks this
 // is invisible to the race detector unless a test happens to overlap
 // the reader and the writer; this rule makes it a lint finding
 // instead.

@@ -8,14 +8,18 @@ import (
 	"testing"
 )
 
+// cfgSource wraps a function body in a one-function file.
+func cfgSource(body string) string {
+	return "package p\n\nfunc f() {\n" + body + "\n}\n"
+}
+
 // cfgOf builds the CFG of a function whose body is the given source
 // text. Construction is purely syntactic, so undefined identifiers are
 // fine — no type checking happens here.
 func cfgOf(t *testing.T, body string) *CFG {
 	t.Helper()
-	src := "package p\n\nfunc f() {\n" + body + "\n}\n"
 	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "f.go", src, parser.SkipObjectResolution)
+	file, err := parser.ParseFile(fset, "f.go", cfgSource(body), parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -31,8 +35,7 @@ func expectDump(t *testing.T, g *CFG, want string) {
 	}
 }
 
-func TestCFGIfElseMerge(t *testing.T) {
-	g := cfgOf(t, `
+const cfgIfElseMerge = `
 	x := 1
 	if x > 0 {
 		x = 2
@@ -40,7 +43,10 @@ func TestCFGIfElseMerge(t *testing.T) {
 		x = 3
 	}
 	x = 4
-	return`)
+	return`
+
+func TestCFGIfElseMerge(t *testing.T) {
+	g := cfgOf(t, cfgIfElseMerge)
 	expectDump(t, g, `
 b0 entry: assign, cond -> b3 b4
 b1 exit:
@@ -50,13 +56,15 @@ b4: assign -> b2
 `)
 }
 
+const cfgForLoop = `
+	for i := 0; i < 3; i++ {
+		work()
+	}`
+
 func TestCFGForLoop(t *testing.T) {
 	// Full three-clause for: init in the predecessor, cond in the
 	// header with a false-edge to after, post on the back-edge.
-	g := cfgOf(t, `
-	for i := 0; i < 3; i++ {
-		work()
-	}`)
+	g := cfgOf(t, cfgForLoop)
 	expectDump(t, g, `
 b0 entry: assign -> b2
 b1 exit:
@@ -67,14 +75,16 @@ b5: call -> b4
 `)
 }
 
+const cfgInfiniteFor = `
+	for {
+		work()
+	}`
+
 func TestCFGInfiniteForHasNoExit(t *testing.T) {
 	// for {} with no break: the after-block (and so Exit) must be
 	// unreachable — this is exactly what ctxflow's unbounded-loop check
 	// leans on.
-	g := cfgOf(t, `
-	for {
-		work()
-	}`)
+	g := cfgOf(t, cfgInfiniteFor)
 	dump := g.Dump(nil)
 	if strings.Contains(dump, "exit") {
 		t.Errorf("infinite loop must not reach exit:\n%s", dump)
@@ -86,14 +96,16 @@ b2: call -> b1
 `)
 }
 
-func TestCFGRangeBackEdge(t *testing.T) {
-	// The range clause itself sits in the header; the body loops back
-	// to it and the exhausted edge leaves it.
-	g := cfgOf(t, `
+const cfgRangeBackEdge = `
 	for _, v := range xs {
 		use(v)
 	}
-	return`)
+	return`
+
+func TestCFGRangeBackEdge(t *testing.T) {
+	// The range clause itself sits in the header; the body loops back
+	// to it and the exhausted edge leaves it.
+	g := cfgOf(t, cfgRangeBackEdge)
 	expectDump(t, g, `
 b0 entry: -> b2
 b1 exit:
@@ -103,8 +115,7 @@ b4: call -> b2
 `)
 }
 
-func TestCFGLabeledBreak(t *testing.T) {
-	g := cfgOf(t, `
+const cfgLabeledBreak = `
 loop:
 	for i := 0; i < 10; i++ {
 		if p() {
@@ -112,7 +123,10 @@ loop:
 		}
 		work()
 	}
-	rest()`)
+	rest()`
+
+func TestCFGLabeledBreak(t *testing.T) {
+	g := cfgOf(t, cfgLabeledBreak)
 	expectDump(t, g, `
 b0 entry: -> b2
 b1 exit:
@@ -126,11 +140,7 @@ b8: -> b4
 `)
 }
 
-func TestCFGSwitchFallthrough(t *testing.T) {
-	// Each clause hangs off the header; fallthrough chains clause 1's
-	// body into clause 2's; with a default there is no header→after
-	// edge.
-	g := cfgOf(t, `
+const cfgSwitchFallthrough = `
 	switch x() {
 	case 1:
 		a()
@@ -139,7 +149,13 @@ func TestCFGSwitchFallthrough(t *testing.T) {
 		b()
 	default:
 		c()
-	}`)
+	}`
+
+func TestCFGSwitchFallthrough(t *testing.T) {
+	// Each clause hangs off the header; fallthrough chains clause 1's
+	// body into clause 2's; with a default there is no header→after
+	// edge.
+	g := cfgOf(t, cfgSwitchFallthrough)
 	expectDump(t, g, `
 b0 entry: cond -> b3 b4 b5
 b1 exit:
@@ -150,8 +166,7 @@ b5: call -> b2
 `)
 }
 
-func TestCFGSelect(t *testing.T) {
-	g := cfgOf(t, `
+const cfgSelect = `
 	select {
 	case v := <-ch:
 		use(v)
@@ -159,7 +174,10 @@ func TestCFGSelect(t *testing.T) {
 		work()
 	default:
 		idle()
-	}`)
+	}`
+
+func TestCFGSelect(t *testing.T) {
+	g := cfgOf(t, cfgSelect)
 	expectDump(t, g, `
 b0 entry: -> b3 b4 b5
 b1 exit:
@@ -170,24 +188,28 @@ b5: call -> b2
 `)
 }
 
-func TestCFGEmptySelectBlocksForever(t *testing.T) {
-	g := cfgOf(t, `
+const cfgEmptySelect = `
 	select {}
-	work()`)
+	work()`
+
+func TestCFGEmptySelectBlocksForever(t *testing.T) {
+	g := cfgOf(t, cfgEmptySelect)
 	dump := g.Dump(nil)
 	if strings.Contains(dump, "exit") || strings.Contains(dump, "call") {
 		t.Errorf("select{} must strand everything after it:\n%s", dump)
 	}
 }
 
-func TestCFGGotoForward(t *testing.T) {
-	g := cfgOf(t, `
+const cfgGotoForward = `
 	if p() {
 		goto done
 	}
 	work()
 done:
-	rest()`)
+	rest()`
+
+func TestCFGGotoForward(t *testing.T) {
+	g := cfgOf(t, cfgGotoForward)
 	expectDump(t, g, `
 b0 entry: cond -> b2 b3
 b1 exit:
@@ -197,28 +219,32 @@ b4: call -> b1
 `)
 }
 
+const cfgDefer = `
+	defer cleanup()
+	work()
+	return`
+
 func TestCFGDeferStaysInBlock(t *testing.T) {
 	// The builder does not model the deferred call's execution point;
 	// defer is an ordinary in-block statement and rules decide what it
 	// means.
-	g := cfgOf(t, `
-	defer cleanup()
-	work()
-	return`)
+	g := cfgOf(t, cfgDefer)
 	expectDump(t, g, `
 b0 entry: defer, call, return -> b1
 b1 exit:
 `)
 }
 
-func TestCFGExplicitPanicEdge(t *testing.T) {
-	// Only explicit panic(...) gets a distinguished exit; the statement
-	// after it is dead.
-	g := cfgOf(t, `
+const cfgExplicitPanic = `
 	if cond() {
 		panic("boom")
 	}
-	work()`)
+	work()`
+
+func TestCFGExplicitPanicEdge(t *testing.T) {
+	// Only explicit panic(...) gets a distinguished exit; the statement
+	// after it is dead.
+	g := cfgOf(t, cfgExplicitPanic)
 	expectDump(t, g, `
 b0 entry: cond -> b2 b3
 b1 exit:
@@ -228,10 +254,12 @@ b4 panic:
 `)
 }
 
-func TestCFGReachableSkipsDeadCode(t *testing.T) {
-	g := cfgOf(t, `
+const cfgDeadCode = `
 	return
-	work()`)
+	work()`
+
+func TestCFGReachableSkipsDeadCode(t *testing.T) {
+	g := cfgOf(t, cfgDeadCode)
 	if n := len(g.Reachable()); n != 2 {
 		t.Errorf("want 2 reachable blocks (entry, exit), got %d:\n%s", n, g.Dump(nil))
 	}

@@ -140,8 +140,12 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 
 // LoadModule parses and type-checks every package in the module, in
 // dependency order, skipping testdata trees and _test.go files.
-// Results are memoized: calling it twice is cheap.
+// Results are memoized: a second call returns the first call's
+// packages without walking or parsing the module again.
 func (l *Loader) LoadModule() ([]*CheckedPackage, error) {
+	if l.moduleList != nil {
+		return l.moduleList, nil
+	}
 	dirs, err := l.discover()
 	if err != nil {
 		return nil, err

@@ -30,9 +30,8 @@
 // The last check sees what one frame cannot: f.mu.Lock(); f.helper()
 // is clean locally even when helper parks on a channel or re-acquires
 // f.mu (the classic non-reentrant self-deadlock through a refactored
-// helper; SwapEngine vs refreshIndexGauges, which derives the degraded
-// count under f.mu, is the live example this repo fixed by ordering
-// the unlock first). Callee lock references are re-rooted at the call
+// helper; runRebuild vs refreshIndexGauges, which derives the degraded
+// count under f.mu, is the live example: runRebuild unlocks first). Callee lock references are re-rooted at the call
 // site: a summary entry Lock(recv.mu) on the call
 // f.refreshIndexGauges() becomes "f.mu", the identity the dataflow
 // tracks, so a held "f.mu" matches exactly. A write-acquire of a held

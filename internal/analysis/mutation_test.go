@@ -10,11 +10,11 @@ import (
 
 // These tests are the negative controls for the flow-sensitive rules:
 // re-introduce the exact production bugs the rules were built to catch
-// — delete the ctx poll from core's scan loop, skip the clone in
-// serving's SwapEngine — and assert the full suite fails under that
-// rule alone. TestModuleIsClean is the positive control; together they
-// show the rules separate the real tree from its own mutants rather
-// than passing everything.
+// — delete the ctx poll from core's scan loop, write to core's frontier
+// index after publishing it — and assert the full suite fails under
+// that rule alone. TestModuleIsClean is the positive control; together
+// they show the rules separate the real tree from its own mutants
+// rather than passing everything.
 
 // copyPackageGo copies a package's non-test Go files into dst and
 // returns their names.
@@ -103,21 +103,18 @@ func TestMutantsTripFlowRules(t *testing.T) {
 		assertOnly(t, cp, "ctxflow", "deleting the ctx poll from scanSearch's scan closure")
 	})
 
-	t.Run("atomicpub/SwapEngine-clone-skipped", func(t *testing.T) {
+	t.Run("atomicpub/InstallIndex-write-after-store", func(t *testing.T) {
 		dir := t.TempDir()
-		copyPackageGo(t, "../serving", dir)
-		mutateFile(t, filepath.Join(dir, "lifecycle.go"),
-			"\tnext := make(map[string]*core.Engine, len(old)+1)\n"+
-				"\tfor k, v := range old {\n"+
-				"\t\tnext[k] = v\n"+
-				"\t}\n",
-			"\tnext := old\n")
-		writeIdentity(t, dir, "serving", "repro/internal/serving/lintmutant")
+		copyPackageGo(t, "../core", dir)
+		mutateFile(t, filepath.Join(dir, "index.go"),
+			"\te.idx.Store(x)\n\te.idxTried.Store(true)\n",
+			"\te.idx.Store(x)\n\tx.buildWall = 0\n\te.idxTried.Store(true)\n")
+		writeIdentity(t, dir, "core", "repro/internal/core/lintmutant_atomicpub")
 		cp, err := l.LoadDir(dir)
 		if err != nil {
-			t.Fatalf("mutated serving no longer type-checks: %v", err)
+			t.Fatalf("mutated core no longer type-checks: %v", err)
 		}
-		assertOnly(t, cp, "atomicpub", "aliasing instead of cloning in SwapEngine")
+		assertOnly(t, cp, "atomicpub", "writing to the index InstallIndex has just published")
 	})
 }
 

@@ -19,8 +19,8 @@ func (r *Registry) Get(k string) (int, bool) {
 	return v, ok
 }
 
-// Put is the SwapEngine idiom: clone the snapshot, mutate the clone,
-// publish the clone, never write to it again.
+// Put is the copy-on-write idiom: clone the snapshot, mutate the
+// clone, publish the clone, never write to it again.
 func (r *Registry) Put(k string, v int) {
 	old := *r.m.Load()
 	next := make(map[string]int, len(old)+1)

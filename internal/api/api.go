@@ -40,12 +40,12 @@
 //     index-monotone, "pair-cap" for a catalog that did not compress
 //     under the pair cap), "built" (an index is published, by a
 //     restore, a rebuild, the lazy build, or a schedule solve),
-//     "building" or "degraded" (a background rebuild owns the app; the
-//     exhaustive scan answers), and "pending" (before the lazy build).
+//     "degraded" (a background rebuild owns the app; the exhaustive
+//     scan answers), and "pending" (before the lazy build).
 //   - X-Index is "on" for a built app — the answer is byte-identical to
 //     the exhaustive scan under every certified billing policy,
 //     per-second and per-hour alike — "off-billing" or "off-pair-cap"
-//     for a bypassed one, "degraded" for a building or degraded one,
+//     for a bypassed one, "degraded" for a degraded one,
 //     and plain "off" for Monte-Carlo kinds and before the lazy build.
 //     Schedule responses are always "on": the solve needs the
 //     billing-independent staircase and publishes it itself.
@@ -357,7 +357,7 @@ func (s *Server) indexHeader(q serving.Query) string {
 		return "on"
 	case st.State == serving.IndexBypassed:
 		return "off-" + st.Cause
-	case st.State == serving.IndexDegraded || st.State == serving.IndexBuilding:
+	case st.State == serving.IndexDegraded:
 		return "degraded"
 	}
 	return "off"

@@ -221,23 +221,6 @@ func TestIndexStateWire(t *testing.T) {
 			mincost:  "degraded",
 			schedule: "on",
 		},
-		{
-			name: "building",
-			enter: func(t *testing.T) *serving.Frontdoor {
-				release := make(chan struct{})
-				fd := mount(t, smallEngine(t), serving.Config{Rebuild: func(e *core.Engine) (core.IndexStats, error) {
-					<-release
-					return e.RebuildIndex()
-				}})
-				t.Cleanup(func() { close(release) })
-				fd.SwapEngine("galaxy", smallEngine(t))
-				return fd
-			},
-			readyz:   `{"status":"ready","index":{"galaxy":{"state":"building","reason":"catalog swapped; index rebuild in progress"}}}`,
-			apps:     `{"apps":["galaxy"],"index":{"galaxy":{"index_active":true}}}`,
-			mincost:  "degraded",
-			schedule: "on",
-		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := NewServer(tc.enter(t))

@@ -116,7 +116,7 @@ func FailRebuild() func(*core.Engine) (core.IndexStats, error) {
 }
 
 // PanicRebuild returns a rebuild hook that panics mid-rebuild — the
-// fault the swap protocol's panic isolation exists for.
+// fault the background rebuild's panic isolation exists for.
 func PanicRebuild() func(*core.Engine) (core.IndexStats, error) {
 	return func(*core.Engine) (core.IndexStats, error) {
 		panic("chaos: injected rebuild panic")

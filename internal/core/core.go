@@ -24,7 +24,8 @@
 //     published or the billing policy is not certified.
 //
 // A query never builds an index; it reads the published one or scans.
-// Frontier, FrontierCandidates, RebuildIndex and InstallIndex publish.
+// Frontier, FrontierCandidates and RebuildIndex publish through one
+// at-most-once build; InstallIndex publishes a prebuilt (restored) one.
 package core
 
 import (
@@ -54,12 +55,13 @@ type Engine struct {
 	billing model.Billing
 
 	// Frontier-index state (see index.go): built at most once under
-	// idxMu by Frontier/FrontierCandidates, or swapped in by
-	// RebuildIndex/InstallIndex, and published through an atomic pointer
-	// that queries read without locking, so a rebuild or snapshot
-	// restore lands under live traffic. nil pointer = nothing published
-	// (not yet built, or the build overflowed); idxTried flips after the
-	// first build attempt either way.
+	// idxMu by ensureIndex (behind Frontier, FrontierCandidates and
+	// RebuildIndex) or installed by InstallIndex, and published through
+	// an atomic pointer that queries read without locking, so a
+	// background build or snapshot restore lands under live traffic. nil
+	// pointer = nothing published (not yet built, or the build
+	// overflowed); idxTried flips after the first build attempt either
+	// way.
 	idxMu    sync.Mutex
 	idx      atomic.Pointer[FrontierIndex]
 	idxTried atomic.Bool
@@ -79,7 +81,9 @@ func NewEngine(caps *model.Capacities, dm demand.Model, space *config.Space, dom
 
 // SetBilling selects the billing policy used by every query (default:
 // per-second, Eq. 5 verbatim). Per-hour billing reproduces 2017-era
-// EC2 charging, where each instance pays for every started hour.
+// EC2 charging, where each instance pays for every started hour. Call
+// it before the engine serves: the serving layer keys cached answers
+// by app, not by billing policy.
 func (e *Engine) SetBilling(b model.Billing) { e.billing = b }
 
 // Billing reports the engine's billing policy.

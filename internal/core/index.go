@@ -821,9 +821,10 @@ func (e *Engine) Frontier() (*FrontierIndex, bool) {
 	return x, x != nil
 }
 
-// ensureIndex performs the lazy at-most-once build: the first caller
-// builds under idxMu, later callers read the published pointer. An
-// install (snapshot restore) that happened first counts as the build.
+// ensureIndex performs the at-most-once build behind Frontier,
+// FrontierCandidates and RebuildIndex: the first caller builds under
+// idxMu, later callers read the published pointer. An install (snapshot
+// restore) that happened first counts as the build.
 func (e *Engine) ensureIndex() *FrontierIndex {
 	if e.idxTried.Load() {
 		return e.idx.Load()
@@ -867,28 +868,22 @@ func (e *Engine) InstallIndex(x *FrontierIndex) error {
 	return nil
 }
 
-// RebuildIndex rebuilds the frontier index from the engine's current
-// catalog and atomically swaps it in, leaving the previously published
-// index serving until the very last store — queries never observe a
-// half-built index. A panic inside the build is contained and returned
-// as an error with the old index (if any) still in place, so a
-// background rebuild can never take the serving path down. Returns the
-// new index's stats on success.
+// RebuildIndex publishes the engine's frontier index through the same
+// at-most-once build as Frontier and returns its stats: when an index
+// is already published (built, installed, or published by a concurrent
+// caller) it is kept and its stats are returned. A panic inside the
+// build is contained and returned as an error, so a background rebuild
+// can never take the serving path down.
 func (e *Engine) RebuildIndex() (st IndexStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: index rebuild panic: %v", r)
 		}
 	}()
-	x := buildFrontierIndex(e)
+	x := e.ensureIndex()
 	if x == nil {
-		e.idxTried.Store(true)
 		return IndexStats{}, fmt.Errorf("core: catalog did not compress under the pair cap")
 	}
-	e.idxMu.Lock()
-	e.idx.Store(x)
-	e.idxTried.Store(true)
-	e.idxMu.Unlock()
 	return x.Stats(), nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/apps/galaxy"
 	"repro/internal/apps/sand"
@@ -316,6 +317,31 @@ func TestIndexOverflowGuardFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameAnalysis(t, "overflow", idx, scan)
+}
+
+// TestRebuildIndexKeepsPublishedIndex: RebuildIndex publishes through
+// the engine's one at-most-once build, so on an engine whose index is
+// already published it builds nothing: it returns that index's stats,
+// and Frontier returns the same pointer before and after.
+func TestRebuildIndexKeepsPublishedIndex(t *testing.T) {
+	built, _ := indexedEngine(t, galaxy.App{}, 2).Frontier()
+	restored := *built
+	restored.buildWall = 12345 * time.Millisecond // as a snapshot carries its original build time
+	eng := smallEngine(t, galaxy.App{}, 2)
+	if err := eng.InstallIndex(&restored); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := eng.Frontier()
+	st, err := eng.RebuildIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st != restored.Stats() {
+		t.Errorf("RebuildIndex stats = %+v, want the published index's %+v", st, restored.Stats())
+	}
+	if after, _ := eng.Frontier(); after != before || after != &restored {
+		t.Errorf("Frontier() = %p after RebuildIndex, %p before; want the published %p both times", after, before, &restored)
+	}
 }
 
 func TestIndexGoldenPaperSpace(t *testing.T) {

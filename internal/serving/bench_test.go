@@ -6,15 +6,15 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/apps/galaxy"
 	"repro/internal/core"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
 
 // analyzeCompute is the same work internal/api performs for
-// POST /v1/analyze: a full configuration-space census plus JSON
-// encoding of the frontier, for the paper's galaxy scenario at size n.
+// POST /v1/analyze: the census (answered from the engine's published
+// index when it has one) plus JSON encoding of the frontier, for the
+// paper's galaxy scenario at size n.
 func analyzeCompute(n float64) func(context.Context, *core.Engine) ([]byte, error) {
 	return func(_ context.Context, eng *core.Engine) ([]byte, error) {
 		an, err := eng.Analyze(workload.Params{N: n, A: 8000}, core.Constraints{
@@ -44,16 +44,17 @@ const benchN = 65536
 
 var benchQuery = Query{Kind: "analyze", App: "galaxy", Extra: `{"n":65536,"a":8000,"deadline_hours":24,"budget_usd":350}`}
 
-// BenchmarkAnalyzeCold measures the uncached path: every iteration is a
-// full S = 6⁹−1 census through the frontdoor (cache disabled).
+// BenchmarkAnalyzeCold measures the uncached path (cache disabled):
+// galaxy is mounted with the shared paper index installed before the
+// timer starts, so every iteration is an indexed leader — the census
+// and argmin read the index, and nothing is built — whatever b.N is.
 func BenchmarkAnalyzeCold(b *testing.B) {
-	f, err := NewFrontdoor(map[string]*core.Engine{
-		"galaxy": core.NewPaperEngine(galaxy.App{}),
-	}, Config{CacheBytes: -1})
+	f, err := NewFrontdoor(map[string]*core.Engine{"galaxy": indexedGalaxy(b)}, Config{CacheBytes: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := f.Do(context.Background(), benchQuery, analyzeCompute(benchN)); err != nil {
 			b.Fatal(err)
@@ -61,14 +62,11 @@ func BenchmarkAnalyzeCold(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeCached measures the hit path: one cold census to
-// populate, then pure cache reads. The acceptance bar is ≥ 100× faster
-// than BenchmarkAnalyzeCold; in practice the gap is ~10⁶ (nanoseconds
-// vs hundreds of milliseconds).
+// BenchmarkAnalyzeCached measures the hit path: one indexed leader to
+// populate, then pure cache reads — the other side of
+// BenchmarkAnalyzeCold's indexed leader.
 func BenchmarkAnalyzeCached(b *testing.B) {
-	f, err := NewFrontdoor(map[string]*core.Engine{
-		"galaxy": core.NewPaperEngine(galaxy.App{}),
-	}, Config{})
+	f, err := NewFrontdoor(map[string]*core.Engine{"galaxy": indexedGalaxy(b)}, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -86,7 +84,9 @@ func BenchmarkAnalyzeCached(b *testing.B) {
 }
 
 // TestCachedPathSpeedup asserts the acceptance criterion directly: the
-// cached path is at least 100× faster than the cold census.
+// cached path is at least 100× faster than an indexed leader (the
+// frontdoor mounts galaxy with its index installed, and every cold key
+// is unique).
 func TestCachedPathSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -114,7 +114,7 @@ func TestCachedPathSpeedup(t *testing.T) {
 		warmNs = 1
 	}
 	if speedup := coldNs / warmNs; speedup < 100 {
-		t.Fatalf("cached path only %.1f× faster than cold census (cold %.0f ns, warm %.0f ns)",
+		t.Fatalf("cached path only %.1f× faster than an indexed leader (cold %.0f ns, warm %.0f ns)",
 			speedup, coldNs, warmNs)
 	}
 }

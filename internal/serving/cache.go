@@ -29,7 +29,6 @@ type resultCache struct {
 	capBytes int64
 	ttl      time.Duration
 	bytes    int64
-	gen      uint64     // bumped by purge; stale-generation puts are dropped
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
 	now      func() time.Time
@@ -76,32 +75,10 @@ func (c *resultCache) get(key string) ([]byte, bool) {
 	return e.val, true
 }
 
-// generation reads the cache's purge generation. A caller that computes
-// a value over a long window passes the generation it read before the
-// compute into put; if a purge happened in between, the stale value is
-// dropped instead of resurrecting pre-purge state.
-func (c *resultCache) generation() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
-}
-
-// purge drops every entry and advances the generation, invalidating any
-// in-flight put that started before the purge. Used when an engine is
-// swapped: every cached body priced against the old catalog is wrong.
-func (c *resultCache) purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.gen++
-	for el := c.ll.Back(); el != nil; el = c.ll.Back() {
-		c.removeLocked(el)
-	}
-}
-
 // put inserts or replaces key, then evicts least-recently-used entries
 // until the byte budget holds. Values larger than the whole budget are
-// not cached; a put whose generation predates a purge is dropped.
-func (c *resultCache) put(key string, val []byte, gen uint64) {
+// not cached.
+func (c *resultCache) put(key string, val []byte) {
 	size := int64(len(key)+len(val)) + entryOverhead
 	if size > c.capBytes {
 		return
@@ -112,9 +89,6 @@ func (c *resultCache) put(key string, val []byte, gen uint64) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.gen != gen {
-		return
-	}
 	if el, ok := c.items[key]; ok {
 		c.removeLocked(el)
 	}

@@ -3,7 +3,6 @@ package serving
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io/fs"
 	"os"
 	"strings"
@@ -304,9 +303,9 @@ func TestRebuildFailureStaysDegraded(t *testing.T) {
 	}
 }
 
-// TestRebuildPanicContained: a panicking rebuild is the fault the swap
-// protocol's isolation exists for — it must surface as a degraded
-// status, never unwind the process.
+// TestRebuildPanicContained: a panicking rebuild is the fault the
+// background rebuild's isolation exists for — it must surface as a
+// degraded status, never unwind the process.
 func TestRebuildPanicContained(t *testing.T) {
 	dir := t.TempDir()
 	f := chaosFrontdoor(t, Config{SnapshotDir: dir, Rebuild: chaos.PanicRebuild()})
@@ -341,115 +340,5 @@ func TestHangComputeTimesOut(t *testing.T) {
 	}
 	if e := time.Since(start); e > 5*time.Second {
 		t.Fatalf("hung compute held the worker %v", e)
-	}
-}
-
-// TestSwapEnginePurgesCacheAndRebuilds: the zero-downtime catalog
-// update. A cached answer priced against the old engine must not
-// survive the swap, and the new engine's index builds in the background
-// and re-saves its snapshot.
-func TestSwapEnginePurgesCacheAndRebuilds(t *testing.T) {
-	dir := t.TempDir()
-	f := chaosFrontdoor(t, Config{SnapshotDir: dir})
-	q := Query{Kind: "mincost", App: "galaxy", Extra: `{"deadline_hours":24}`}
-	identity := func(_ context.Context, eng *core.Engine) ([]byte, error) {
-		return []byte(fmt.Sprintf("%p", eng)), nil
-	}
-	oldEng, _ := f.Engine("galaxy")
-	first, st, err := f.Do(context.Background(), q, identity)
-	if err != nil || st != StatusMiss {
-		t.Fatalf("prime: %v %v", st, err)
-	}
-	if _, st, _ := f.Do(context.Background(), q, identity); st != StatusHit {
-		t.Fatalf("warm read status = %v, want hit", st)
-	}
-
-	next := chaosEngine(t)
-	f.SwapEngine("galaxy", next)
-	if cur, _ := f.Engine("galaxy"); cur != next {
-		t.Fatal("swap did not publish the new engine")
-	}
-	if st := statusFor(t, f, "galaxy"); st.State != IndexBuilding {
-		t.Fatalf("post-swap status = %+v, want building", st)
-	}
-	body, st, err := f.Do(context.Background(), q, identity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != StatusMiss {
-		t.Fatalf("post-swap status = %v, want miss (cache must be purged)", st)
-	}
-	if string(body) == string(first) {
-		t.Fatalf("post-swap answer still priced against the old engine (%s)", body)
-	}
-	_ = oldEng
-
-	f.Wait()
-	if st := statusFor(t, f, "galaxy"); st.State != IndexBuilt {
-		t.Fatalf("status after swap rebuild = %+v, want built", st)
-	}
-	blob, err := os.ReadFile(snapshot.PathFor(dir, "galaxy"))
-	if err != nil {
-		t.Fatalf("swap rebuild did not save a snapshot: %v", err)
-	}
-	if _, err := snapshot.Decode(blob, next.IndexFingerprint()); err != nil {
-		t.Fatalf("swapped engine's snapshot does not decode: %v", err)
-	}
-}
-
-// TestSwapEngineUnderTraffic hammers Do from many goroutines while the
-// engine is swapped repeatedly. Every response must be the identity of
-// a complete engine — never an error, a mixed answer, or a crash — and
-// the run is meaningful under -race.
-func TestSwapEngineUnderTraffic(t *testing.T) {
-	f := chaosFrontdoor(t, Config{})
-	engines := map[string]bool{}
-	first, _ := f.Engine("galaxy")
-	engines[fmt.Sprintf("%p", first)] = true
-	identity := func(_ context.Context, eng *core.Engine) ([]byte, error) {
-		return []byte(fmt.Sprintf("%p", eng)), nil
-	}
-
-	const workers = 8
-	const perWorker = 100
-	var wg sync.WaitGroup
-	errc := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				q := Query{Kind: "mincost", App: "galaxy", Extra: fmt.Sprintf(`{"deadline_hours":%d}`, 1+(w*perWorker+i)%7)}
-				body, _, err := f.Do(context.Background(), q, identity)
-				if err != nil {
-					errc <- fmt.Errorf("worker %d iter %d: %w", w, i, err)
-					return
-				}
-				if len(body) == 0 {
-					errc <- fmt.Errorf("worker %d iter %d: empty body", w, i)
-					return
-				}
-			}
-		}(w)
-	}
-	for s := 0; s < 5; s++ {
-		next := chaosEngine(t)
-		engines[fmt.Sprintf("%p", next)] = true
-		f.SwapEngine("galaxy", next)
-		time.Sleep(2 * time.Millisecond)
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-	f.Wait()
-	if st := statusFor(t, f, "galaxy"); st.State != IndexBuilt {
-		t.Fatalf("final status = %+v, want built", st)
-	}
-	// The final published engine is the last swap's.
-	cur, _ := f.Engine("galaxy")
-	if !engines[fmt.Sprintf("%p", cur)] {
-		t.Fatal("published engine is not one we mounted")
 	}
 }

@@ -17,28 +17,8 @@ const (
 	scheduleBody = `{"app":"galaxy","trace":{"version":1,"step_seconds":300,"a":50,"steps_n":[6000,12000,24000]}}`
 )
 
-// heldCases are the two ways an app comes to be owned by a background
-// rebuild: a missing snapshot at load (degraded) and a catalog swap
-// (building). enter returns the engine the rebuild owns.
-var heldCases = []struct {
-	name      string
-	wantState serving.IndexState
-	enter     func(t *testing.T, fd *serving.Frontdoor) *core.Engine
-}{
-	{"missing-snapshot", serving.IndexDegraded, func(t *testing.T, fd *serving.Frontdoor) *core.Engine {
-		fd.LoadSnapshots()
-		eng, _ := fd.Engine("galaxy")
-		return eng
-	}},
-	{"swap", serving.IndexBuilding, func(t *testing.T, fd *serving.Frontdoor) *core.Engine {
-		next := serving.ChaosEngine(t)
-		fd.SwapEngine("galaxy", next)
-		return next
-	}},
-}
-
-// heldApp is galaxy served over HTTP while its background rebuild
-// blocks until release is called.
+// heldApp is galaxy served over HTTP, degraded by a missing snapshot,
+// while its background rebuild blocks until release is called.
 type heldApp struct {
 	t       *testing.T
 	fd      *serving.Frontdoor
@@ -47,7 +27,7 @@ type heldApp struct {
 	release func()
 }
 
-func startHeld(t *testing.T, enter func(*testing.T, *serving.Frontdoor) *core.Engine) *heldApp {
+func startHeld(t *testing.T) *heldApp {
 	t.Helper()
 	gate := make(chan struct{})
 	fd, err := serving.NewFrontdoor(map[string]*core.Engine{"galaxy": serving.ChaosEngine(t)}, serving.Config{
@@ -60,7 +40,9 @@ func startHeld(t *testing.T, enter func(*testing.T, *serving.Frontdoor) *core.En
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &heldApp{t: t, fd: fd, eng: enter(t, fd)}
+	fd.LoadSnapshots()
+	eng, _ := fd.Engine("galaxy")
+	h := &heldApp{t: t, fd: fd, eng: eng}
 	srv, err := api.NewServer(fd)
 	if err != nil {
 		t.Fatal(err)
@@ -115,34 +97,34 @@ func (h *heldApp) ready() (string, serving.IndexState) {
 }
 
 // TestDegradedAndSwappedAppsAnswerFromScan holds the background rebuild
-// of a degraded app (missing snapshot) and of a freshly swapped one,
-// then queries it over HTTP. The answer must come from the scan — the
-// query must not publish the index itself — and X-Index must say
-// "degraded", agreeing with the app's /readyz state. Once the rebuild
-// is released the app turns built and the same query reads the index.
+// of a degraded app (missing snapshot), then queries it over HTTP. The
+// answer must come from the scan — the query must not publish the
+// index itself — and X-Index must say "degraded", agreeing with the
+// app's /readyz state. Once the rebuild is released the app turns built
+// and the same query reads the index. (The name dates from when a
+// catalog swap was the second way into a held rebuild; a missing
+// snapshot is now the only one.)
 func TestDegradedAndSwappedAppsAnswerFromScan(t *testing.T) {
-	for _, tc := range heldCases {
-		t.Run(tc.name, func(t *testing.T) {
-			h := startHeld(t, tc.enter)
-			if idx := h.post("/v1/mincost", mincostBody); idx != "degraded" {
-				t.Errorf("X-Index = %q while the rebuild is held, want degraded", idx)
-			}
-			if h.eng.FrontierBuilt() {
-				t.Error("the query published the index itself instead of scanning")
-			}
-			if _, st := h.ready(); st != tc.wantState {
-				t.Errorf("/readyz state = %q, want %q", st, tc.wantState)
-			}
+	t.Run("missing-snapshot", func(t *testing.T) {
+		h := startHeld(t)
+		if idx := h.post("/v1/mincost", mincostBody); idx != "degraded" {
+			t.Errorf("X-Index = %q while the rebuild is held, want degraded", idx)
+		}
+		if h.eng.FrontierBuilt() {
+			t.Error("the query published the index itself instead of scanning")
+		}
+		if _, st := h.ready(); st != serving.IndexDegraded {
+			t.Errorf("/readyz state = %q, want %q", st, serving.IndexDegraded)
+		}
 
-			h.release()
-			if _, st := h.ready(); st != serving.IndexBuilt || !h.eng.FrontierBuilt() {
-				t.Fatalf("after the rebuild: /readyz state %q, index published %v; want built", st, h.eng.FrontierBuilt())
-			}
-			if idx := h.post("/v1/mincost", mincostBody); idx != "on" {
-				t.Errorf("X-Index = %q after the rebuild, want on", idx)
-			}
-		})
-	}
+		h.release()
+		if _, st := h.ready(); st != serving.IndexBuilt || !h.eng.FrontierBuilt() {
+			t.Fatalf("after the rebuild: /readyz state %q, index published %v; want built", st, h.eng.FrontierBuilt())
+		}
+		if idx := h.post("/v1/mincost", mincostBody); idx != "on" {
+			t.Errorf("X-Index = %q after the rebuild, want on", idx)
+		}
+	})
 }
 
 // TestDegradedAppIndexedByScheduleReportsBuilt: a schedule solve
@@ -150,26 +132,31 @@ func TestDegradedAndSwappedAppsAnswerFromScan(t *testing.T) {
 // From then on the app answers from that index, and every view of its
 // state must say so before the rebuild is released: the next mincost
 // carries X-Index: on, /readyz reports it built and the process ready,
-// and the serving.index.degraded gauge reads 0.
+// and the serving.index.degraded gauge reads 0. The released rebuild
+// shares the engine's one build, so the solve's index stays published.
 func TestDegradedAppIndexedByScheduleReportsBuilt(t *testing.T) {
-	for _, tc := range heldCases {
-		t.Run(tc.name, func(t *testing.T) {
-			h := startHeld(t, tc.enter)
-			if idx := h.post("/v1/schedule", scheduleBody); idx != "on" {
-				t.Errorf("schedule X-Index = %q, want on", idx)
-			}
-			if !h.eng.FrontierBuilt() {
-				t.Fatal("the schedule solve did not publish the index")
-			}
-			if idx := h.post("/v1/mincost", mincostBody); idx != "on" {
-				t.Errorf("mincost X-Index = %q after the schedule published the index, want on", idx)
-			}
-			if status, st := h.ready(); status != "ready" || st != serving.IndexBuilt {
-				t.Errorf("/readyz = %q/%q, want ready/built", status, st)
-			}
-			if g := h.fd.Metrics().Gauge("serving.index.degraded").Value(); g != 0 {
-				t.Errorf("serving.index.degraded = %d, want 0", g)
-			}
-		})
-	}
+	t.Run("missing-snapshot", func(t *testing.T) {
+		h := startHeld(t)
+		if idx := h.post("/v1/schedule", scheduleBody); idx != "on" {
+			t.Errorf("schedule X-Index = %q, want on", idx)
+		}
+		if !h.eng.FrontierBuilt() {
+			t.Fatal("the schedule solve did not publish the index")
+		}
+		solved, _ := h.eng.Frontier()
+		if idx := h.post("/v1/mincost", mincostBody); idx != "on" {
+			t.Errorf("mincost X-Index = %q after the schedule published the index, want on", idx)
+		}
+		if status, st := h.ready(); status != "ready" || st != serving.IndexBuilt {
+			t.Errorf("/readyz = %q/%q, want ready/built", status, st)
+		}
+		if g := h.fd.Metrics().Gauge("serving.index.degraded").Value(); g != 0 {
+			t.Errorf("serving.index.degraded = %d, want 0", g)
+		}
+
+		h.release()
+		if cur, _ := h.eng.Frontier(); cur != solved {
+			t.Error("the released rebuild published a second index over the one the schedule solve published")
+		}
+	})
 }

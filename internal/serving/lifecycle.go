@@ -1,9 +1,9 @@
-// The resilient index lifecycle: snapshot restore at startup,
-// zero-downtime engine swap on catalog changes, and panic-isolated
-// background rebuilds. The degradation ladder (DESIGN.md §11) is
-// index → exhaustive scan (declared "degraded") → 503: a missing,
-// corrupt, or stale snapshot never blocks serving, it only changes how
-// honest the process is about its latency until the rebuild lands.
+// The resilient index lifecycle: snapshot restore at startup and
+// panic-isolated background rebuilds. The degradation ladder
+// (DESIGN.md §11) is index → exhaustive scan (declared "degraded") →
+// 503: a missing, corrupt, or stale snapshot never blocks serving, it
+// only changes how honest the process is about its latency until the
+// rebuild lands.
 package serving
 
 import (
@@ -82,43 +82,6 @@ func (f *Frontdoor) restoreOne(path string, eng *core.Engine) error {
 	return eng.InstallIndex(x)
 }
 
-// SwapEngine replaces (or mounts) the engine serving app under live
-// traffic — the zero-downtime catalog/price update path. Queries
-// observe the swap atomically: the engine map is copy-on-write behind
-// an atomic pointer, so in-flight requests finish against the engine
-// they started with while new requests see the replacement. The result
-// cache is purged (every cached body priced against the old catalog is
-// wrong) with a generation bump so an in-flight leader compute on the
-// old engine cannot re-insert stale bytes. The new engine's index
-// builds in a panic-isolated background goroutine and is published by
-// an atomic pointer store when done; until then the app serves from the
-// scan in the declared "building" state.
-func (f *Frontdoor) SwapEngine(app string, eng *core.Engine) {
-	rebuild := statusOf(eng, IndexStatus{}).State == IndexPending
-
-	f.mu.Lock()
-	old := *f.engines.Load()
-	next := make(map[string]*core.Engine, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[app] = eng
-	f.engines.Store(&next)
-	delete(f.rebuilds, app)
-	if rebuild {
-		f.rebuilds[app] = IndexStatus{State: IndexBuilding, Reason: "catalog swapped; index rebuild in progress"}
-	}
-	f.mu.Unlock()
-	f.refreshIndexGauges()
-
-	if f.cache != nil {
-		f.cache.purge()
-	}
-	if rebuild {
-		f.spawnRebuild(app, eng)
-	}
-}
-
 // spawnRebuild starts a tracked background rebuild for app's engine;
 // Frontdoor.Wait joins it.
 func (f *Frontdoor) spawnRebuild(app string, eng *core.Engine) {
@@ -132,9 +95,7 @@ func (f *Frontdoor) spawnRebuild(app string, eng *core.Engine) {
 // runRebuild executes one background rebuild end-to-end: build (panic
 // contained), settle the app's ownership, refresh gauges, re-save the
 // snapshot. A success releases the app, whose published index now
-// makes it built; a failure keeps it in declared degraded mode. A
-// rebuild whose engine was swapped out while it ran discards its
-// result silently — the newer swap owns the app's state.
+// makes it built; a failure keeps it in declared degraded mode.
 func (f *Frontdoor) runRebuild(app string, eng *core.Engine) {
 	_, err := f.guardedRebuild(eng)
 	var reason string
@@ -142,16 +103,12 @@ func (f *Frontdoor) runRebuild(app string, eng *core.Engine) {
 		reason = "index rebuild failed: " + err.Error() + "; serving from exhaustive scan"
 	}
 	f.mu.Lock()
-	current := (*f.engines.Load())[app] == eng
-	if current && err != nil {
+	if err != nil {
 		f.rebuilds[app] = IndexStatus{State: IndexDegraded, Reason: reason}
-	} else if current {
+	} else {
 		delete(f.rebuilds, app)
 	}
 	f.mu.Unlock()
-	if !current {
-		return
-	}
 	f.refreshIndexGauges()
 	if err == nil && f.cfg.SnapshotDir != "" {
 		if err := snapshot.Save(snapshot.PathFor(f.cfg.SnapshotDir, app), eng); err == nil {

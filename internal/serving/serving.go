@@ -5,8 +5,7 @@
 // defenses in front of every engine run:
 //
 //  1. a byte-bounded LRU result cache with TTL, keyed by the query
-//     kind, the app, its billing policy and the request's canonical
-//     form (Query.Extra);
+//     kind, the app and the request's canonical form (Query.Extra);
 //  2. singleflight request coalescing, so N identical in-flight
 //     queries cost one engine run;
 //  3. admission control: a bounded worker pool (sized from
@@ -37,28 +36,24 @@
 // at startup; an artifact that is missing, corrupt, or stale moves the
 // app into a declared "degraded" state — queries keep working from the
 // exhaustive scan — while a panic-isolated background rebuild restores
-// the index and re-saves the snapshot. SwapEngine replaces a mounted
-// engine under live traffic for zero-downtime catalog updates: reads
-// go through an atomically swapped copy-on-write map, the result cache
-// is purged (with a generation guard so in-flight leader computes
-// against the old engine cannot resurrect stale bytes), and the new
-// engine's index builds in the background. Per-app lifecycle state
-// (pending / building / built / degraded / bypassed) is derived in one
-// place, statusOf, from the engine and the background rebuild that owns
-// the app, if any; /readyz, /v1/apps, X-Index, and the serving.index.degraded
-// gauge all read it.
+// the index and re-saves the snapshot. The engine set is fixed when the
+// Frontdoor is built, so an app's engine, and with it its billing
+// policy, never changes under it. Per-app lifecycle state (pending /
+// built / degraded / bypassed) is derived in one place, statusOf, from
+// the engine and the background rebuild that owns the app, if any;
+// /readyz, /v1/apps, X-Index, and the serving.index.degraded gauge all
+// read it.
 package serving
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -150,7 +145,7 @@ func (c Config) withDefaults() Config {
 
 // Query identifies one engine invocation for caching and coalescing.
 // Two queries coalesce or share a cache entry exactly when Kind, App
-// and Extra (plus the mounted engine's billing policy) are equal.
+// and Extra are equal.
 type Query struct {
 	Kind string // "analyze", "mincost", "mintime", "maxaccuracy", "risk", "schedule"
 	App  string
@@ -193,9 +188,6 @@ const (
 	// IndexPending: no index is published yet and no background
 	// rebuild owns the app; the first leader compute builds it.
 	IndexPending IndexState = "pending"
-	// IndexBuilding: a background rebuild owns the app and no index is
-	// published yet, so queries answer from the exhaustive scan.
-	IndexBuilding IndexState = "building"
 	// IndexBuilt: queries are answered from a published index.
 	IndexBuilt IndexState = "built"
 	// IndexDegraded: the index is unavailable (snapshot missing, corrupt,
@@ -222,22 +214,18 @@ type IndexStatus struct {
 }
 
 // Frontdoor serves queries against a set of engines. Safe for
-// concurrent use; create with NewFrontdoor. The engine set is read
-// through an atomic pointer so SwapEngine can replace members under
-// live traffic without blocking queries.
+// concurrent use; create with NewFrontdoor. The engine set is fixed at
+// construction and read without locking.
 type Frontdoor struct {
-	engines atomic.Pointer[map[string]*core.Engine]
+	engines map[string]*core.Engine
 	cfg     Config
 	cache   *resultCache // nil when disabled
 	group   flightGroup
 
-	// mu serializes engine swaps and rebuild ownership, so a state
-	// derivation sees both consistently. Do reads the engine map
-	// without it.
+	// mu guards rebuilds.
 	mu sync.Mutex
 	// rebuilds holds only what the engines cannot know: the apps a
-	// background rebuild owns, each IndexBuilding or IndexDegraded with
-	// its reason.
+	// background rebuild owns, each IndexDegraded with its reason.
 	rebuilds map[string]IndexStatus
 	// bg tracks background rebuild/save goroutines; Wait joins them.
 	bg sync.WaitGroup
@@ -280,13 +268,15 @@ func indexBacked(kind string, eng *core.Engine) bool {
 }
 
 // NewFrontdoor validates the configuration and wraps the given engines.
-// The engines map is copied; mutate it afterwards freely.
+// The engines map is copied; mutate it afterwards freely. Each engine's
+// billing policy must be set before it is mounted (core.Engine.SetBilling).
 func NewFrontdoor(engines map[string]*core.Engine, cfg Config) (*Frontdoor, error) {
 	if len(engines) == 0 {
 		return nil, fmt.Errorf("serving: no engines to serve")
 	}
 	cfg = cfg.withDefaults()
 	f := &Frontdoor{
+		engines:   maps.Clone(engines),
 		cfg:       cfg,
 		rebuilds:  make(map[string]IndexStatus),
 		queue:     make(chan struct{}, cfg.MaxConcurrent+cfg.QueueDepth),
@@ -323,11 +313,6 @@ func NewFrontdoor(engines map[string]*core.Engine, cfg Config) (*Frontdoor, erro
 		// declared degraded state.
 		idxDegraded: cfg.Metrics.Gauge("serving.index.degraded"),
 	}
-	own := make(map[string]*core.Engine, len(engines))
-	for name, e := range engines {
-		own[name] = e
-	}
-	f.engines.Store(&own)
 	if cfg.CacheBytes > 0 {
 		f.cache = newResultCache(cfg.CacheBytes, cfg.CacheTTL, cfg.Metrics)
 	}
@@ -364,10 +349,9 @@ func statusOf(eng *core.Engine, owned IndexStatus) IndexStatus {
 func (f *Frontdoor) IndexStatuses() (map[string]IndexStatus, int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	engines := *f.engines.Load()
-	out := make(map[string]IndexStatus, len(engines))
+	out := make(map[string]IndexStatus, len(f.engines))
 	degraded := 0
-	for app, eng := range engines {
+	for app, eng := range f.engines {
 		st := statusOf(eng, f.rebuilds[app])
 		if st.State == IndexDegraded {
 			degraded++
@@ -381,7 +365,7 @@ func (f *Frontdoor) IndexStatuses() (map[string]IndexStatus, int) {
 func (f *Frontdoor) IndexStatusFor(app string) (IndexStatus, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	eng, ok := (*f.engines.Load())[app]
+	eng, ok := f.engines[app]
 	if !ok {
 		return IndexStatus{}, false
 	}
@@ -393,9 +377,8 @@ func (f *Frontdoor) Metrics() *telemetry.Registry { return f.cfg.Metrics }
 
 // Apps lists the mounted application names, sorted.
 func (f *Frontdoor) Apps() []string {
-	engines := *f.engines.Load()
-	names := make([]string, 0, len(engines))
-	for n := range engines {
+	names := make([]string, 0, len(f.engines))
+	for n := range f.engines {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -404,14 +387,15 @@ func (f *Frontdoor) Apps() []string {
 
 // Engine returns the engine mounted for app.
 func (f *Frontdoor) Engine(app string) (*core.Engine, bool) {
-	e, ok := (*f.engines.Load())[app]
+	e, ok := f.engines[app]
 	return e, ok
 }
 
-// key derives the cache/coalescing key. The engine's billing policy is
-// included because it changes every predicted cost.
-func (f *Frontdoor) key(q Query, eng *core.Engine) string {
-	return q.Kind + "|" + q.App + "|" + strconv.Itoa(int(eng.Billing())) + "|" + q.Extra
+// key derives the cache/coalescing key. An app's engine, and so its
+// billing policy, is fixed for the Frontdoor's life, so the app names
+// it.
+func (f *Frontdoor) key(q Query) string {
+	return q.Kind + "|" + q.App + "|" + q.Extra
 }
 
 // Do serves one query: cache lookup, then coalescing, then admission,
@@ -423,7 +407,7 @@ func (f *Frontdoor) key(q Query, eng *core.Engine) string {
 // them.
 func (f *Frontdoor) Do(ctx context.Context, q Query, compute func(context.Context, *core.Engine) ([]byte, error)) ([]byte, CacheStatus, error) {
 	f.requests.Inc()
-	eng, ok := (*f.engines.Load())[q.App]
+	eng, ok := f.engines[q.App]
 	if !ok {
 		f.errors.Inc()
 		return nil, StatusMiss, fmt.Errorf("%w: %q", ErrUnknownApp, q.App)
@@ -433,16 +417,11 @@ func (f *Frontdoor) Do(ctx context.Context, q Query, compute func(context.Contex
 		ctx, cancel = context.WithTimeout(ctx, f.cfg.RequestTimeout)
 		defer cancel()
 	}
-	key := f.key(q, eng)
-	var gen uint64
+	key := f.key(q)
 	if f.cache != nil {
 		if val, ok := f.cache.get(key); ok {
 			return val, StatusHit, nil
 		}
-		// The generation is read before the compute: if SwapEngine purges
-		// the cache mid-compute, this leader's result priced against the
-		// old engine is dropped instead of cached.
-		gen = f.cache.generation()
 	}
 
 	c, leader := f.group.join(key)
@@ -475,7 +454,7 @@ func (f *Frontdoor) Do(ctx context.Context, q Query, compute func(context.Contex
 		}
 	}
 	if err == nil && f.cache != nil {
-		f.cache.put(key, val, gen)
+		f.cache.put(key, val)
 	}
 	f.group.finish(key, c, val, err)
 	if err != nil {
@@ -503,7 +482,7 @@ func (f *Frontdoor) buildPending(app string, eng *core.Engine) {
 // at different times.
 func (f *Frontdoor) refreshIndexGauges() {
 	var pairs, cands, buildMS int64
-	for _, e := range *f.engines.Load() {
+	for _, e := range f.engines {
 		if !e.FrontierBuilt() {
 			continue
 		}

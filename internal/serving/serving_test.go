@@ -28,11 +28,11 @@ var galaxyIndex = sync.OnceValue(func() *core.FrontierIndex {
 
 // indexedGalaxy returns a fresh paper galaxy engine with the shared
 // index installed, so a frontdoor mounts it already built.
-func indexedGalaxy(t *testing.T) *core.Engine {
-	t.Helper()
+func indexedGalaxy(tb testing.TB) *core.Engine {
+	tb.Helper()
 	eng := core.NewPaperEngine(galaxy.App{})
 	if err := eng.InstallIndex(galaxyIndex()); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return eng
 }
