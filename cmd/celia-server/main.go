@@ -57,7 +57,7 @@ func main() {
 		reqTO    = flag.Duration("request-timeout", 60*time.Second, "per-request deadline from admission to completion")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline for in-flight requests")
 		billing  = flag.String("billing", "persecond", "billing policy for every mounted engine: persecond (Eq. 5 verbatim), perhour (2017-era started-hour billing)")
-		snapDir  = flag.String("snapshot-dir", "", "directory of frontier-index snapshots: restored at startup (skipping the index build) and rewritten after background rebuilds; empty disables persistence")
+		snapDir  = flag.String("snapshot-dir", "", "directory of frontier-index snapshots: restored at startup (skipping the index build) and rewritten after start-up builds; empty disables persistence")
 	)
 	flag.Parse()
 
@@ -125,16 +125,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *snapDir != "" {
-		// Missing/corrupt/stale artifacts are not fatal: the app serves
-		// from the exhaustive scan in declared degraded mode while a
-		// panic-isolated background rebuild restores the index and
-		// rewrites the snapshot (degradation ladder, DESIGN.md §11).
-		for app, err := range fd.LoadSnapshots() {
-			log.Printf("warning: %s: %v (degraded: serving from scan until rebuild completes)", app, err)
-		}
+	// Start-up: restore what -snapshot-dir holds, then build every other
+	// index in the background, one app at a time, and rewrite its
+	// snapshot. A missing/corrupt/stale artifact is not fatal: its app
+	// stays pending, and a query that reaches it joins the build instead
+	// of scanning (DESIGN.md §11).
+	for app, err := range fd.LoadSnapshots() {
+		log.Printf("warning: %s: %v (building the index at start-up)", app, err)
 	}
-	// One line per engine, the state /readyz reports. A bypassed engine
+	// One line per engine, the state /readyz reports: built when
+	// restored, pending while its start-up build runs. A bypassed engine
 	// always scans (an uncertified billing policy, or a catalog past the
 	// pair cap).
 	statuses, _ := fd.IndexStatuses()
@@ -181,7 +181,7 @@ func main() {
 		if err := <-done; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Fatal(err)
 		}
-		// Join background index rebuilds so a final snapshot save is not
+		// Join the start-up index builds so a final snapshot save is not
 		// torn by process exit (the write itself is atomic regardless).
 		fd.Wait()
 		log.Printf("drained, bye")

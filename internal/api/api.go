@@ -39,15 +39,17 @@
 //     the engine: cause "billing" for a billing policy not certified
 //     index-monotone, "pair-cap" for a catalog that did not compress
 //     under the pair cap), "built" (an index is published, by a
-//     restore, a rebuild, the lazy build, or a schedule solve),
-//     "degraded" (a background rebuild owns the app; the exhaustive
-//     scan answers), and "pending" (before the lazy build).
+//     restore, a build, or a schedule solve), "degraded" (the app's
+//     start-up index build failed; the exhaustive scan answers), and
+//     "pending" (its build has not published yet; a query joins or
+//     runs the build rather than scanning).
 //   - X-Index is "on" for a built app — the answer is byte-identical to
 //     the exhaustive scan under every certified billing policy,
 //     per-second and per-hour alike — "off-billing" or "off-pair-cap"
-//     for a bypassed one, "degraded" for a degraded one,
-//     and plain "off" for Monte-Carlo kinds and before the lazy build.
-//     Schedule responses are always "on": the solve needs the
+//     for a bypassed one, "degraded" only after a failed build, and
+//     plain "off" only for Monte-Carlo kinds: an analytic query on a
+//     pending app waits for the build, so it answers "on". Schedule
+//     responses are always "on": the solve needs the
 //     billing-independent staircase and publishes it itself.
 //   - GET /readyz reports each app's state with its reason and bypass
 //     cause in its JSON body; the top-level status is "degraded" (still
@@ -238,7 +240,7 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 }
 
 // AppIndexStatus reports, per mounted engine, whether analytic queries
-// are (or will be, after the lazy first build) answered from the
+// are (or will be, once the app's index build lands) answered from the
 // frontier index, and the operator-facing reason when they are not.
 // The probe never triggers a build, so listing apps stays cheap.
 type AppIndexStatus struct {
@@ -344,9 +346,10 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request, kind, app string,
 // byte-identical to what it serves. A schedule solve needs the
 // billing-independent staircase and publishes it itself, so a schedule
 // response is always "on". A bypassed app answers "off-" plus its
-// cause, an app a background rebuild owns "degraded" (the exhaustive
-// scan answered), and plain "off" covers non-analytic kinds and the
-// pre-build window.
+// cause, an app whose build failed "degraded" (the exhaustive scan
+// answered), and plain "off" covers non-analytic kinds; an analytic
+// leader on a pending app joins or runs its build first, so a served
+// answer never finds it pending.
 func (s *Server) indexHeader(q serving.Query) string {
 	if !serving.AnalyticKind(q.Kind) {
 		return "off"

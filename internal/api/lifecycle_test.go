@@ -18,20 +18,24 @@ import (
 	"repro/internal/ec2"
 	"repro/internal/model"
 	"repro/internal/serving"
+	"repro/internal/workload"
 )
 
-// smallEngine is an index-eligible engine over a 3^9 space so lifecycle
-// tests never pay the paper-scale build.
-func smallEngine(t *testing.T) *core.Engine {
-	t.Helper()
+// smallEngine is an index-eligible galaxy engine over a 3^9 space so
+// lifecycle tests never pay the paper-scale build.
+func smallEngine(t *testing.T) *core.Engine { return smallAppEngine(t, galaxy.App{}) }
+
+// smallAppEngine is smallEngine for any application.
+func smallAppEngine(tb testing.TB, app workload.App) *core.Engine {
+	tb.Helper()
 	cat := ec2.Oregon()
 	space, err := config.Uniform(cat.Len(), 2)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	eng, err := core.NewEngine(model.FromIPC(cat, galaxy.App{}), demand.FromApp(galaxy.App{}), space, galaxy.App{}.Domain())
+	eng, err := core.NewEngine(model.FromIPC(cat, app), demand.FromApp(app), space, app.Domain())
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return eng
 }

@@ -36,8 +36,10 @@ type wireApp struct {
 	usdPerInstr float64
 }
 
-func newWireApp(app workload.App) wireApp {
-	eng := core.NewPaperEngine(app)
+func newWireApp(app workload.App) wireApp { return wireAppOn(app, core.NewPaperEngine(app)) }
+
+// wireAppOn is newWireApp over an engine of any configuration space.
+func wireAppOn(app workload.App, eng *core.Engine) wireApp {
 	w, cost := eng.Capacities().NodeArrays()
 	m := wireApp{app: app, usdPerInstr: math.Inf(1)}
 	for i := range w {

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"io/fs"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,7 +20,6 @@ import (
 	"repro/internal/ec2"
 	"repro/internal/model"
 	"repro/internal/snapshot"
-	"repro/internal/workload"
 )
 
 // chaosEngine builds a small index-eligible engine (3^9 configurations,
@@ -60,11 +61,29 @@ func chaosFrontdoor(t *testing.T, cfg Config) *Frontdoor {
 	return f
 }
 
-// heldChaosFrontdoor is chaosFrontdoor with every background rebuild
-// held until release is called. A test that asserts the degraded state
+// chaosApps names the apps threeAppFrontdoor mounts.
+var chaosApps = []string{"galaxy", "sand", "x264"}
+
+// threeAppFrontdoor is chaosFrontdoor with a fresh chaos engine under
+// each of chaosApps.
+func threeAppFrontdoor(t *testing.T, cfg Config) *Frontdoor {
+	t.Helper()
+	engines := map[string]*core.Engine{}
+	for _, app := range chaosApps {
+		engines[app] = chaosEngine(t)
+	}
+	f, err := NewFrontdoor(engines, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// heldChaosFrontdoor is chaosFrontdoor with its start-up build held
+// until release is called. A test that asserts the pending state
 // LoadSnapshots leaves behind looks before releasing: a free-running
-// rebuild of the small chaos engine can publish first. Cleanup releases
-// the rebuild and waits for it, so a failed assertion strands no
+// build of the small chaos engine can publish first. Cleanup releases
+// the build and waits for it, so a failed assertion strands no
 // goroutine writing into a removed snapshot directory.
 func heldChaosFrontdoor(t *testing.T, cfg Config) (f *Frontdoor, release func()) {
 	t.Helper()
@@ -144,55 +163,61 @@ func TestQueuedCancelReturnsPromptly(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSnapshotMissingDegradesThenRebuilds walks the full degradation
-// ladder from a cold start with no artifact: degraded at load, scan
-// keeps serving, the background rebuild publishes the index, and the
-// snapshot is re-saved for the next process.
-func TestSnapshotMissingDegradesThenRebuilds(t *testing.T) {
-	dir := t.TempDir()
-	f, release := heldChaosFrontdoor(t, Config{SnapshotDir: dir})
-	problems := f.LoadSnapshots()
-	if err := problems["galaxy"]; !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("problems[galaxy] = %v, want fs.ErrNotExist", err)
-	}
-	if st := statusFor(t, f, "galaxy"); st.State != IndexDegraded || !strings.Contains(st.Reason, "missing") {
-		t.Fatalf("status = %+v, want degraded/missing", st)
-	}
-	if _, degraded := f.IndexStatuses(); degraded != 1 {
-		t.Fatalf("%d degraded apps while galaxy is degraded, want 1", degraded)
-	}
-	// Degraded mode still answers: the scan path is the fallback, not a
-	// rejection.
-	if _, _, err := f.Do(context.Background(), Query{Kind: "mincost", App: "galaxy", Extra: `{"deadline_hours":24}`},
-		func(_ context.Context, eng *core.Engine) ([]byte, error) {
-			_, _, err := eng.MinCostForDeadline(workload.Params{N: 1e6, A: 100}, 24*3600)
-			return []byte("ok"), err
-		}); err != nil {
-		t.Fatalf("degraded-mode query failed: %v", err)
-	}
-
-	release()
-	f.Wait()
-	if st := statusFor(t, f, "galaxy"); st.State != IndexBuilt {
-		t.Fatalf("status after rebuild = %+v, want built", st)
+// assertPendingNotDegraded checks the state LoadSnapshots leaves an app
+// in whose artifact it could not restore while the start-up build is
+// held: pending, so its leaders join the build, and not degraded.
+func assertPendingNotDegraded(t *testing.T, f *Frontdoor) {
+	t.Helper()
+	if st := statusFor(t, f, "galaxy"); st.State != IndexPending {
+		t.Fatalf("status = %+v while the start-up build is held, want pending", st)
 	}
 	if _, degraded := f.IndexStatuses(); degraded != 0 {
-		t.Fatalf("%d degraded apps after the rebuild, want 0", degraded)
+		t.Fatalf("%d degraded apps while the start-up build is held, want 0", degraded)
+	}
+}
+
+// assertBuiltAndSaved checks the end of a start-up build: the app is
+// built, nothing is degraded, and the snapshot at path was re-saved and
+// decodes against the engine.
+func assertBuiltAndSaved(t *testing.T, f *Frontdoor, path string) {
+	t.Helper()
+	if st := statusFor(t, f, "galaxy"); st.State != IndexBuilt {
+		t.Fatalf("status after the start-up build = %+v, want built", st)
+	}
+	if _, degraded := f.IndexStatuses(); degraded != 0 {
+		t.Fatalf("%d degraded apps after the start-up build, want 0", degraded)
 	}
 	eng, _ := f.Engine("galaxy")
-	blob, err := os.ReadFile(snapshot.PathFor(dir, "galaxy"))
+	blob, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("rebuild did not re-save the snapshot: %v", err)
+		t.Fatalf("the start-up build did not re-save the snapshot: %v", err)
 	}
 	if _, err := snapshot.Decode(blob, eng.IndexFingerprint()); err != nil {
 		t.Fatalf("re-saved snapshot does not decode: %v", err)
 	}
 }
 
-// TestSnapshotCorruptDegradesThenRebuilds: a bit-flipped artifact is
-// rejected (never installed), declared degraded, and replaced by the
-// rebuild's fresh save.
-func TestSnapshotCorruptDegradesThenRebuilds(t *testing.T) {
+// TestSnapshotMissingBuildsAtStartup walks the cold start with no
+// artifact: LoadSnapshots reports the missing file, the app is pending
+// (not degraded) while the start-up build runs, the build publishes the
+// index, and the snapshot is saved for the next process.
+func TestSnapshotMissingBuildsAtStartup(t *testing.T) {
+	dir := t.TempDir()
+	f, release := heldChaosFrontdoor(t, Config{SnapshotDir: dir})
+	problems := f.LoadSnapshots()
+	if err := problems["galaxy"]; !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("problems[galaxy] = %v, want fs.ErrNotExist", err)
+	}
+	assertPendingNotDegraded(t, f)
+	release()
+	f.Wait()
+	assertBuiltAndSaved(t, f, snapshot.PathFor(dir, "galaxy"))
+}
+
+// TestSnapshotCorruptRebuildsAtStartup: a bit-flipped artifact is
+// rejected (never installed), the app waits pending for its start-up
+// build, and the build's fresh save replaces the artifact.
+func TestSnapshotCorruptRebuildsAtStartup(t *testing.T) {
 	dir := t.TempDir()
 	path := saveArtifact(t, dir)
 	blob, err := os.ReadFile(path)
@@ -208,22 +233,10 @@ func TestSnapshotCorruptDegradesThenRebuilds(t *testing.T) {
 	if err := problems["galaxy"]; !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("problems[galaxy] = %v, want ErrCorrupt", err)
 	}
-	if st := statusFor(t, f, "galaxy"); st.State != IndexDegraded {
-		t.Fatalf("status = %+v, want degraded", st)
-	}
+	assertPendingNotDegraded(t, f)
 	release()
 	f.Wait()
-	if st := statusFor(t, f, "galaxy"); st.State != IndexBuilt {
-		t.Fatalf("status after rebuild = %+v, want built", st)
-	}
-	eng, _ := f.Engine("galaxy")
-	fresh, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := snapshot.Decode(fresh, eng.IndexFingerprint()); err != nil {
-		t.Fatalf("rebuilt snapshot does not decode: %v", err)
-	}
+	assertBuiltAndSaved(t, f, path)
 }
 
 // TestSnapshotTornReadDegrades: a torn read (crashed non-atomic writer,
@@ -262,23 +275,107 @@ func TestSnapshotSlowLoadStillRestores(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadFailureDegrades: an injected I/O failure (not
-// corruption) lands on the same ladder — degraded, then rebuilt.
-func TestSnapshotReadFailureDegrades(t *testing.T) {
+// TestSnapshotReadFailureRebuildsAtStartup: an injected I/O failure
+// (not corruption) takes the same path — pending, then built at
+// start-up and re-saved.
+func TestSnapshotReadFailureRebuildsAtStartup(t *testing.T) {
 	dir := t.TempDir()
-	saveArtifact(t, dir)
+	path := saveArtifact(t, dir)
 	f, release := heldChaosFrontdoor(t, Config{SnapshotDir: dir, ReadFile: chaos.FailReadFile()})
 	problems := f.LoadSnapshots()
 	if err := problems["galaxy"]; !errors.Is(err, chaos.ErrInjected) {
 		t.Fatalf("problems[galaxy] = %v, want ErrInjected", err)
 	}
-	if st := statusFor(t, f, "galaxy"); st.State != IndexDegraded {
-		t.Fatalf("status = %+v, want degraded", st)
-	}
+	assertPendingNotDegraded(t, f)
 	release()
 	f.Wait()
-	if st := statusFor(t, f, "galaxy"); st.State != IndexBuilt {
-		t.Fatalf("status after rebuild = %+v, want built", st)
+	assertBuiltAndSaved(t, f, path)
+}
+
+// TestLoadSnapshotsWithoutDirBuildsEveryApp: with no snapshot
+// directory, LoadSnapshots is still the start-up build. After Wait
+// every app is built, and nothing was saved, neither counted nor as a
+// file at the path an empty directory would name.
+func TestLoadSnapshotsWithoutDirBuildsEveryApp(t *testing.T) {
+	f := threeAppFrontdoor(t, Config{})
+	if problems := f.LoadSnapshots(); problems != nil {
+		t.Fatalf("LoadSnapshots = %v with no snapshot directory, want nil", problems)
+	}
+	f.Wait()
+	for _, app := range chaosApps {
+		if st := statusFor(t, f, app); st.State != IndexBuilt {
+			t.Errorf("%s status = %+v after the start-up build, want built", app, st)
+		}
+		if _, err := os.Stat(snapshot.PathFor("", app)); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: stat of the empty-directory snapshot path = %v, want not exist", app, err)
+		}
+	}
+	if saved := f.Metrics().Counter("serving.snapshot.saved").Value(); saved != 0 {
+		t.Errorf("serving.snapshot.saved = %d with no snapshot directory, want 0", saved)
+	}
+}
+
+// TestLeadersDuringStartupBuildNeverScan races leaders on every app
+// against a free-running start-up build of apps whose snapshots are
+// missing. Each leader joins the build in flight or runs it, so every
+// compute finds its app's index published: none scans.
+func TestLeadersDuringStartupBuildNeverScan(t *testing.T) {
+	f := threeAppFrontdoor(t, Config{SnapshotDir: t.TempDir()})
+	f.LoadSnapshots()
+	var wg sync.WaitGroup
+	for i := 0; i < 2*len(chaosApps); i++ {
+		app := chaosApps[i%len(chaosApps)]
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			q := Query{Kind: "mincost", App: app, Extra: strconv.Itoa(i)}
+			if _, _, err := f.Do(context.Background(), q, func(_ context.Context, e *core.Engine) ([]byte, error) {
+				if !e.FrontierBuilt() {
+					t.Errorf("%s: a leader computed before the index was published: it scanned", app)
+				}
+				return []byte("v"), nil
+			}); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	f.Wait()
+	if _, degraded := f.IndexStatuses(); degraded != 0 {
+		t.Fatalf("%d degraded apps after the start-up build, want 0", degraded)
+	}
+}
+
+// TestStartupBuildsOneAppAtATime: the start-up goroutine builds the
+// apps it could not restore one after another, so a cold process holds
+// one build's working set at a time. The Rebuild hook counts how many
+// builds are inside it at once.
+func TestStartupBuildsOneAppAtATime(t *testing.T) {
+	var inside, peak, calls atomic.Int32
+	f := threeAppFrontdoor(t, Config{
+		SnapshotDir: t.TempDir(),
+		Rebuild: func(e *core.Engine) (core.IndexStats, error) {
+			calls.Add(1)
+			n := inside.Add(1)
+			defer inside.Add(-1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			time.Sleep(20 * time.Millisecond) // widen the window an overlap would show in
+			return e.RebuildIndex()
+		},
+	})
+	f.LoadSnapshots()
+	f.Wait()
+	if got := calls.Load(); got != int32(len(chaosApps)) {
+		t.Fatalf("%d start-up builds, want %d", got, len(chaosApps))
+	}
+	if got := peak.Load(); got != 1 {
+		t.Fatalf("%d start-up builds ran at once, want 1", got)
+	}
+	for _, app := range chaosApps {
+		if st := statusFor(t, f, app); st.State != IndexBuilt {
+			t.Errorf("%s status = %+v after the start-up build, want built", app, st)
+		}
 	}
 }
 

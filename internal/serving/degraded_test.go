@@ -1,15 +1,20 @@
 package serving_test
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/api"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/serving"
+	"repro/internal/snapshot"
 )
 
 const (
@@ -17,55 +22,59 @@ const (
 	scheduleBody = `{"app":"galaxy","trace":{"version":1,"step_seconds":300,"a":50,"steps_n":[6000,12000,24000]}}`
 )
 
-// heldApp is galaxy served over HTTP, degraded by a missing snapshot,
-// while its background rebuild blocks until release is called.
-type heldApp struct {
-	t       *testing.T
-	fd      *serving.Frontdoor
-	eng     *core.Engine
-	url     string
-	release func()
+// servedApp is galaxy mounted on a Frontdoor whose start-up
+// (LoadSnapshots) has run, served over HTTP.
+type servedApp struct {
+	t   *testing.T
+	fd  *serving.Frontdoor
+	eng *core.Engine
+	url string
 }
 
-func startHeld(t *testing.T) *heldApp {
+func serve(t *testing.T, cfg serving.Config) *servedApp {
 	t.Helper()
-	gate := make(chan struct{})
-	fd, err := serving.NewFrontdoor(map[string]*core.Engine{"galaxy": serving.ChaosEngine(t)}, serving.Config{
-		SnapshotDir: t.TempDir(),
-		Rebuild: func(e *core.Engine) (core.IndexStats, error) {
-			<-gate
-			return e.RebuildIndex()
-		},
-	})
+	fd, err := serving.NewFrontdoor(map[string]*core.Engine{"galaxy": serving.ChaosEngine(t)}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fd.LoadSnapshots()
-	eng, _ := fd.Engine("galaxy")
-	h := &heldApp{t: t, fd: fd, eng: eng}
+	t.Cleanup(fd.Wait)
 	srv, err := api.NewServer(fd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
-	h.url = ts.URL
-	released := false
-	h.release = func() {
-		if !released {
-			released = true
-			close(gate)
-		}
-		fd.Wait()
-	}
-	t.Cleanup(func() {
-		ts.Close()
-		h.release()
+	t.Cleanup(ts.Close)
+	eng, _ := fd.Engine("galaxy")
+	return &servedApp{t: t, fd: fd, eng: eng, url: ts.URL}
+}
+
+// startHeld is serve with the start-up build held: Config.Rebuild
+// blocks until release is called, and release then waits for the build
+// and its snapshot save. While it is held galaxy is pending, and a
+// leader that reaches it runs the build itself. Cleanup releases it, so
+// a failed assertion strands no goroutine.
+func startHeld(t *testing.T, snapDir string) (h *servedApp, release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	var once sync.Once
+	h = serve(t, serving.Config{
+		SnapshotDir: snapDir,
+		Rebuild: func(e *core.Engine) (core.IndexStats, error) {
+			<-gate
+			return e.RebuildIndex()
+		},
 	})
-	return h
+	release = func() {
+		once.Do(func() { close(gate) })
+		h.fd.Wait()
+	}
+	t.Cleanup(release)
+	return h, release
 }
 
 // post sends one query and returns its X-Index header.
-func (h *heldApp) post(path, body string) string {
+func (h *servedApp) post(path, body string) string {
 	h.t.Helper()
 	resp, err := http.Post(h.url+path, "application/json", strings.NewReader(body))
 	if err != nil {
@@ -79,7 +88,7 @@ func (h *heldApp) post(path, body string) string {
 }
 
 // ready returns the /readyz top-level status and galaxy's state.
-func (h *heldApp) ready() (string, serving.IndexState) {
+func (h *servedApp) ready() (string, serving.IndexState) {
 	h.t.Helper()
 	resp, err := http.Get(h.url + "/readyz")
 	if err != nil {
@@ -96,54 +105,83 @@ func (h *heldApp) ready() (string, serving.IndexState) {
 	return body.Status, body.Index["galaxy"].State
 }
 
-// TestDegradedAndSwappedAppsAnswerFromScan holds the background rebuild
-// of a degraded app (missing snapshot), then queries it over HTTP. The
-// answer must come from the scan — the query must not publish the
-// index itself — and X-Index must say "degraded", agreeing with the
-// app's /readyz state. Once the rebuild is released the app turns built
-// and the same query reads the index. (The name dates from when a
-// catalog swap was the second way into a held rebuild; a missing
-// snapshot is now the only one.)
-func TestDegradedAndSwappedAppsAnswerFromScan(t *testing.T) {
-	t.Run("missing-snapshot", func(t *testing.T) {
-		h := startHeld(t)
-		if idx := h.post("/v1/mincost", mincostBody); idx != "degraded" {
-			t.Errorf("X-Index = %q while the rebuild is held, want degraded", idx)
-		}
-		if h.eng.FrontierBuilt() {
-			t.Error("the query published the index itself instead of scanning")
-		}
-		if _, st := h.ready(); st != serving.IndexDegraded {
-			t.Errorf("/readyz state = %q, want %q", st, serving.IndexDegraded)
-		}
+// TestQueryDuringStartupBuildAnswersFromIndex holds the start-up build
+// of an app with no snapshot to restore, then queries it. The app is
+// pending, not degraded, and the leader joins or runs the build instead
+// of scanning: its compute finds the index published, and the HTTP
+// answer carries X-Index: on. The released start-up build keeps that
+// index, and saves it when a snapshot directory is set.
+func TestQueryDuringStartupBuildAnswersFromIndex(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dir  func(*testing.T) string
+	}{
+		{"missing-snapshot", func(t *testing.T) string { return t.TempDir() }},
+		{"no-snapshot-dir", func(*testing.T) string { return "" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := tc.dir(t)
+			h, release := startHeld(t, dir)
+			if status, st := h.ready(); status != "ready" || st != serving.IndexPending {
+				t.Fatalf("/readyz = %q/%q while the start-up build is held, want ready/pending", status, st)
+			}
 
-		h.release()
-		if _, st := h.ready(); st != serving.IndexBuilt || !h.eng.FrontierBuilt() {
-			t.Fatalf("after the rebuild: /readyz state %q, index published %v; want built", st, h.eng.FrontierBuilt())
-		}
-		if idx := h.post("/v1/mincost", mincostBody); idx != "on" {
-			t.Errorf("X-Index = %q after the rebuild, want on", idx)
-		}
-	})
+			var sawIndex bool
+			if _, _, err := h.fd.Do(context.Background(), serving.Query{Kind: "mincost", App: "galaxy", Extra: "held"},
+				func(_ context.Context, e *core.Engine) ([]byte, error) {
+					sawIndex = e.FrontierBuilt()
+					return []byte("v"), nil
+				}); err != nil {
+				t.Fatal(err)
+			}
+			if !sawIndex {
+				t.Fatal("the leader computed before the index was published: it scanned")
+			}
+			if idx := h.post("/v1/mincost", mincostBody); idx != "on" {
+				t.Errorf("X-Index = %q while the start-up build is held, want on", idx)
+			}
+			if status, st := h.ready(); status != "ready" || st != serving.IndexBuilt {
+				t.Errorf("/readyz = %q/%q after the query, want ready/built", status, st)
+			}
+			served, _ := h.eng.Frontier()
+
+			release()
+			if cur, _ := h.eng.Frontier(); cur != served {
+				t.Error("the released start-up build published a second index over the leader's")
+			}
+			if dir == "" {
+				return
+			}
+			if _, err := os.Stat(snapshot.PathFor(dir, "galaxy")); err != nil {
+				t.Errorf("the start-up build did not save the snapshot: %v", err)
+			}
+		})
+	}
 }
 
 // TestDegradedAppIndexedByScheduleReportsBuilt: a schedule solve
-// publishes the index of an app whose background rebuild is still held.
-// From then on the app answers from that index, and every view of its
-// state must say so before the rebuild is released: the next mincost
-// carries X-Index: on, /readyz reports it built and the process ready,
-// and the serving.index.degraded gauge reads 0. The released rebuild
-// shares the engine's one build, so the solve's index stays published.
+// publishes the index of an app whose start-up build failed (the
+// snapshot was missing, and the injected build fails). From then on the
+// app answers from that index, and every view of its state must say
+// so: the next mincost carries X-Index: on, /readyz reports it built
+// and the process ready, and the serving.index.degraded gauge reads 0.
 func TestDegradedAppIndexedByScheduleReportsBuilt(t *testing.T) {
 	t.Run("missing-snapshot", func(t *testing.T) {
-		h := startHeld(t)
+		h := serve(t, serving.Config{SnapshotDir: t.TempDir(), Rebuild: chaos.FailRebuild()})
+		h.fd.Wait()
+		if status, st := h.ready(); status != "degraded" || st != serving.IndexDegraded {
+			t.Fatalf("/readyz = %q/%q after the failed build, want degraded/degraded", status, st)
+		}
+		if g := h.fd.Metrics().Gauge("serving.index.degraded").Value(); g != 1 {
+			t.Fatalf("serving.index.degraded = %d after the failed build, want 1", g)
+		}
+
 		if idx := h.post("/v1/schedule", scheduleBody); idx != "on" {
 			t.Errorf("schedule X-Index = %q, want on", idx)
 		}
 		if !h.eng.FrontierBuilt() {
 			t.Fatal("the schedule solve did not publish the index")
 		}
-		solved, _ := h.eng.Frontier()
 		if idx := h.post("/v1/mincost", mincostBody); idx != "on" {
 			t.Errorf("mincost X-Index = %q after the schedule published the index, want on", idx)
 		}
@@ -152,11 +190,6 @@ func TestDegradedAppIndexedByScheduleReportsBuilt(t *testing.T) {
 		}
 		if g := h.fd.Metrics().Gauge("serving.index.degraded").Value(); g != 0 {
 			t.Errorf("serving.index.degraded = %d, want 0", g)
-		}
-
-		h.release()
-		if cur, _ := h.eng.Frontier(); cur != solved {
-			t.Error("the released rebuild published a second index over the one the schedule solve published")
 		}
 	})
 }

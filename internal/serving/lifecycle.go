@@ -1,66 +1,67 @@
-// The resilient index lifecycle: snapshot restore at startup and
-// panic-isolated background rebuilds. The degradation ladder
-// (DESIGN.md §11) is index → exhaustive scan (declared "degraded") →
-// 503: a missing, corrupt, or stale snapshot never blocks serving, it
-// only changes how honest the process is about its latency until the
-// rebuild lands.
+// The index lifecycle: the Frontdoor's start-up restores what the
+// snapshot directory holds and builds every other index in the
+// background, one app at a time. The degradation ladder (DESIGN.md
+// §11) is index → exhaustive scan (declared "degraded") → 503: an app
+// whose index is still building is "pending", and a leader on it joins
+// or runs the build instead of scanning; only a build that failed
+// leaves an app on the scan.
 package serving
 
 import (
-	"errors"
 	"fmt"
-	"io/fs"
 
 	"repro/internal/core"
 	"repro/internal/snapshot"
 )
 
-// LoadSnapshots restores each mounted engine's frontier index from
-// Config.SnapshotDir. Per app the outcome is one of:
+// LoadSnapshots is the Frontdoor's start-up. When Config.SnapshotDir is
+// set, each pending engine's frontier index is restored from it; every
+// pending engine it does not restore is then built by one background
+// goroutine, one app after another, through Config.Rebuild, and its
+// snapshot re-saved. Per app the outcome is one of:
 //
 //   - restored: the artifact decoded, matched the engine's catalog
-//     fingerprint, and was installed — the app starts "built" and never
-//     pays the scan-speed build;
-//   - bypassed: the index cannot serve the engine (an uncertified
-//     billing policy); no artifact is touched;
-//   - degraded: the artifact was missing, unreadable, corrupt, or
-//     stale. A background rebuild (panic-isolated) takes ownership of
-//     the app, restores the index, then re-saves the snapshot; until an
-//     index is published, by it or by anything else, the app serves
-//     from the exhaustive scan.
+//     fingerprint, and was installed — the app starts "built";
+//   - skipped: the app is bypassed (an uncertified billing policy) or
+//     its engine was mounted with an index already published;
+//   - built at start-up: no directory is set, or its artifact was
+//     missing, unreadable, corrupt, or stale. The app stays "pending"
+//     until the build publishes its index; a leader that reaches it
+//     first joins or runs that build (buildPending). A build that fails
+//     leaves the app "degraded", serving from the exhaustive scan.
 //
-// The returned map holds an entry per app that could not be restored
-// (for startup logs); nil means every index-eligible app restored. A
-// Frontdoor with no SnapshotDir leaves every app on the lazy in-process
-// build and returns nil.
+// The returned map holds an entry per app whose artifact could not be
+// restored (for startup logs); nil means none failed. Wait joins the
+// background builds.
 func (f *Frontdoor) LoadSnapshots() map[string]error {
-	if f.cfg.SnapshotDir == "" {
-		return nil
-	}
 	problems := make(map[string]error)
+	var build []string
 	for _, app := range f.Apps() {
-		if st, _ := f.IndexStatusFor(app); st.State == IndexBypassed {
+		eng := f.engines[app]
+		if st, _ := f.IndexStatusFor(app); st.State != IndexPending {
 			continue
 		}
-		eng, _ := f.Engine(app)
-		path := snapshot.PathFor(f.cfg.SnapshotDir, app)
-		err := f.restoreOne(path, eng)
-		if err == nil {
-			f.snapLoaded.Inc()
-			continue
+		if f.cfg.SnapshotDir != "" {
+			err := f.restoreOne(snapshot.PathFor(f.cfg.SnapshotDir, app), eng)
+			if err == nil {
+				f.snapLoaded.Inc()
+				continue
+			}
+			f.snapRejected.Inc()
+			problems[app] = err
 		}
-		f.snapRejected.Inc()
-		problems[app] = err
-		reason := "snapshot " + path + ": " + err.Error() + "; serving from exhaustive scan until rebuild completes"
-		if errors.Is(err, fs.ErrNotExist) {
-			reason = "snapshot missing; serving from exhaustive scan until rebuild completes"
-		}
-		f.mu.Lock()
-		f.rebuilds[app] = IndexStatus{State: IndexDegraded, Reason: reason}
-		f.mu.Unlock()
-		f.spawnRebuild(app, eng)
+		build = append(build, app)
 	}
 	f.refreshIndexGauges()
+	if len(build) > 0 {
+		f.bg.Add(1)
+		go func() {
+			defer f.bg.Done()
+			for _, app := range build {
+				f.runRebuild(app, f.engines[app])
+			}
+		}()
+	}
 	if len(problems) == 0 {
 		return nil
 	}
@@ -82,32 +83,18 @@ func (f *Frontdoor) restoreOne(path string, eng *core.Engine) error {
 	return eng.InstallIndex(x)
 }
 
-// spawnRebuild starts a tracked background rebuild for app's engine;
-// Frontdoor.Wait joins it.
-func (f *Frontdoor) spawnRebuild(app string, eng *core.Engine) {
-	f.bg.Add(1)
-	go func() {
-		defer f.bg.Done()
-		f.runRebuild(app, eng)
-	}()
-}
-
-// runRebuild executes one background rebuild end-to-end: build (panic
-// contained), settle the app's ownership, refresh gauges, re-save the
-// snapshot. A success releases the app, whose published index now
-// makes it built; a failure keeps it in declared degraded mode.
+// runRebuild executes one start-up build end-to-end: build (panic
+// contained), record a failure as the app's degraded reason, refresh
+// gauges, re-save the snapshot. A success publishes the index, which
+// makes the app built.
 func (f *Frontdoor) runRebuild(app string, eng *core.Engine) {
 	_, err := f.guardedRebuild(eng)
-	var reason string
+	var failed IndexStatus // zero: the build succeeded
 	if err != nil {
-		reason = "index rebuild failed: " + err.Error() + "; serving from exhaustive scan"
+		failed = IndexStatus{State: IndexDegraded, Reason: "index rebuild failed: " + err.Error() + "; serving from exhaustive scan"}
 	}
 	f.mu.Lock()
-	if err != nil {
-		f.rebuilds[app] = IndexStatus{State: IndexDegraded, Reason: reason}
-	} else {
-		delete(f.rebuilds, app)
-	}
+	f.failed[app] = failed
 	f.mu.Unlock()
 	f.refreshIndexGauges()
 	if err == nil && f.cfg.SnapshotDir != "" {

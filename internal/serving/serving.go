@@ -25,24 +25,25 @@
 //
 // Below the cache, analytic leader runs answer from each engine's
 // published frontier index instead of re-scanning the configuration
-// space. Engine queries never build an index themselves: the first
-// leader compute for an app still "pending" builds it here, on the
-// worker slot, before running. The serving.index.* counters and gauges
-// report how many leader computes were index-served versus scan-backed
-// and the shape of the built indexes.
+// space. Engine queries never build an index themselves: a leader
+// compute for an app still "pending" joins or runs its build here, on
+// the worker slot, before running. The serving.index.* counters and
+// gauges report how many leader computes were index-served versus
+// scan-backed and the shape of the built indexes.
 //
-// The Frontdoor also owns the resilient index lifecycle (DESIGN.md
-// §11). LoadSnapshots restores each engine's frontier index from disk
-// at startup; an artifact that is missing, corrupt, or stale moves the
-// app into a declared "degraded" state — queries keep working from the
-// exhaustive scan — while a panic-isolated background rebuild restores
-// the index and re-saves the snapshot. The engine set is fixed when the
-// Frontdoor is built, so an app's engine, and with it its billing
+// The Frontdoor also owns the index lifecycle (DESIGN.md §11), which
+// has one cold-start path. LoadSnapshots is its start-up: it restores
+// each engine's frontier index from disk when a snapshot directory is
+// set, and one panic-isolated background goroutine builds every other
+// index, one app at a time, and re-saves its snapshot. Until its index
+// is published an app is "pending", and its leaders join the build
+// rather than scan; an app whose build failed is declared "degraded"
+// and answers from the exhaustive scan. The engine set is fixed when
+// the Frontdoor is built, so an app's engine, and with it its billing
 // policy, never changes under it. Per-app lifecycle state (pending /
 // built / degraded / bypassed) is derived in one place, statusOf, from
-// the engine and the background rebuild that owns the app, if any;
-// /readyz, /v1/apps, X-Index, and the serving.index.degraded gauge all
-// read it.
+// the engine and the failure recorded for its build, if any; /readyz,
+// /v1/apps, X-Index, and the serving.index.degraded gauge all read it.
 package serving
 
 import (
@@ -97,16 +98,16 @@ type Config struct {
 	// 0 → 60 s; negative → no per-request deadline.
 	RequestTimeout time.Duration
 	// SnapshotDir holds frontier-index snapshots: LoadSnapshots restores
-	// from it, and successful background rebuilds re-save into it.
-	// Empty → snapshots disabled.
+	// from it, and its successful start-up builds re-save into it.
+	// Empty → no persistence; LoadSnapshots still builds every index.
 	SnapshotDir string
 	// ReadFile loads snapshot artifacts; nil → os.ReadFile. A test hook:
 	// the chaos suite substitutes slow and torn readers to prove the
 	// degradation paths.
 	ReadFile func(string) ([]byte, error)
-	// Rebuild rebuilds one engine's frontier index; nil →
-	// (*core.Engine).RebuildIndex. A test hook for injecting failing and
-	// panicking rebuilds.
+	// Rebuild runs one engine's start-up index build; nil →
+	// (*core.Engine).RebuildIndex. A test hook for injecting held,
+	// failing and panicking builds.
 	Rebuild func(*core.Engine) (core.IndexStats, error)
 	// Metrics receives the serving counters; nil → a fresh registry
 	// (retrievable via Frontdoor.Metrics).
@@ -185,16 +186,18 @@ func (s CacheStatus) String() string {
 type IndexState string
 
 const (
-	// IndexPending: no index is published yet and no background
-	// rebuild owns the app; the first leader compute builds it.
+	// IndexPending: no index is published yet and no build has failed:
+	// the start-up build is queued or in flight, or LoadSnapshots never
+	// ran. A leader compute joins or runs the build, so a pending app
+	// never answers from the scan.
 	IndexPending IndexState = "pending"
 	// IndexBuilt: queries are answered from a published index.
 	IndexBuilt IndexState = "built"
-	// IndexDegraded: the index is unavailable (snapshot missing, corrupt,
-	// or stale; or a rebuild failed) and queries fall back to the
-	// exhaustive scan until anything publishes one. Declared, not
-	// silent: the serving.index.degraded gauge counts these apps and
-	// responses carry X-Index: degraded.
+	// IndexDegraded: the app's start-up build failed, and queries fall
+	// back to the exhaustive scan until anything publishes an index (a
+	// schedule solve does). Declared, not silent: the
+	// serving.index.degraded gauge counts these apps and responses carry
+	// X-Index: degraded.
 	IndexDegraded IndexState = "degraded"
 	// IndexBypassed: the index cannot serve this engine's queries. The
 	// status's Cause distinguishes a billing policy the index is not
@@ -222,12 +225,13 @@ type Frontdoor struct {
 	cache   *resultCache // nil when disabled
 	group   flightGroup
 
-	// mu guards rebuilds.
+	// mu guards failed.
 	mu sync.Mutex
-	// rebuilds holds only what the engines cannot know: the apps a
-	// background rebuild owns, each IndexDegraded with its reason.
-	rebuilds map[string]IndexStatus
-	// bg tracks background rebuild/save goroutines; Wait joins them.
+	// failed holds only what the engines cannot know: for each app
+	// whose start-up build failed, IndexDegraded with its reason (the
+	// zero status for a build that succeeded).
+	failed map[string]IndexStatus
+	// bg tracks the start-up build goroutine; Wait joins it.
 	bg sync.WaitGroup
 
 	// Admission: queue admits MaxConcurrent+QueueDepth requests,
@@ -278,7 +282,7 @@ func NewFrontdoor(engines map[string]*core.Engine, cfg Config) (*Frontdoor, erro
 	f := &Frontdoor{
 		engines:   maps.Clone(engines),
 		cfg:       cfg,
-		rebuilds:  make(map[string]IndexStatus),
+		failed:    make(map[string]IndexStatus),
 		queue:     make(chan struct{}, cfg.MaxConcurrent+cfg.QueueDepth),
 		slots:     make(chan struct{}, cfg.MaxConcurrent),
 		requests:  cfg.Metrics.Counter("serving.requests"),
@@ -298,47 +302,49 @@ func NewFrontdoor(engines map[string]*core.Engine, cfg Config) (*Frontdoor, erro
 		// alert on it.
 		idxBypassBilling: cfg.Metrics.Counter("serving.index.bypass_billing"),
 		// Snapshot lifecycle counters: artifacts restored at startup,
-		// artifacts refused (corrupt/stale/unreadable), artifacts saved
-		// after a successful rebuild.
+		// artifacts refused (missing/corrupt/stale/unreadable), artifacts
+		// saved after a successful start-up build.
 		snapLoaded:   cfg.Metrics.Counter("serving.snapshot.loaded"),
 		snapRejected: cfg.Metrics.Counter("serving.snapshot.rejected"),
 		snapSaved:    cfg.Metrics.Counter("serving.snapshot.saved"),
-		// Gauges describe the built indexes, summed over engines:
+		// Gauges describe the published indexes, summed over engines:
 		// exact (u, c_u) pairs retained, staircase candidates, and
-		// cumulative build wall-clock. They stay 0 until a build runs.
+		// cumulative build wall-clock. They stay 0 until an index is
+		// published.
 		idxPairs:      cfg.Metrics.Gauge("serving.index.pairs"),
 		idxCandidates: cfg.Metrics.Gauge("serving.index.candidates"),
 		idxBuildMS:    cfg.Metrics.Gauge("serving.index.build_ms"),
-		// idxDegraded counts apps currently serving from the scan in a
-		// declared degraded state.
+		// idxDegraded counts apps whose build failed and that serve
+		// from the scan in a declared degraded state.
 		idxDegraded: cfg.Metrics.Gauge("serving.index.degraded"),
 	}
 	if cfg.CacheBytes > 0 {
 		f.cache = newResultCache(cfg.CacheBytes, cfg.CacheTTL, cfg.Metrics)
 	}
+	f.refreshIndexGauges() // an engine may be mounted with its index published
 	return f, nil
 }
 
-// Wait joins every background rebuild and snapshot-save goroutine the
-// Frontdoor has started; call it on shutdown (and in tests) so no work
+// Wait joins the start-up build goroutine LoadSnapshots started, with
+// its snapshot saves; call it on shutdown (and in tests) so no work
 // outlives the process's intent to exit.
 func (f *Frontdoor) Wait() { f.bg.Wait() }
 
-// statusOf derives an app's index state from its engine and the state
-// recorded by a background rebuild that owns the app (zero when none
-// does), in precedence order: bypassed when the engine's index can
-// never serve it, built when an index is published (a restore, a
-// rebuild, the lazy build, or a schedule solve), the owning rebuild's
-// state, and pending otherwise.
-func statusOf(eng *core.Engine, owned IndexStatus) IndexStatus {
+// statusOf derives an app's index state from its engine and the
+// failure recorded for its start-up build (zero when none failed), in
+// precedence order: bypassed when the engine's index can never serve
+// it, built when an index is published (a restore, a build, or a
+// schedule solve), degraded when the build failed, and pending
+// otherwise.
+func statusOf(eng *core.Engine, failed IndexStatus) IndexStatus {
 	if cause, reason := eng.IndexBypass(); cause != "" {
 		return IndexStatus{State: IndexBypassed, Reason: reason, Cause: cause}
 	}
 	if eng.FrontierBuilt() {
 		return IndexStatus{State: IndexBuilt}
 	}
-	if owned.State != "" {
-		return owned
+	if failed.State != "" {
+		return failed
 	}
 	return IndexStatus{State: IndexPending}
 }
@@ -352,7 +358,7 @@ func (f *Frontdoor) IndexStatuses() (map[string]IndexStatus, int) {
 	out := make(map[string]IndexStatus, len(f.engines))
 	degraded := 0
 	for app, eng := range f.engines {
-		st := statusOf(eng, f.rebuilds[app])
+		st := statusOf(eng, f.failed[app])
 		if st.State == IndexDegraded {
 			degraded++
 		}
@@ -369,7 +375,7 @@ func (f *Frontdoor) IndexStatusFor(app string) (IndexStatus, bool) {
 	if !ok {
 		return IndexStatus{}, false
 	}
-	return statusOf(eng, f.rebuilds[app]), true
+	return statusOf(eng, f.failed[app]), true
 }
 
 // Metrics returns the registry collecting this Frontdoor's counters.
@@ -412,16 +418,18 @@ func (f *Frontdoor) Do(ctx context.Context, q Query, compute func(context.Contex
 		f.errors.Inc()
 		return nil, StatusMiss, fmt.Errorf("%w: %q", ErrUnknownApp, q.App)
 	}
-	if f.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, f.cfg.RequestTimeout)
-		defer cancel()
-	}
 	key := f.key(q)
 	if f.cache != nil {
 		if val, ok := f.cache.get(key); ok {
 			return val, StatusHit, nil
 		}
+	}
+	// The deadline bounds waiting and computing; a hit does neither, so
+	// it never allocates the timer.
+	if f.cfg.RequestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, f.cfg.RequestTimeout)
+		defer cancel()
 	}
 
 	c, leader := f.group.join(key)
@@ -439,13 +447,18 @@ func (f *Frontdoor) Do(ctx context.Context, q Query, compute func(context.Contex
 		}
 	}
 
+	built := eng.FrontierBuilt()
 	val, err := f.admitAndCompute(ctx, q.App, eng, compute)
+	if !built && eng.FrontierBuilt() {
+		// The index was published while this leader ran: by its join or
+		// build, or by a schedule solve on a degraded app.
+		f.refreshIndexGauges()
+	}
 	if err == nil && AnalyticKind(q.Kind) {
 		// Leader-only accounting: cache hits and coalesced followers
 		// never consult the index, so counting them would overstate it.
 		if indexBacked(q.Kind, eng) {
 			f.idxServed.Inc()
-			f.refreshIndexGauges()
 		} else {
 			f.idxBypass.Inc()
 			if !eng.Billing().Indexable() {
@@ -463,12 +476,15 @@ func (f *Frontdoor) Do(ctx context.Context, q Query, compute func(context.Contex
 	return val, StatusMiss, err
 }
 
-// buildPending is the lazy index build: the first leader compute to
-// reach a pending app builds and publishes its index, on the worker
-// slot, before computing. Engine queries never build, so without this
-// the app would scan forever. Apps a background rebuild owns keep
-// scanning until something publishes an index; concurrent leaders on
-// one pending app share the engine's at-most-once build.
+// buildPending puts a leader on a pending app onto the index before it
+// computes, on the worker slot. The engine builds at most once, under
+// its own lock: a leader that reaches the app while the start-up
+// goroutine builds it waits for that build, and one that arrives first
+// (or on a Frontdoor whose LoadSnapshots never ran) builds it, and the
+// start-up goroutine then keeps that index. Either way the leader
+// waits for at most one build, of its own app, and never scans. Engine
+// queries never build, so only an app whose build failed (degraded)
+// or that the index cannot serve (bypassed) answers from the scan.
 func (f *Frontdoor) buildPending(app string, eng *core.Engine) {
 	if st, _ := f.IndexStatusFor(app); st.State == IndexPending {
 		eng.Frontier()
@@ -476,10 +492,12 @@ func (f *Frontdoor) buildPending(app string, eng *core.Engine) {
 }
 
 // refreshIndexGauges re-derives the index gauges: the shape sums over
-// engines with a published index, and the count of degraded apps.
+// engines with a published index, and the count of degraded apps. It
+// runs where an index is published or a build fails — at mount, after
+// LoadSnapshots' restores, after each start-up build, and after a
+// leader during which the index appeared — not on every request.
 // FrontierBuilt gates each Frontier call, so this never triggers a
-// build; recomputing keeps the gauges correct as engines build lazily
-// at different times.
+// build.
 func (f *Frontdoor) refreshIndexGauges() {
 	var pairs, cands, buildMS int64
 	for _, e := range f.engines {
@@ -546,7 +564,7 @@ func (f *Frontdoor) admitAndCompute(ctx context.Context, app string, eng *core.E
 	return f.guarded(ctx, app, eng, compute)
 }
 
-// guarded runs a pending app's lazy build and then the compute callback
+// guarded runs buildPending and then the compute callback
 // with panic containment: a panicking request releases its admission
 // tokens normally (the deferred bookkeeping above runs after recovery)
 // and fails with ErrInternal instead of crashing the server.

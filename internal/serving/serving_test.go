@@ -449,10 +449,11 @@ func TestFrontdoorMountNeverBuilds(t *testing.T) {
 	}
 }
 
-// TestPendingAppBuildsOnFirstLeaderCompute pins the lazy build: engine
+// TestPendingAppBuildsOnFirstLeaderCompute pins the leader's side of
+// the cold start on a Frontdoor whose start-up never ran: engine
 // queries never build, so the first leader compute of any kind on a
-// pending app builds and publishes the index before it runs, and the
-// app reports built.
+// pending app builds and publishes the index before it runs, the app
+// reports built, and the index gauges describe the new index.
 func TestPendingAppBuildsOnFirstLeaderCompute(t *testing.T) {
 	f := chaosFrontdoor(t, Config{})
 	eng, _ := f.Engine("galaxy")
@@ -469,6 +470,9 @@ func TestPendingAppBuildsOnFirstLeaderCompute(t *testing.T) {
 	}
 	if st := statusFor(t, f, "galaxy"); st.State != IndexBuilt || !eng.FrontierBuilt() {
 		t.Fatalf("status = %+v (built %v) after the first leader compute, want built", st, eng.FrontierBuilt())
+	}
+	if pairs := f.Metrics().Gauge("serving.index.pairs").Value(); pairs <= 0 {
+		t.Fatalf("serving.index.pairs = %d after the leader published the index", pairs)
 	}
 }
 
