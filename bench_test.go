@@ -17,7 +17,6 @@ import (
 	"repro/internal/apps/sand"
 	"repro/internal/apps/x264"
 	"repro/internal/autoscale"
-	"repro/internal/baseline"
 	"repro/internal/cloudsim"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -490,61 +489,6 @@ func BenchmarkFailureInjection(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSolvers compares the four solvers for the same
-// min-cost query on the paper's Figure 4 problem: CELIA's frontier
-// index, branch-and-bound (the ILP-style comparator from related
-// work), the greedy per-dollar heuristic, and the exhaustive scan.
-// The index is built once before any timer starts; its build cost is
-// the FrontierIndexBuildPaper rung in internal/core.
-func BenchmarkAblationSolvers(b *testing.B) {
-	eng := core.NewPaperEngine(galaxy.App{})
-	if _, ok := eng.Frontier(); !ok {
-		b.Fatal("paper engine did not index")
-	}
-	p := workload.Params{N: 65536, A: 8000}
-	deadline := units.FromHours(24)
-	d, err := eng.Demand(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, ok, err := eng.MinCostForDeadline(p, deadline); !ok || err != nil {
-				b.Fatal(ok, err)
-			}
-		}
-	})
-	b.Run("branchbound", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, ok := baseline.BranchBoundMinCost(eng.Capacities(), eng.Space(), d, deadline); !ok {
-				b.Fatal("infeasible")
-			}
-		}
-	})
-	exact, _, err := eng.MinCostForDeadline(p, deadline)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("greedy", func(b *testing.B) {
-		var gap float64
-		for i := 0; i < b.N; i++ {
-			g, ok := baseline.GreedyMinCost(eng.Capacities(), eng.Space(), d, deadline)
-			if !ok {
-				b.Fatal("infeasible")
-			}
-			gap = baseline.Gap(g, exact)
-		}
-		b.ReportMetric(gap, "gap%")
-	})
-	b.Run("exhaustive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, ok, err := eng.MinCostExhaustive(p, deadline); !ok || err != nil {
-				b.Fatal(ok, err)
-			}
-		}
-	})
-}
-
 // BenchmarkComparisonAutoscale quantifies the related-work comparison:
 // a Mao-style reactive autoscaler vs CELIA's static model-chosen
 // optimum on the Figure 4 problem.
@@ -597,27 +541,5 @@ func BenchmarkComparisonMigration(b *testing.B) {
 				"  stay: $%.2f (meets deadline: %v)\n  move to %v: $%.2f -> migrate: %v",
 			st.Current, float64(dec.StayCost), dec.StayMeetsDeadline,
 			dec.Target, float64(dec.MoveCost), dec.Migrate))
-	}
-}
-
-// BenchmarkExtensionTradeSurface builds the full 3-objective
-// (accuracy, time, cost) Pareto surface for galaxy(65536, ·) — the
-// elastic trade-off Figures 5/6 slice one axis at a time.
-func BenchmarkExtensionTradeSurface(b *testing.B) {
-	eng := core.NewPaperEngine(galaxy.App{})
-	rungs := []float64{2000, 4000, 6000, 8000, 10000}
-	for i := 0; i < b.N; i++ {
-		surface, err := sweep.TradeSurface(eng, 65536, rungs, units.FromHours(24), 350)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(surface)), "points")
-		byRung := map[float64]int{}
-		for _, p := range surface {
-			byRung[p.Accuracy]++
-		}
-		emit(b.Name(), fmt.Sprintf(
-			"3-D accuracy/time/cost surface over s=%v: %d nondominated points (per rung: %v)",
-			rungs, len(surface), byRung))
 	}
 }

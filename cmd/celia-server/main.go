@@ -57,7 +57,7 @@ func main() {
 		reqTO    = flag.Duration("request-timeout", 60*time.Second, "per-request deadline from admission to completion")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown deadline for in-flight requests")
 		billing  = flag.String("billing", "persecond", "billing policy for every mounted engine: persecond (Eq. 5 verbatim), perhour (2017-era started-hour billing)")
-		snapDir  = flag.String("snapshot-dir", "", "directory of frontier-index snapshots: restored at startup (skipping the index build) and rewritten after start-up builds; empty disables persistence")
+		snapDir  = flag.String("snapshot-dir", "", "directory of frontier-index snapshots, created if missing: restored at startup (skipping the index build) and rewritten after start-up builds; empty disables persistence")
 	)
 	flag.Parse()
 
@@ -129,7 +129,13 @@ func main() {
 	// index in the background, one app at a time, and rewrite its
 	// snapshot. A missing/corrupt/stale artifact is not fatal: its app
 	// stays pending, and a query that reaches it joins the build instead
-	// of scanning (DESIGN.md §11).
+	// of scanning (DESIGN.md §11). A directory the builds cannot save
+	// into is: every restart would build again.
+	if *snapDir != "" {
+		if err := os.MkdirAll(*snapDir, 0o755); err != nil {
+			log.Fatal(err)
+		}
+	}
 	for app, err := range fd.LoadSnapshots() {
 		log.Printf("warning: %s: %v (building the index at start-up)", app, err)
 	}

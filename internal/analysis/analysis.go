@@ -122,12 +122,12 @@ type RuleTiming struct {
 	Elapsed time.Duration
 }
 
-// RunTimed is Run plus per-rule timings. The (package × analyzer)
-// passes are independent — every pass gets a private findings slice
-// and analyzers keep their state on the Pass — so they run concurrently
-// across GOMAXPROCS workers; suppression filtering and ordering stay
-// deterministic because merging is a serial pass over the grid in
-// suite order.
+// RunTimedStats is Run plus per-rule timings and RunStats. The
+// (package × analyzer) passes are independent — every pass gets a
+// private findings slice and analyzers keep their state on the Pass —
+// so they run concurrently across GOMAXPROCS workers; suppression
+// filtering and ordering stay deterministic because merging is a serial
+// pass over the grid in suite order.
 //
 // Suppression accounting doubles as stale-waiver detection: a
 // well-formed //lint:allow whose rule ran in this invocation but
@@ -135,16 +135,12 @@ type RuleTiming struct {
 // into false documentation. Waivers for suite rules that were NOT
 // selected this run (celia-lint -rule) are left alone: the rule not
 // running is no evidence the waiver is dead.
-func RunTimed(analyzers []*Analyzer, pkgs []*CheckedPackage) ([]Finding, []RuleTiming) {
-	findings, timings, _ := RunTimedStats(analyzers, pkgs)
-	return findings, timings
-}
-
-// RunTimedStats is RunTimed plus RunStats. When any selected analyzer
-// declares NeedsModule, the call graph and summaries are built once up
-// front — over the union of the target packages and their loader
-// universe, so a lone fixture package still sees the production
-// functions it calls — and shared read-only by every worker.
+//
+// When any selected analyzer declares NeedsModule, the call graph and
+// summaries are built once up front — over the union of the target
+// packages and their loader universe, so a lone fixture package still
+// sees the production functions it calls — and shared read-only by
+// every worker.
 func RunTimedStats(analyzers []*Analyzer, pkgs []*CheckedPackage) ([]Finding, []RuleTiming, RunStats) {
 	// "Known" rules for allow validation are the full suite, not just
 	// the selected analyzers: -rule must not turn valid waivers into

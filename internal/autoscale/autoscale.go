@@ -112,20 +112,17 @@ func Simulate(caps *model.Capacities, space *config.Space, d units.Instructions,
 		return order[a] < order[b]
 	})
 
-	counts := make([]int, m)
-	counts[order[0]] = 1
+	cur, err := config.NewTuple(make([]int, m))
+	if err != nil {
+		return Trace{}, err
+	}
+	cur = cur.WithCount(order[0], 1)
 	capacityOf := func() units.Rate {
-		var u units.Rate
-		for i, c := range counts {
-			u += units.Rate(c) * w[i]
-		}
+		u, _ := model.Sums(cur, w, nodeCost)
 		return u
 	}
 	unitCostOf := func() units.USDPerHour {
-		var cu units.USDPerHour
-		for i, c := range counts {
-			cu += units.USDPerHour(c) * nodeCost[i]
-		}
+		_, cu := model.Sums(cur, w, nodeCost)
 		return cu
 	}
 
@@ -145,8 +142,8 @@ func Simulate(caps *model.Capacities, space *config.Space, d units.Instructions,
 		for units.Time(remaining, capacityOf()) > units.Seconds(pol.Headroom)*timeLeft {
 			grew := false
 			for _, i := range order {
-				if counts[i] < space.Max(i) {
-					counts[i]++
+				if cur.Count(i) < space.Max(i) {
+					cur = cur.WithCount(i, uint8(cur.Count(i)+1))
 					added++
 					grew = true
 					break
@@ -160,25 +157,21 @@ func Simulate(caps *model.Capacities, space *config.Space, d units.Instructions,
 			// Shrink one least-efficient node if still comfortably early.
 			for k := len(order) - 1; k >= 0; k-- {
 				i := order[k]
-				if counts[i] == 0 {
+				if cur.Count(i) == 0 {
 					continue
 				}
 				uWithout := capacityOf() - w[i]
 				if uWithout > 0 && units.Time(remaining, uWithout) < units.Seconds(pol.ShrinkBelow)*timeLeft {
-					counts[i]--
+					cur = cur.WithCount(i, uint8(cur.Count(i)-1))
 					added--
 				}
 				break
 			}
 		}
 
-		tuple, err := config.NewTuple(counts)
-		if err != nil {
-			return Trace{}, err
-		}
 		tr.Steps = append(tr.Steps, Step{
 			At:       now,
-			Config:   tuple,
+			Config:   cur,
 			DoneFrac: 1 - float64(remaining/d),
 			Added:    added,
 		})
@@ -192,7 +185,7 @@ func Simulate(caps *model.Capacities, space *config.Space, d units.Instructions,
 			// The nodes added this boundary are the first `added` in
 			// efficiency order with counts raised; approximate their
 			// capacity as the capacity delta of this boundary.
-			addedCap = u - prevCapacity(w, tr)
+			addedCap = u - prevCapacity(w, nodeCost, tr)
 			if addedCap < 0 {
 				addedCap = 0
 			}
@@ -202,7 +195,7 @@ func Simulate(caps *model.Capacities, space *config.Space, d units.Instructions,
 		if work >= remaining {
 			// Finishes mid-epoch.
 			// Solve the boot-adjusted completion time.
-			epochTime = timeToFinish(remaining, u, added, w, tr, pol)
+			epochTime = timeToFinish(remaining, u, added, w, nodeCost, tr, pol)
 			remaining = 0
 		} else {
 			remaining -= work
@@ -217,25 +210,21 @@ func Simulate(caps *model.Capacities, space *config.Space, d units.Instructions,
 
 // prevCapacity reports the capacity of the configuration before this
 // boundary's additions (the previous step's tuple).
-func prevCapacity(w []units.Rate, tr Trace) units.Rate {
+func prevCapacity(w []units.Rate, nodeCost []units.USDPerHour, tr Trace) units.Rate {
 	if len(tr.Steps) < 2 {
 		return 0
 	}
-	prev := tr.Steps[len(tr.Steps)-2].Config
-	var u units.Rate
-	for i := 0; i < prev.Len(); i++ {
-		u += units.Rate(prev.Count(i)) * w[i]
-	}
+	u, _ := model.Sums(tr.Steps[len(tr.Steps)-2].Config, w, nodeCost)
 	return u
 }
 
 // timeToFinish solves for the within-epoch completion time given that
 // freshly added capacity only contributes after boot.
-func timeToFinish(remaining units.Instructions, u units.Rate, added int, w []units.Rate, tr Trace, pol Policy) units.Seconds {
+func timeToFinish(remaining units.Instructions, u units.Rate, added int, w []units.Rate, nodeCost []units.USDPerHour, tr Trace, pol Policy) units.Seconds {
 	if added <= 0 {
 		return units.Time(remaining, u)
 	}
-	uOld := prevCapacity(w, tr)
+	uOld := prevCapacity(w, nodeCost, tr)
 	boot := pol.Boot
 	// Phase 1: only the old capacity runs.
 	if remaining <= uOld.Over(boot) {

@@ -1,7 +1,9 @@
 package autoscale
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/apps/galaxy"
@@ -273,5 +275,33 @@ func TestMaxedOutClusterRunsWhatItHas(t *testing.T) {
 	}
 	if tr.FinishTime > units.FromHours(1) {
 		t.Fatalf("simulation ran past the deadline: %v", tr.FinishTime)
+	}
+}
+
+// TestSimulatePaperPinned pins the reactive run that the root
+// BenchmarkComparisonAutoscale reports (galaxy(65536, 8000), 24 h,
+// DefaultPolicy): every step's cluster and node delta, and the total
+// cost and finish time as float64 bits.
+func TestSimulatePaperPinned(t *testing.T) {
+	eng := core.NewPaperEngine(galaxy.App{})
+	d, err := eng.Demand(workload.Params{N: 65536, A: 8000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Simulate(eng.Capacities(), eng.Space(), d, units.FromHours(24), DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := make([]string, len(tr.Steps))
+	for i, s := range tr.Steps {
+		steps[i] = fmt.Sprintf("%v%+d", s.Config, s.Added)
+	}
+	want := "[5,5,5,5,1,0,0,0,0]+20" + strings.Repeat(" [5,5,5,5,1,0,0,0,0]+0", 19) +
+		" [5,5,5,5,0,0,0,0,0]-1 [5,5,5,4,0,0,0,0,0]-1"
+	if got := strings.Join(steps, " "); got != want {
+		t.Errorf("steps = %s\nwant    %s", got, want)
+	}
+	if got := fmt.Sprintf("%x %x %v", math.Float64bits(float64(tr.TotalCost)), math.Float64bits(float64(tr.FinishTime)), tr.Finished); got != "40590d2cb18d854b 40f3491279bc9b43 true" {
+		t.Errorf("cost, finish bits, finished = %s, want 40590d2cb18d854b 40f3491279bc9b43 true", got)
 	}
 }

@@ -42,18 +42,6 @@ type InstanceType struct {
 	Price    units.USDPerHour // on-demand price, Oregon region
 }
 
-// PhysicalCores reports the physical core count backing the instance.
-// EC2 vCPUs of this generation are hyper-threads: two per physical core.
-// The cloud simulator uses this to model hyper-thread contention; the
-// analytic model deliberately does not (Eq. 4 treats vCPUs as
-// independent), which is one source of the paper's validation error.
-func (t InstanceType) PhysicalCores() int {
-	if t.VCPUs < 2 {
-		return 1
-	}
-	return t.VCPUs / 2
-}
-
 func (t InstanceType) String() string {
 	return fmt.Sprintf("%s (%d vCPU, %.1f GHz, %s)", t.Name, t.VCPUs, t.BaseGHz, t.Price)
 }
@@ -100,11 +88,6 @@ func (c *Catalog) Len() int { return len(c.types) }
 // Type returns the i-th instance type (0-based tuple position).
 func (c *Catalog) Type(i int) InstanceType { return c.types[i] }
 
-// Types returns a copy of the ordered type list.
-func (c *Catalog) Types() []InstanceType {
-	return append([]InstanceType(nil), c.types...)
-}
-
 // Lookup finds a type by name.
 func (c *Catalog) Lookup(name string) (InstanceType, bool) {
 	i, ok := c.index[name]
@@ -147,21 +130,6 @@ func (c *Catalog) CategoryNames() []Category {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// PriceRange reports the cheapest and most expensive hourly prices in
-// the catalog ("hourly prices range from $0.105 to $0.664", §IV-B).
-func (c *Catalog) PriceRange() (lo, hi units.USDPerHour) {
-	lo, hi = c.types[0].Price, c.types[0].Price
-	for _, t := range c.types[1:] {
-		if t.Price < lo {
-			lo = t.Price
-		}
-		if t.Price > hi {
-			hi = t.Price
-		}
-	}
-	return lo, hi
 }
 
 // Oregon returns the paper's Table III catalog: nine types, three per

@@ -38,13 +38,6 @@ func TestOregonMatchesTableIII(t *testing.T) {
 	}
 }
 
-func TestOregonPriceRange(t *testing.T) {
-	lo, hi := Oregon().PriceRange()
-	if lo != 0.105 || hi != 0.664 {
-		t.Fatalf("PriceRange = %v..%v, want $0.105..$0.664 (§IV-B)", lo, hi)
-	}
-}
-
 func TestCategories(t *testing.T) {
 	c := Oregon()
 	for _, cat := range []Category{C4, M4, R3} {
@@ -93,16 +86,6 @@ func TestLookupAndIndexOf(t *testing.T) {
 	}
 }
 
-func TestPhysicalCores(t *testing.T) {
-	cases := []struct{ vcpus, want int }{{1, 1}, {2, 1}, {4, 2}, {8, 4}}
-	for _, cse := range cases {
-		it := InstanceType{VCPUs: cse.vcpus}
-		if got := it.PhysicalCores(); got != cse.want {
-			t.Errorf("PhysicalCores(%d vCPU) = %d, want %d", cse.vcpus, got, cse.want)
-		}
-	}
-}
-
 func TestNewCatalogValidation(t *testing.T) {
 	valid := InstanceType{Name: "x", Category: C4, VCPUs: 2, BaseGHz: 2.0, Price: 0.1}
 	cases := []struct {
@@ -123,15 +106,6 @@ func TestNewCatalogValidation(t *testing.T) {
 	}
 	if _, err := NewCatalog([]InstanceType{valid}); err != nil {
 		t.Fatalf("NewCatalog(valid) = %v", err)
-	}
-}
-
-func TestTypesReturnsCopy(t *testing.T) {
-	c := Oregon()
-	ts := c.Types()
-	ts[0].Name = "mutated"
-	if c.Type(0).Name != "c4.large" {
-		t.Fatal("Types() exposed internal slice")
 	}
 }
 

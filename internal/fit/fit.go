@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/demand"
 	"repro/internal/stats"
@@ -173,30 +172,4 @@ func positiveOverEnvelope(m demand.Model, pts []Point) bool {
 		}
 	}
 	return true
-}
-
-// CrossValidate reports the mean relative prediction error (%) of
-// leave-one-out cross-validation for a family — used to sanity-check
-// the selected form.
-func CrossValidate(appName string, pts []Point, fam Family) (float64, error) {
-	if len(pts) < len(fam.Bases)+2 {
-		return 0, fmt.Errorf("fit: too few points (%d) for LOO-CV on %s", len(pts), fam.Name)
-	}
-	var errs []float64
-	for hold := range pts {
-		train := make([]Point, 0, len(pts)-1)
-		for i, pt := range pts {
-			if i != hold {
-				train = append(train, pt)
-			}
-		}
-		r, err := FitFamily(appName, train, fam)
-		if err != nil {
-			return 0, err
-		}
-		pred := float64(r.Model.Demand(pts[hold].P))
-		errs = append(errs, stats.RelErr(pred, float64(pts[hold].D)))
-	}
-	sort.Float64s(errs)
-	return stats.Summarize(errs).Mean, nil
 }

@@ -148,25 +148,3 @@ func TestSelectPrefersTrueFormOverRicher(t *testing.T) {
 		t.Fatalf("selected %s; BIC should prefer the smaller exact family", r.Family)
 	}
 }
-
-func TestCrossValidate(t *testing.T) {
-	pts := measureApp(t, galaxy.App{})
-	cvErr, err := CrossValidate("galaxy", pts, Family{"size-quadratic",
-		[]demand.Basis{demand.NA(), demand.N2A()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cvErr > 3 {
-		t.Fatalf("LOO-CV mean error %.2f%%, want < 3%%", cvErr)
-	}
-}
-
-func TestCrossValidateTooFewPoints(t *testing.T) {
-	pts := []Point{
-		{P: workload.Params{N: 1, A: 1}, D: 1},
-		{P: workload.Params{N: 2, A: 1}, D: 2},
-	}
-	if _, err := CrossValidate("syn", pts, Family{"l", []demand.Basis{demand.N(), demand.NA()}}); err == nil {
-		t.Fatal("CV with too few points accepted")
-	}
-}

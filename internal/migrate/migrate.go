@@ -83,13 +83,7 @@ func Advise(caps *model.Capacities, space *config.Space, st State, ov Overheads)
 	ckptCost := caps.UnitCost(st.Current).Over(ov.Checkpoint)
 	budgetTime := float64(st.RemainingDeadline) - float64(ov.Checkpoint) - float64(ov.Restore)
 	df := float64(st.RemainingDemand)
-	wT, costT := caps.NodeArrays()
-	w := make([]float64, len(wT))
-	nodeCost := make([]float64, len(costT))
-	for i := range wT {
-		w[i] = float64(wT[i])
-		nodeCost[i] = float64(costT[i])
-	}
+	w, nodeCost := caps.NodeArrays()
 
 	workers := runtime.GOMAXPROCS(0)
 	type best struct {
@@ -103,19 +97,12 @@ func Advise(caps *model.Capacities, space *config.Space, st State, ov Overheads)
 	}
 	if budgetTime > 0 {
 		space.ForEachParallel(workers, func(worker int, t config.Tuple) {
-			var u, cu float64
-			for i := 0; i < t.Len(); i++ {
-				if m := t.Count(i); m > 0 {
-					fm := float64(m)
-					u += fm * w[i]
-					cu += fm * nodeCost[i]
-				}
-			}
-			T := df / u
+			u, cu := model.Sums(t, w, nodeCost)
+			T := df / float64(u)
 			if T >= budgetTime {
 				return
 			}
-			c := cu / 3600 * (T + float64(ov.Restore))
+			c := float64(cu) / 3600 * (T + float64(ov.Restore))
 			b := &bests[worker]
 			//lint:allow floateq exact argmin tie: ulp-equal costs resolve lexicographically by tuple, deterministic either way
 			if c < b.cost || (c == b.cost && b.ok && t.String() < b.t.String()) {

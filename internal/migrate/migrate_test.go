@@ -1,7 +1,9 @@
 package migrate
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/apps/galaxy"
@@ -183,5 +185,31 @@ func TestMoveCostAccountsOverheads(t *testing.T) {
 	}
 	if float64(costly.MoveCost) <= float64(cheap.MoveCost) {
 		t.Fatalf("overheads did not raise move cost: %v vs %v", costly.MoveCost, cheap.MoveCost)
+	}
+}
+
+// TestAdvisePaperPinned pins the decision that the root
+// BenchmarkComparisonMigration reports: 70% of galaxy(65536, 8000)
+// left on [0,0,0,0,0,0,5,5,5] with 36 h remaining. The target and the
+// stay and move costs and times are pinned as float64 bits.
+func TestAdvisePaperPinned(t *testing.T) {
+	caps, space := setup(t)
+	var app galaxy.App
+	d := app.Demand(workload.Params{N: 65536, A: 8000})
+	dec, err := Advise(caps, space, State{
+		Current:           config.MustTuple(0, 0, 0, 0, 0, 0, 5, 5, 5),
+		RemainingDemand:   units.Instructions(0.7 * float64(d)),
+		RemainingDeadline: units.FromHours(36),
+	}, DefaultOverheads())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !dec.Migrate || dec.Target != config.MustTuple(0, 5, 2, 0, 0, 0, 0, 0, 0) || !dec.StayMeetsDeadline {
+		t.Errorf("decision = %+v, want a migration to [0,5,2,0,0,0,0,0,0] with stay meeting the deadline", dec)
+	}
+	bits := func(x float64) string { return fmt.Sprintf("%x", math.Float64bits(x)) }
+	got := strings.Join([]string{bits(float64(dec.StayCost)), bits(float64(dec.StayTime)), bits(float64(dec.MoveCost)), bits(float64(dec.MoveTime))}, " ")
+	if want := "4060b296d4d52770 40f430a6a3e833ec 4050b58b22f340b8 40ff22a86dd432cc"; got != want {
+		t.Errorf("stay cost, stay time, move cost, move time bits = %s, want %s", got, want)
 	}
 }

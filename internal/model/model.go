@@ -102,8 +102,10 @@ func AddNodes(u units.Rate, cu units.USDPerHour, m int, w units.Rate, c units.US
 // C_j,u (Eq. 6) over per-node arrays (NodeArrays), applying AddNodes
 // for each type in catalog order. It is the one (U, C_u) loop:
 // Capacity, UnitCost and PredictBilled call it, and so do core's scans,
-// so the Prediction a query returns is the scan's floats by
-// construction. Small enough to inline into every hot loop.
+// the reactive autoscaler, the schedule's reactive baseline and the
+// migration advisor's scan, so the Prediction a query returns is the
+// scan's floats by construction. Small enough to inline into every hot
+// loop.
 func Sums(t config.Tuple, w []units.Rate, cost []units.USDPerHour) (u units.Rate, cu units.USDPerHour) {
 	for i := 0; i < t.Len(); i++ {
 		u, cu = AddNodes(u, cu, t.Count(i), w[i], cost[i])
@@ -124,9 +126,8 @@ func (c *Capacities) UnitCost(t config.Tuple) units.USDPerHour {
 }
 
 // NodeArrays exposes the per-node capacity (instructions/second) and
-// cost ($/hour) as typed slices for hot enumeration loops. Unit-
-// agnostic kernels (baseline search, migration scoring) convert to raw
-// float64 locally.
+// cost ($/hour) as typed slices for hot enumeration loops: the arrays
+// Sums takes.
 func (c *Capacities) NodeArrays() (w []units.Rate, cost []units.USDPerHour) {
 	w = append([]units.Rate(nil), c.perNode...)
 	cost = append([]units.USDPerHour(nil), c.nodeCost...)

@@ -2,10 +2,10 @@
 // extract cost-time optimal configurations from the feasible set. The
 // paper passes its configuration list through the ε-nondomination
 // sorting routine of Woodruff and Herman's pareto.py [27]; this package
-// ports those semantics for the two-objective (time, cost) case, adds
-// an exact 2-D frontier, a streaming 2-D frontier that never stores the
-// full feasible set (the paper's feasible sets run to millions of
-// points), and a general k-objective filter.
+// ports those semantics for the two-objective (time, cost) case and
+// adds an exact 2-D frontier and a streaming 2-D frontier that never
+// stores the full feasible set (the paper's feasible sets run to
+// millions of points).
 //
 // All objectives are minimized.
 package pareto
@@ -185,57 +185,4 @@ func (s *Stream2D) Merge(other *Stream2D) {
 		s.Add(p)
 	}
 	s.seen += other.seen - uint64(len(other.frontier))
-}
-
-// DominatesKD reports whether objective vector a dominates b
-// (minimization, equal lengths).
-func DominatesKD(a, b []float64) bool {
-	strict := false
-	for i := range a {
-		if a[i] > b[i] {
-			return false
-		}
-		if a[i] < b[i] {
-			strict = true
-		}
-	}
-	return strict
-}
-
-// FrontierKD returns the indices of the nondominated rows of objs under
-// minimization. O(n²·k); intended for modest candidate sets (the 2-D
-// paths handle the big ones).
-func FrontierKD(objs [][]float64) []int {
-	var out []int
-	for i, a := range objs {
-		dominated := false
-		for j, b := range objs {
-			if i == j {
-				continue
-			}
-			if DominatesKD(b, a) {
-				dominated = true
-				break
-			}
-			// Of duplicate vectors, keep only the first.
-			if j < i && vecEqual(a, b) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func vecEqual(a, b []float64) bool {
-	for i := range a {
-		//lint:allow floateq exact vector identity for frontier dedup, not a numeric tolerance test
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

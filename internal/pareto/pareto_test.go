@@ -292,38 +292,6 @@ func TestEpsilonFrontierEmpty(t *testing.T) {
 	}
 }
 
-func TestDominatesKD(t *testing.T) {
-	if !DominatesKD([]float64{1, 2, 3}, []float64{1, 2, 4}) {
-		t.Fatal("weakly-better vector with one strict improvement should dominate")
-	}
-	if DominatesKD([]float64{1, 2, 3}, []float64{1, 2, 3}) {
-		t.Fatal("equal vectors should not dominate")
-	}
-	if DominatesKD([]float64{1, 5}, []float64{2, 4}) {
-		t.Fatal("incomparable vectors should not dominate")
-	}
-}
-
-func TestFrontierKDMatches2D(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	pts := make([]Point, 80)
-	objs := make([][]float64, 80)
-	for i := range pts {
-		pts[i] = Point{float64(rng.Intn(12)), float64(rng.Intn(12)), uint64(i)}
-		objs[i] = []float64{pts[i].X, pts[i].Y}
-	}
-	want := bruteFrontier(pts)
-	got := FrontierKD(objs)
-	if len(got) != len(want) {
-		t.Fatalf("FrontierKD size = %d, want %d", len(got), len(want))
-	}
-	for _, idx := range got {
-		if !want[uint64(idx)] {
-			t.Fatalf("FrontierKD kept dominated index %d", idx)
-		}
-	}
-}
-
 // Property: the streaming frontier is always mutually nondominated and
 // contains the global minimum of each objective.
 func TestStreamNondominationProperty(t *testing.T) {

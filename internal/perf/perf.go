@@ -106,13 +106,3 @@ type ClassCount struct {
 func (cc ClassCount) String() string {
 	return fmt.Sprintf("%12d  %s", cc.Count, cc.Class)
 }
-
-// Report formats the account like a `perf stat` summary.
-func (a *Account) Report() string {
-	s := "Performance counter stats:\n\n"
-	for _, cc := range a.Breakdown() {
-		s += "  " + cc.String() + "\n"
-	}
-	s += fmt.Sprintf("\n  %12.0f  instructions (total)\n", float64(a.Total()))
-	return s
-}

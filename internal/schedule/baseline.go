@@ -6,13 +6,13 @@ package schedule
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"repro/internal/autoscale"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/demand"
+	"repro/internal/model"
 	"repro/internal/units"
 )
 
@@ -67,19 +67,16 @@ func ReactiveContext(ctx context.Context, eng *core.Engine, tr demand.Trace, pol
 		return order[a] < order[b]
 	})
 
-	counts := make([]int, m)
+	cur, err := config.NewTuple(make([]int, m))
+	if err != nil {
+		return Schedule{}, err
+	}
 	capacityOf := func() units.Rate {
-		var u units.Rate
-		for i, c := range counts {
-			u += units.Rate(c) * w[i]
-		}
+		u, _ := model.Sums(cur, w, nodeCost)
 		return u
 	}
 	unitCostOf := func() units.USDPerHour {
-		var cu units.USDPerHour
-		for i, c := range counts {
-			cu += units.USDPerHour(c) * nodeCost[i]
-		}
+		_, cu := model.Sums(cur, w, nodeCost)
 		return cu
 	}
 
@@ -94,13 +91,13 @@ func ReactiveContext(ctx context.Context, eng *core.Engine, tr demand.Trace, pol
 			return Schedule{}, err
 		}
 		uOld := capacityOf()
-		startCounts := append([]int(nil), counts...)
+		start := cur
 		if d > 0 {
 			for finishTime(d, uOld, capacityOf(), pol.Boot) > units.Seconds(rp.Headroom)*tr.Step {
 				grew := false
 				for _, i := range order {
-					if counts[i] < space.Max(i) {
-						counts[i]++
+					if cur.Count(i) < space.Max(i) {
+						cur = cur.WithCount(i, uint8(cur.Count(i)+1))
 						grew = true
 						break
 					}
@@ -115,30 +112,26 @@ func ReactiveContext(ctx context.Context, eng *core.Engine, tr demand.Trace, pol
 			// idle): the slow drain reactive scaling is known for.
 			for k := len(order) - 1; k >= 0; k-- {
 				i := order[k]
-				if counts[i] == 0 {
+				if cur.Count(i) == 0 {
 					continue
 				}
 				uWithout := capacityOf() - w[i]
 				if d == 0 || (uWithout > 0 && units.Time(d, uWithout) < units.Seconds(rp.ShrinkBelow)*tr.Step) {
-					counts[i]--
+					cur = cur.WithCount(i, uint8(cur.Count(i)-1))
 				}
 				break
 			}
 		}
 
-		tuple, err := config.NewTuple(counts)
-		if err != nil {
-			return Schedule{}, fmt.Errorf("schedule: reactive step %d: %w", t, err)
-		}
-		u, cu := capacityOf(), unitCostOf()
+		u, cu := model.Sums(cur, w, nodeCost)
 		addedCap := u - uOld
 		if addedCap < 0 {
 			addedCap = 0
 		}
 		var removedCu units.USDPerHour
-		for i := range counts {
-			if startCounts[i] > counts[i] {
-				removedCu += units.USDPerHour(startCounts[i]-counts[i]) * nodeCost[i]
+		for i := 0; i < m; i++ {
+			if start.Count(i) > cur.Count(i) {
+				removedCu += units.USDPerHour(start.Count(i)-cur.Count(i)) * nodeCost[i]
 			}
 		}
 
@@ -153,12 +146,12 @@ func ReactiveContext(ctx context.Context, eng *core.Engine, tr demand.Trace, pol
 			busy = tr.Step
 		}
 		st := Step{
-			Config:     tuple,
+			Config:     cur,
 			Demand:     d,
 			Busy:       busy,
 			Slack:      tr.Step - busy,
 			Cost:       cost,
-			DeltaNodes: tuple.TotalNodes() - sum(startCounts),
+			DeltaNodes: cur.TotalNodes() - start.TotalNodes(),
 			Missed:     missed,
 		}
 		if st.DeltaNodes != 0 {
@@ -173,12 +166,4 @@ func ReactiveContext(ctx context.Context, eng *core.Engine, tr demand.Trace, pol
 	sched.ReleasePayout = unitCostOf().Over(sc.carrySeconds(units.Seconds(float64(len(demands))) * tr.Step))
 	sched.TotalCost += sched.ReleasePayout
 	return sched, nil
-}
-
-func sum(counts []int) int {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	return total
 }

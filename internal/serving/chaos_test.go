@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io/fs"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -312,6 +313,27 @@ func TestLoadSnapshotsWithoutDirBuildsEveryApp(t *testing.T) {
 	}
 	if saved := f.Metrics().Counter("serving.snapshot.saved").Value(); saved != 0 {
 		t.Errorf("serving.snapshot.saved = %d with no snapshot directory, want 0", saved)
+	}
+}
+
+// TestSnapshotSaveFailureCounted: a snapshot directory that does not
+// exist refuses every save. The start-up build still publishes each
+// index, and each refused save is counted, so a restart that builds
+// again has a cause to show.
+func TestSnapshotSaveFailureCounted(t *testing.T) {
+	f := threeAppFrontdoor(t, Config{SnapshotDir: filepath.Join(t.TempDir(), "missing")})
+	f.LoadSnapshots()
+	f.Wait()
+	for _, app := range chaosApps {
+		if st := statusFor(t, f, app); st.State != IndexBuilt {
+			t.Errorf("%s status = %+v after the start-up build, want built", app, st)
+		}
+	}
+	if failed := f.Metrics().Counter("serving.snapshot.save_failed").Value(); failed != int64(len(chaosApps)) {
+		t.Errorf("serving.snapshot.save_failed = %d, want %d (one per app built)", failed, len(chaosApps))
+	}
+	if saved := f.Metrics().Counter("serving.snapshot.saved").Value(); saved != 0 {
+		t.Errorf("serving.snapshot.saved = %d into a missing directory, want 0", saved)
 	}
 }
 

@@ -85,8 +85,8 @@ func (f *Frontdoor) restoreOne(path string, eng *core.Engine) error {
 
 // runRebuild executes one start-up build end-to-end: build (panic
 // contained), record a failure as the app's degraded reason, refresh
-// gauges, re-save the snapshot. A success publishes the index, which
-// makes the app built.
+// gauges, re-save the snapshot and count whether the save landed. A
+// success publishes the index, which makes the app built.
 func (f *Frontdoor) runRebuild(app string, eng *core.Engine) {
 	_, err := f.guardedRebuild(eng)
 	var failed IndexStatus // zero: the build succeeded
@@ -98,7 +98,9 @@ func (f *Frontdoor) runRebuild(app string, eng *core.Engine) {
 	f.mu.Unlock()
 	f.refreshIndexGauges()
 	if err == nil && f.cfg.SnapshotDir != "" {
-		if err := snapshot.Save(snapshot.PathFor(f.cfg.SnapshotDir, app), eng); err == nil {
+		if err := snapshot.Save(snapshot.PathFor(f.cfg.SnapshotDir, app), eng); err != nil {
+			f.snapSaveFailed.Inc()
+		} else {
 			f.snapSaved.Inc()
 		}
 	}

@@ -244,6 +244,7 @@ type Frontdoor struct {
 	canceled                                      *telemetry.Counter
 	idxServed, idxBypass, idxBypassBilling        *telemetry.Counter
 	snapLoaded, snapRejected, snapSaved           *telemetry.Counter
+	snapSaveFailed                                *telemetry.Counter
 	inflight, queued                              *telemetry.Gauge
 	idxPairs, idxCandidates, idxBuildMS           *telemetry.Gauge
 	idxDegraded                                   *telemetry.Gauge
@@ -303,10 +304,12 @@ func NewFrontdoor(engines map[string]*core.Engine, cfg Config) (*Frontdoor, erro
 		idxBypassBilling: cfg.Metrics.Counter("serving.index.bypass_billing"),
 		// Snapshot lifecycle counters: artifacts restored at startup,
 		// artifacts refused (missing/corrupt/stale/unreadable), artifacts
-		// saved after a successful start-up build.
-		snapLoaded:   cfg.Metrics.Counter("serving.snapshot.loaded"),
-		snapRejected: cfg.Metrics.Counter("serving.snapshot.rejected"),
-		snapSaved:    cfg.Metrics.Counter("serving.snapshot.saved"),
+		// saved after a successful start-up build, and saves that failed
+		// (the restart after one builds again).
+		snapLoaded:     cfg.Metrics.Counter("serving.snapshot.loaded"),
+		snapRejected:   cfg.Metrics.Counter("serving.snapshot.rejected"),
+		snapSaved:      cfg.Metrics.Counter("serving.snapshot.saved"),
+		snapSaveFailed: cfg.Metrics.Counter("serving.snapshot.save_failed"),
 		// Gauges describe the published indexes, summed over engines:
 		// exact (u, c_u) pairs retained, staircase candidates, and
 		// cumulative build wall-clock. They stay 0 until an index is

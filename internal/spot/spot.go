@@ -19,7 +19,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/config"
 	"repro/internal/ec2"
-	"repro/internal/faults"
 	"repro/internal/model"
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -170,41 +169,6 @@ func (m *Market) InterruptionRate(typeIdx int, horizon units.Seconds, bid units.
 	}
 	hours := float64(len(h)) * m.params.StepMinutes / 60
 	return float64(crossings) / hours
-}
-
-// InterruptionTrace derives a failure trace for a cluster provisioned
-// from the tuple (instances numbered in tuple order, matching the
-// cloud simulator's provisioning) bidding bidFactor × on-demand on
-// every type: each type's instances terminate together at the first
-// moment the type's spot price exceeds the bid — the market
-// reclaims all capacity of a type at once, the standard spot
-// semantics. Types whose price never crosses the bid contribute no
-// events. The trace is deterministic for a (market seed, tuple,
-// bidFactor, horizon) quadruple and plugs directly into
-// cloudsim.Options.Trace, which is how the spot and on-demand stories
-// share one fault representation.
-func (m *Market) InterruptionTrace(t config.Tuple, bidFactor float64, horizon units.Seconds) faults.Trace {
-	var events []faults.Event
-	id := 0
-	for i := 0; i < t.Len(); i++ {
-		n := t.Count(i)
-		if n == 0 {
-			continue
-		}
-		bid := units.USDPerHour(bidFactor) * m.catalog.Type(i).Price
-		h := m.History(i, horizon)
-		for s := range h {
-			if h[s] > bid {
-				at := units.Seconds(float64(s) * m.params.StepMinutes * 60)
-				for k := 0; k < n; k++ {
-					events = append(events, faults.Event{Instance: id + k, At: at})
-				}
-				break
-			}
-		}
-		id += n
-	}
-	return faults.NewTrace(events...)
 }
 
 // Plan is a risk-adjusted spot execution plan for one configuration.

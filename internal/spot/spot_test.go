@@ -5,12 +5,9 @@ import (
 	"testing/quick"
 
 	"repro/internal/apps/galaxy"
-	"repro/internal/apps/x264"
-	"repro/internal/cloudsim"
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/ec2"
-	"repro/internal/faults"
 	"repro/internal/model"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -255,91 +252,5 @@ func TestRecommendImpossibleDeadline(t *testing.T) {
 		units.FromHours(1), 0.9)
 	if err == nil {
 		t.Fatal("impossible deadline accepted")
-	}
-}
-
-func TestInterruptionTraceTargetsTupleOrder(t *testing.T) {
-	// A bid below the market floor is out-priced at step 0: every
-	// instance of every provisioned type dies at t=0, numbered exactly
-	// as the simulator provisions them (tuple order).
-	m := newMarket(t)
-	tuple := config.MustTuple(2, 0, 1, 0, 0, 0, 0, 0, 0)
-	tr := m.InterruptionTrace(tuple, 0.001, units.FromHours(2))
-	if tr.Len() != 3 {
-		t.Fatalf("trace has %d events, want 3 (all instances)", tr.Len())
-	}
-	if err := tr.Validate(3); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[int]bool{}
-	for _, e := range tr.Events() {
-		if e.At != 0 {
-			t.Fatalf("hopeless bid interrupted at %v, want 0", e.At)
-		}
-		seen[e.Instance] = true
-	}
-	for i := 0; i < 3; i++ {
-		if !seen[i] {
-			t.Fatalf("instance %d missing from trace %v", i, tr)
-		}
-	}
-}
-
-func TestInterruptionTraceBidAboveMarketIsEmpty(t *testing.T) {
-	// Bidding 10× on-demand clears every spike: no interruptions.
-	m := newMarket(t)
-	tuple := config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0)
-	tr := m.InterruptionTrace(tuple, 10.001, units.FromHours(48))
-	if !tr.Empty() {
-		t.Fatalf("sky-high bid still interrupted: %v", tr)
-	}
-}
-
-func TestInterruptionTraceWholeTypeDiesTogether(t *testing.T) {
-	// All instances of one type share its price history, so they die at
-	// the same instant; a bid near the long-run mean is crossed within a
-	// long horizon.
-	m := newMarket(t)
-	tuple := config.MustTuple(3, 0, 0, 0, 0, 0, 0, 0, 0)
-	tr := m.InterruptionTrace(tuple, 0.26, units.FromHours(72))
-	if tr.Empty() {
-		t.Skip("market never crossed a mean-level bid over 72h (seed-dependent)")
-	}
-	if tr.Len() != 3 {
-		t.Fatalf("partial type loss: %d events, want all 3 instances", tr.Len())
-	}
-	at := tr.Events()[0].At
-	for _, e := range tr.Events() {
-		if e.At != at {
-			t.Fatalf("type instances die at different times: %v", tr)
-		}
-	}
-	// Deterministic replay.
-	again := m.InterruptionTrace(tuple, 0.26, units.FromHours(72))
-	if again.Len() != tr.Len() || again.Events()[0] != tr.Events()[0] {
-		t.Fatal("interruption trace not deterministic")
-	}
-}
-
-func TestInterruptionTraceDrivesSimulatorTermination(t *testing.T) {
-	// The derived trace feeds straight into the simulator: a strict
-	// gang-scheduled job dies on a spot interruption, and a recovering
-	// independent job survives when one of its two types is reclaimed.
-	m := newMarket(t)
-	cat := ec2.Oregon()
-	tuple := config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0)
-	tr := m.InterruptionTrace(tuple, 0.001, units.FromHours(2))
-	opts := cloudsim.DefaultOptions()
-	opts.Trace = tr
-	if _, err := cloudsim.Run(galaxy.App{}, workload.Params{N: 2048, A: 10}, tuple, cat, opts); err == nil {
-		t.Fatal("strict BSP run survived a spot reclaim of its whole cluster")
-	}
-	opts.Recovery = faults.Recovery{Mode: faults.Recover, Respawn: true}
-	res, err := cloudsim.Run(x264.App{}, workload.Params{N: 16, A: 20}, tuple, cat, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Respawned != tr.Len() {
-		t.Fatalf("respawned %d of %d reclaimed instances", res.Respawned, tr.Len())
 	}
 }

@@ -1,14 +1,13 @@
 // Package stats provides the small numerical toolkit CELIA's
 // measurement-driven modeling needs: ordinary least squares over
-// arbitrary basis functions, goodness-of-fit metrics, and descriptive
-// summaries. Everything is stdlib-only and deterministic.
+// arbitrary basis functions, goodness-of-fit metrics, and quantiles.
+// Everything is stdlib-only and deterministic.
 package stats
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrSingular is returned when a least-squares system has no unique
@@ -28,63 +27,6 @@ func Linspace(lo, hi float64, n int) []float64 {
 	}
 	out[n-1] = hi
 	return out
-}
-
-// Logspace returns n logarithmically spaced values from lo to hi
-// inclusive. Both endpoints must be positive.
-func Logspace(lo, hi float64, n int) []float64 {
-	if lo <= 0 || hi <= 0 {
-		panic(fmt.Sprintf("stats: Logspace endpoints must be positive, got %g, %g", lo, hi))
-	}
-	if n < 2 {
-		return []float64{lo}
-	}
-	out := make([]float64, n)
-	l0, l1 := math.Log(lo), math.Log(hi)
-	for i := range out {
-		out[i] = math.Exp(l0 + (l1-l0)*float64(i)/float64(n-1))
-	}
-	out[n-1] = hi
-	return out
-}
-
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N            int
-	Min, Max     float64
-	Mean, Stddev float64
-	Median       float64
-	P05, P95     float64
-	Sum          float64
-}
-
-// Summarize computes descriptive statistics. An empty sample yields a
-// zero Summary.
-func Summarize(xs []float64) Summary {
-	var s Summary
-	s.N = len(xs)
-	if s.N == 0 {
-		return s
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	s.Min, s.Max = sorted[0], sorted[s.N-1]
-	for _, x := range xs {
-		s.Sum += x
-	}
-	s.Mean = s.Sum / float64(s.N)
-	var ss float64
-	for _, x := range xs {
-		d := x - s.Mean
-		ss += d * d
-	}
-	if s.N > 1 {
-		s.Stddev = math.Sqrt(ss / float64(s.N-1))
-	}
-	s.Median = Quantile(sorted, 0.5)
-	s.P05 = Quantile(sorted, 0.05)
-	s.P95 = Quantile(sorted, 0.95)
-	return s
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of an ascending-sorted

@@ -26,45 +26,6 @@ func TestLinspaceDegenerate(t *testing.T) {
 	}
 }
 
-func TestLogspace(t *testing.T) {
-	got := Logspace(1, 100, 3)
-	want := []float64{1, 10, 100}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("Logspace[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestLogspacePanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Logspace(0, 1, 3) did not panic")
-		}
-	}()
-	Logspace(0, 1, 3)
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 {
-		t.Fatalf("Summarize basic fields wrong: %+v", s)
-	}
-	if math.Abs(s.Mean-3) > 1e-12 || math.Abs(s.Median-3) > 1e-12 {
-		t.Fatalf("Summarize central: mean=%v median=%v, want 3", s.Mean, s.Median)
-	}
-	if math.Abs(s.Stddev-math.Sqrt(2.5)) > 1e-12 {
-		t.Fatalf("Summarize stddev = %v, want sqrt(2.5)", s.Stddev)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 {
-		t.Fatalf("Summarize(nil) = %+v, want zero", s)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	sorted := []float64{10, 20, 30, 40}
 	if got := Quantile(sorted, 0); got != 10 {

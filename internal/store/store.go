@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/demand"
 	"repro/internal/ec2"
-	"repro/internal/fit"
 	"repro/internal/model"
 	"repro/internal/profile"
 	"repro/internal/units"
@@ -174,13 +173,4 @@ func (c Characterization) Engine(cat *ec2.Catalog, maxNodes int) (*core.Engine, 
 		MinA: c.Domain.MinA, MaxA: c.Domain.MaxA,
 	}
 	return core.NewEngine(caps, dm, space, dom)
-}
-
-// FitResult converts back into a fit.Result (for reports).
-func (c Characterization) FitResult() (fit.Result, error) {
-	m, err := c.DemandModel()
-	if err != nil {
-		return fit.Result{}, err
-	}
-	return fit.Result{Model: m, Family: c.Demand.Family}, nil
 }

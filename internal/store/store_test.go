@@ -140,19 +140,4 @@ func TestFromResultsRejectsAnalyticModel(t *testing.T) {
 	}
 }
 
-func TestFitResultRebuild(t *testing.T) {
-	dr, cr := characterize(t)
-	c, err := FromResults(galaxy.App{}, dr, cr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, err := c.FitResult()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr.Family != dr.Fit.Family {
-		t.Fatalf("family lost: %q vs %q", fr.Family, dr.Fit.Family)
-	}
-}
-
 func demandFromApp() demand.Model { return demand.FromApp(galaxy.App{}) }

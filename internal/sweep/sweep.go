@@ -7,10 +7,8 @@ package sweep
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/core"
-	"repro/internal/pareto"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -242,65 +240,6 @@ func CostDemandElasticity(eng *core.Engine, fixed workload.Params, byN bool, row
 			out = append(out, dc/dd)
 		}
 	}
-	return out, nil
-}
-
-// TradePoint is one point of the three-objective trade surface:
-// accuracy is maximized, time and cost minimized.
-type TradePoint struct {
-	Accuracy float64
-	Time     units.Seconds
-	Cost     units.USD
-	Config   string
-}
-
-// TradeSurface computes the 3-D Pareto surface over (accuracy ↑,
-// time ↓, cost ↓) for a fixed problem size: the full elastic-
-// application trade-off the paper's Figures 5 and 6 slice along one
-// axis at a time. For each accuracy rung the 2-D cost-time frontier is
-// extracted (streaming, over the whole configuration space) and the
-// union is filtered by k-objective nondomination.
-func TradeSurface(eng *core.Engine, n float64, accuracies []float64,
-	deadline units.Seconds, budget units.USD) ([]TradePoint, error) {
-	if len(accuracies) == 0 {
-		return nil, fmt.Errorf("sweep: no accuracy rungs")
-	}
-	// One index build serves every accuracy rung: the pair table is
-	// demand-invariant, and each rung only changes the demand.
-	eng.Frontier()
-	var all []TradePoint
-	for _, a := range accuracies {
-		an, err := eng.Analyze(workload.Params{N: n, A: a},
-			core.Constraints{Deadline: deadline, Budget: budget}, core.Options{})
-		if err != nil {
-			return nil, err
-		}
-		for _, f := range an.Frontier {
-			all = append(all, TradePoint{
-				Accuracy: a,
-				Time:     f.Time,
-				Cost:     f.Cost,
-				Config:   f.Config.String(),
-			})
-		}
-	}
-	objs := make([][]float64, len(all))
-	for i, p := range all {
-		// Negate accuracy: FrontierKD minimizes every objective.
-		//lint:allow unitsafe k-objective frontier is unit-agnostic; axes are (-accuracy, s, $)
-		objs[i] = []float64{-p.Accuracy, float64(p.Time), float64(p.Cost)}
-	}
-	keep := pareto.FrontierKD(objs)
-	out := make([]TradePoint, 0, len(keep))
-	for _, i := range keep {
-		out = append(out, all[i])
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Accuracy != out[j].Accuracy {
-			return out[i].Accuracy < out[j].Accuracy
-		}
-		return out[i].Time < out[j].Time
-	})
 	return out, nil
 }
 

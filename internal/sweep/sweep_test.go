@@ -8,11 +8,7 @@ import (
 
 	"repro/internal/apps/galaxy"
 	"repro/internal/apps/sand"
-	"repro/internal/config"
 	"repro/internal/core"
-	"repro/internal/demand"
-	"repro/internal/ec2"
-	"repro/internal/model"
 	"repro/internal/units"
 	"repro/internal/workload"
 )
@@ -305,64 +301,5 @@ func TestDeadlinesLadder(t *testing.T) {
 	d := Deadlines()
 	if len(d) != 5 || d[0] != 6 || d[4] != 72 {
 		t.Fatalf("ladder = %v", d)
-	}
-}
-
-func TestTradeSurface3D(t *testing.T) {
-	// Small space so the per-rung scans stay cheap.
-	cat := ec2.Oregon()
-	space, err := config.Uniform(cat.Len(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := core.NewEngine(model.FromIPC(cat, galaxy.App{}),
-		demand.FromApp(galaxy.App{}), space, galaxy.App{}.Domain())
-	if err != nil {
-		t.Fatal(err)
-	}
-	accuracies := []float64{1000, 2000, 4000}
-	surface, err := TradeSurface(eng, 32768, accuracies,
-		units.FromHours(24), 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(surface) == 0 {
-		t.Fatal("empty trade surface")
-	}
-	// 3-objective nondomination must hold: no point may weakly beat
-	// another on all of (accuracy ↑, time ↓, cost ↓) with one strict.
-	for i, p := range surface {
-		for j, q := range surface {
-			if i == j {
-				continue
-			}
-			if q.Accuracy >= p.Accuracy && float64(q.Time) <= float64(p.Time) &&
-				float64(q.Cost) <= float64(p.Cost) &&
-				(q.Accuracy > p.Accuracy || float64(q.Time) < float64(p.Time) ||
-					float64(q.Cost) < float64(p.Cost)) {
-				t.Fatalf("surface point %d dominated by %d: %+v vs %+v", i, j, p, q)
-			}
-		}
-	}
-	// The highest accuracy rung must appear (nothing can dominate its
-	// frontier points on the accuracy axis).
-	sawTop := false
-	for _, p := range surface {
-		if p.Accuracy == 4000 {
-			sawTop = true
-		}
-	}
-	if !sawTop {
-		t.Fatal("highest accuracy rung missing from the surface")
-	}
-}
-
-func TestTradeSurfaceValidation(t *testing.T) {
-	eng := indexedPaperEngine(t, galaxy.App{})
-	if _, err := TradeSurface(eng, 65536, nil, units.FromHours(24), 100); err == nil {
-		t.Fatal("empty rung list accepted")
-	}
-	if _, err := TradeSurface(eng, 65536, []float64{-5}, units.FromHours(24), 100); err == nil {
-		t.Fatal("out-of-domain accuracy accepted")
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -286,24 +285,6 @@ func (r *Registry) Snapshot() map[string]interface{} {
 		"gauges":     gauges,
 		"histograms": hists,
 	}
-}
-
-// Names reports every registered metric name, sorted; useful in tests.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counts)+len(r.gauges)+len(r.hists))
-	for n := range r.counts {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Handler serves the registry snapshot as indented JSON — the body of

@@ -210,14 +210,3 @@ func TestSnapshotDuringConcurrentObserve(t *testing.T) {
 			r.Histogram("live.latency.ms").Count(), r.Counter("live.requests").Value())
 	}
 }
-
-func TestNames(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b")
-	r.Gauge("a")
-	r.Histogram("c")
-	got := r.Names()
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Fatalf("names = %v", got)
-	}
-}
