@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -26,8 +27,11 @@ import (
 	"time"
 
 	"repro/internal/apps/galaxy"
+	"repro/internal/cloudsim"
 	"repro/internal/core"
 	"repro/internal/demand"
+	"repro/internal/faults"
+	"repro/internal/faults/risk"
 	"repro/internal/model"
 	"repro/internal/schedule"
 	"repro/internal/snapshot"
@@ -179,7 +183,28 @@ func main() {
 	if scanNs := rows[2].NsPerOp; solveRow.NsPerOp > 0 && rows[2].Name == "MinCostScanPaper" {
 		solveRow.Speedup = float64(int64(tr.Steps())*scanNs) / float64(solveRow.NsPerOp)
 	}
-	rows = append(rows, solveRow, buildRow)
+
+	// The risk rung: a 200-trial Monte-Carlo estimate under Poisson
+	// failures on the min-cost configuration for the 24-h deadline,
+	// replayed through the cloud simulator. It has no gate and no scan
+	// twin.
+	best, ok, err := idxEng.MinCostForDeadline(p, cons.Deadline)
+	if err != nil || !ok {
+		log.Fatalf("RiskEstimateGalaxyPaper: no min-cost configuration (%v)", err)
+	}
+	riskOpts := risk.Options{
+		Trials:        200,
+		Seed:          1,
+		HazardPerHour: 0.002,
+		Deadline:      cons.Deadline,
+		Sim:           cloudsim.DefaultOptions(),
+		Recovery:      faults.DefaultRecovery(),
+	}
+	riskRow := run("RiskEstimateGalaxyPaper", func() error {
+		_, err := risk.EstimateContext(context.Background(), galaxy.App{}, p, best.Config, idxEng.Capacities().Catalog(), riskOpts)
+		return err
+	})
+	rows = append(rows, solveRow, riskRow, buildRow)
 
 	// Snapshot rungs: persist the paper index and restore it into a cold
 	// engine. Load speedup is measured against the in-process build it

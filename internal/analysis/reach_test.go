@@ -77,11 +77,6 @@ var reachAllowed = map[string]string{
 var stdlibCalled = map[string]string{
 	"Error":     "error: fmt and errors format and wrap error values",
 	"String":    "fmt.Stringer: fmt prints Stringers",
-	"Len":       "sort.Interface and heap.Interface",
-	"Less":      "sort.Interface and heap.Interface",
-	"Swap":      "sort.Interface and heap.Interface",
-	"Push":      "heap.Interface: container/heap grows the heap",
-	"Pop":       "heap.Interface: container/heap shrinks the heap",
 	"ServeHTTP": "http.Handler: net/http dispatches requests to it",
 	"Import":    "types.Importer: go/types resolves imports through it",
 }
@@ -98,8 +93,9 @@ var perfbenchPkg = sync.OnceValues(func() (*CheckedPackage, error) {
 })
 
 // TestEveryFunctionReachable fails on any module function that no
-// binary reaches, unless reachAllowed names it, and on any
-// reachAllowed entry that no longer names such a function. The roots
+// binary reaches, unless reachAllowed names it, on any reachAllowed
+// entry that no longer names such a function, and on any stdlibCalled
+// name that no module method has. The roots
 // are the main of every program under cmd/ and examples/ and of
 // _perfbench, every init, every function that a package-level
 // declaration references, and every method that the standard library
@@ -219,6 +215,16 @@ func TestEveryFunctionReachable(t *testing.T) {
 	sort.Strings(stale)
 	for _, key := range stale {
 		t.Errorf("reachAllowed names %s, which is not an unreached module function: drop the entry", key)
+	}
+	var unused []string
+	for name := range stdlibCalled {
+		if len(byName[name]) == 0 {
+			unused = append(unused, name)
+		}
+	}
+	sort.Strings(unused)
+	for _, name := range unused {
+		t.Errorf("stdlibCalled names %s, which no module method has: drop the entry", name)
 	}
 }
 

@@ -559,6 +559,12 @@ func (s *Server) handleRisk(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusBadRequest, errorBody{err.Error()})
 			return
 		}
+		// Without a config the min-cost search checks (n, a); with one,
+		// nothing would before the simulator runs a plan of any size.
+		if err := app.Domain().CheckParams(workload.Params{N: req.N, A: req.A}); err != nil {
+			writeJSON(w, http.StatusUnprocessableEntity, errorBody{err.Error()})
+			return
+		}
 	}
 	if req.Trials == 0 {
 		req.Trials = risk.DefaultTrials

@@ -507,6 +507,30 @@ func TestRiskEndpointValidation(t *testing.T) {
 	}
 }
 
+func TestRiskExplicitConfigChecksDomain(t *testing.T) {
+	// An explicit config skips the min-cost search that checks (n, a)
+	// otherwise, so the handler checks them itself: a 422 with the
+	// domain's message, before any trial is simulated. (An unchecked n
+	// of 2e6 clips took seconds to simulate; 1e30 overflowed the task
+	// count.)
+	ts, fd := newRiskServer(t)
+	for _, body := range []string{
+		`{"app":"x264","n":2e6,"a":20,"deadline_hours":24,"trials":1,"config":[2,0,0,0,0,0,0,0,0]}`,
+		`{"app":"x264","n":1e30,"a":20,"deadline_hours":24,"trials":1,"config":[2,0,0,0,0,0,0,0,0]}`,
+		`{"app":"x264","n":0.5,"a":20,"deadline_hours":24,"trials":1,"config":[2,0,0,0,0,0,0,0,0]}`,
+		`{"app":"x264","n":16,"a":60,"deadline_hours":24,"trials":1,"config":[2,0,0,0,0,0,0,0,0]}`,
+		`{"app":"galaxy","n":2048,"a":0,"deadline_hours":24,"trials":1,"config":[2,0,0,0,0,0,0,0,0]}`,
+	} {
+		code, e := postRaw(t, ts.URL+"/v1/risk", body)
+		if code != http.StatusUnprocessableEntity || !strings.HasPrefix(e.Error, "workload: ") || !strings.Contains(e.Error, " outside ") {
+			t.Errorf("%s: status %d %q, want 422 with the domain error", body, code, e.Error)
+		}
+	}
+	if got := fd.Metrics().Counter("risk.trials").Value(); got != 0 {
+		t.Fatalf("out-of-domain queries simulated %d trials", got)
+	}
+}
+
 func TestRiskRequiresMountedWorkload(t *testing.T) {
 	// A server without WithApps serves the analytic endpoints but
 	// rejects risk queries with 422.

@@ -24,10 +24,11 @@
 package cloudsim
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/config"
 	"repro/internal/des"
@@ -395,23 +396,27 @@ func (p *workers) mount(idx int, ready func(w int)) {
 	}
 }
 
-// start runs task on slot w; free(w) follows its completion unless the
-// slot's instance fails first.
+// start runs task on slot w. Its completion is the record (w, the
+// slot's generation), which Fire takes, so a task allocates nothing.
 func (p *workers) start(w, task int) {
-	p.slots[w].current = task
-	gen := p.slots[w].gen
-	p.r.sim.Schedule(units.Time(p.r.plan.TaskInstr(task), p.slots[w].rate), func() {
-		s := &p.slots[w]
-		if s.gen != gen {
-			return // lost to a failure; the task was requeued
-		}
-		s.current = -1
-		p.completed++
-		if now := p.r.sim.Now(); now > p.finish {
-			p.finish = now
-		}
-		p.free(w)
-	})
+	s := &p.slots[w]
+	s.current = task
+	p.r.sim.Post(units.Time(p.r.plan.TaskInstr(task), s.rate), p, w, s.gen)
+}
+
+// Fire completes slot w's task and calls free(w), unless the slot's
+// instance failed since the task started at generation gen.
+func (p *workers) Fire(w, gen int) {
+	s := &p.slots[w]
+	if s.gen != gen {
+		return // lost to a failure; the task was requeued
+	}
+	s.current = -1
+	p.completed++
+	if now := p.r.sim.Now(); now > p.finish {
+		p.finish = now
+	}
+	p.free(w)
 }
 
 // kill takes down instance inst's slots and re-dispatches the tasks in
@@ -697,43 +702,30 @@ func partitionProportional(n int, vcpus []vcpuRef) []int {
 		assigned += share[i]
 		fracs[i] = frac{i, exact - math.Floor(exact)}
 	}
-	// Hand out the remainder to the largest fractional parts
-	// (deterministic tie-break by index).
-	for rem := n - assigned; rem > 0; rem-- {
-		best := -1
-		for i := range fracs {
-			if best < 0 || fracs[i].f > fracs[best].f {
-				best = i
-			}
-		}
-		share[fracs[best].idx]++
-		fracs[best].f = -1
+	// Hand out the remainder to the largest fractional parts, the lower
+	// index first on a tie. The remainder is the sum of the fractional
+	// parts, each below 1, so it never exceeds the rank count.
+	slices.SortFunc(fracs, func(a, b frac) int {
+		return cmp.Or(cmp.Compare(b.f, a.f), cmp.Compare(a.idx, b.idx))
+	})
+	for _, f := range fracs[:n-assigned] {
+		share[f.idx]++
 	}
 	return share
 }
 
-// idleHeap orders idle workers FIFO by the time they went idle.
+// idleWorker is slot w, parked idle since at.
 type idleWorker struct {
 	at units.Seconds
 	w  int
 }
-type idleHeap []idleWorker
 
-func (h idleHeap) Len() int { return len(h) }
-func (h idleHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// Less orders idle workers by the time they went idle, then by slot.
+func (a idleWorker) Less(b idleWorker) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].w < h[j].w
-}
-func (h idleHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *idleHeap) Push(x interface{}) { *h = append(*h, x.(idleWorker)) }
-func (h *idleHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+	return a.w < b.w
 }
 
 // runMasterWorker executes a work-queue plan (sand): the master on
@@ -764,12 +756,25 @@ func (r *runner) runMasterWorker() (units.Seconds, int) {
 	redispatch := []int{} // tasks to dispatch again (inputs lost)
 	readyTasks := []int{} // dispatched, waiting for a worker
 
-	idle := make(idleHeap, 0, len(pool.slots))
+	// idle holds the parked slots in Less order. A slot parks at
+	// sim.Now(), which never decreases, so park passes at most the slots
+	// parked at the same instant, and the least slot is always first.
+	idle := make([]idleWorker, 0, len(pool.slots))
+	park := func(w int) {
+		iw := idleWorker{sim.Now(), w}
+		i := len(idle)
+		idle = append(idle, iw)
+		for ; i > 0 && iw.Less(idle[i-1]); i-- {
+			idle[i] = idle[i-1]
+		}
+		idle[i] = iw
+	}
 	popIdle := func() (int, bool) {
-		for idle.Len() > 0 {
-			iw := heap.Pop(&idle).(idleWorker)
-			if !pool.slots[iw.w].dead {
-				return iw.w, true
+		for len(idle) > 0 {
+			w := idle[0].w
+			idle = idle[1:]
+			if !pool.slots[w].dead {
+				return w, true
 			}
 		}
 		return -1, false
@@ -781,7 +786,7 @@ func (r *runner) runMasterWorker() (units.Seconds, int) {
 			readyTasks = readyTasks[1:]
 			pool.start(w, task)
 		} else {
-			heap.Push(&idle, idleWorker{sim.Now(), w})
+			park(w)
 		}
 	}
 	pool.free = func(w int) {
@@ -832,7 +837,7 @@ func (r *runner) runMasterWorker() (units.Seconds, int) {
 		started = true
 		for w, s := range pool.slots {
 			if !s.dead {
-				heap.Push(&idle, idleWorker{sim.Now(), w})
+				park(w)
 			}
 		}
 		if masterAlive {

@@ -1,6 +1,7 @@
 package cloudsim
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -776,6 +777,65 @@ func TestFailureAfterCompletionBillsFullSpan(t *testing.T) {
 			if res.Makespan != want.Makespan || res.Cost != want.Cost {
 				t.Fatalf("%s/%v: post-completion event altered the run: makespan %v vs %v, cost %v vs %v",
 					c.app.Name(), rec.Mode, res.Makespan, want.Makespan, res.Cost, want.Cost)
+			}
+		}
+	}
+}
+
+func TestFailureOneULPAfterCompletionIsFailureFree(t *testing.T) {
+	// risk keeps the failure-free result for a trial whose first event
+	// comes after the failure-free makespan. The earliest such event is
+	// one ulp after it; put one on every instance there. Each finds the
+	// run over, so makespan and cost equal the failure-free run's to the
+	// bit, for every plan kind and policy. The same events at the
+	// makespan itself fire before the last completion and change the
+	// run, which is why the reuse test is strict.
+	cat := ec2.Oregon()
+	respawn := faults.DefaultRecovery()
+	respawn.Respawn = true
+	cases := []struct {
+		app   workload.App
+		p     workload.Params
+		tuple config.Tuple
+	}{
+		{x264.App{}, workload.Params{N: 32, A: 20}, config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0)},
+		{galaxy.App{}, workload.Params{N: 2048, A: 10}, config.MustTuple(1, 1, 0, 0, 0, 0, 0, 0, 0)},
+		{sand.App{}, workload.Params{N: 8e6, A: 0.32}, config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0)},
+	}
+	everyAt := func(instances int, at units.Seconds) faults.Trace {
+		evs := make([]faults.Event, instances)
+		for i := range evs {
+			evs[i] = faults.Event{Instance: i, At: at}
+		}
+		return faults.NewTrace(evs...)
+	}
+	for _, c := range cases {
+		for _, rec := range []faults.Recovery{{}, faults.DefaultRecovery(), respawn} {
+			name := fmt.Sprintf("%s/%v/respawn=%t", c.app.Name(), rec.Mode, rec.Respawn)
+			opts := DefaultOptions()
+			opts.Recovery = rec
+			want, err := Run(c.app, c.p, c.tuple, cat, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			opts.Trace = everyAt(want.Instances, units.Seconds(math.Nextafter(float64(want.Makespan), math.Inf(1))))
+			got, err := Run(c.app, c.p, c.tuple, cat, opts)
+			if err != nil {
+				t.Fatalf("%s: events after completion failed the run: %v", name, err)
+			}
+			if math.Float64bits(float64(got.Makespan)) != math.Float64bits(float64(want.Makespan)) ||
+				math.Float64bits(float64(got.Cost)) != math.Float64bits(float64(want.Cost)) {
+				t.Fatalf("%s: makespan %v cost %v, want the failure-free %v and %v",
+					name, got.Makespan, got.Cost, want.Makespan, want.Cost)
+			}
+			if got.Failures != want.Instances || got.Respawned != 0 {
+				t.Fatalf("%s: %d failures and %d respawns, want %d and 0", name, got.Failures, got.Respawned, want.Instances)
+			}
+
+			opts.Trace = everyAt(want.Instances, want.Makespan)
+			at, err := Run(c.app, c.p, c.tuple, cat, opts)
+			if err == nil && at.Makespan == want.Makespan && at.Cost == want.Cost {
+				t.Fatalf("%s: events at the makespan left the run unchanged", name)
 			}
 		}
 	}

@@ -5,10 +5,13 @@
 // reproducible. An event is never taken back: work that a failure
 // voids still fires, and its owner's generation or epoch counter turns
 // it into a no-op.
+//
+// An event is a closure (Schedule, At) or a record (Post): a Handler
+// and two integers, which schedules without allocating. The calendar
+// is a binary heap of typed events, so neither form is boxed.
 package des
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/units"
@@ -19,33 +22,33 @@ import (
 type Sim struct {
 	now    units.Seconds
 	seq    uint64
-	queue  eventQueue
+	queue  []event // binary min-heap in Less order
 	events uint64
 }
 
+// A Handler takes the record events scheduled with Post.
+type Handler interface {
+	Fire(a, b int)
+}
+
+// event is one calendar entry: the closure fn, or, when fn is nil, the
+// record h.Fire(a, b).
 type event struct {
-	at  units.Seconds
-	seq uint64 // FIFO tie-break for simultaneous events
-	fn  func()
+	at   units.Seconds
+	seq  uint64 // FIFO tie-break for simultaneous events
+	fn   func()
+	h    Handler
+	a, b int
 }
 
-type eventQueue []event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// Less orders events by time, then by scheduling order. No two events
+// share a seq, so the order is total and any correct heap pops the same
+// sequence.
+func (e *event) Less(f *event) bool {
+	if e.at != f.at {
+		return e.at < f.at
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+	return e.seq < f.seq
 }
 
 // Now reports the current simulation time.
@@ -57,30 +60,93 @@ func (s *Sim) Events() uint64 { return s.events }
 // Schedule arranges for fn to run delay after the current time.
 // Negative delays are rejected: simulated time only advances.
 func (s *Sim) Schedule(delay units.Seconds, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("des: negative delay %v", delay))
-	}
+	checkDelay(delay)
 	s.At(s.now+delay, fn)
 }
 
 // At arranges for fn to run at absolute time t, which must not precede
 // the current time.
 func (s *Sim) At(t units.Seconds, fn func()) {
-	if t < s.now {
-		panic(fmt.Sprintf("des: event at %v scheduled from %v (past)", t, s.now))
+	s.push(event{at: t, fn: fn})
+}
+
+// Post arranges for h.Fire(a, b) to run delay after the current time.
+// Negative delays are rejected, as for Schedule.
+func (s *Sim) Post(delay units.Seconds, h Handler, a, b int) {
+	checkDelay(delay)
+	s.push(event{at: s.now + delay, h: h, a: a, b: b})
+}
+
+func checkDelay(delay units.Seconds) {
+	if delay < 0 {
+		panic(fmt.Sprintf("des: negative delay %v", delay))
 	}
-	heap.Push(&s.queue, event{at: t, seq: s.seq, fn: fn})
+}
+
+// push stamps e with the next seq and sifts it up from the end of the
+// heap.
+func (s *Sim) push(e event) {
+	if e.at < s.now {
+		panic(fmt.Sprintf("des: event at %v scheduled from %v (past)", e.at, s.now))
+	}
+	e.seq = s.seq
 	s.seq++
+	q := append(s.queue, e)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.Less(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+	s.queue = q
+}
+
+// pop removes the least event and sifts the last one down into the
+// hole it leaves.
+func (s *Sim) pop() event {
+	q := s.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].Less(&q[c]) {
+			c = r
+		}
+		if !q[c].Less(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if n > 0 {
+		q[i] = last
+	}
+	s.queue = q
+	return top
 }
 
 // Run fires events in timestamp order until the calendar is empty and
 // returns the final time.
 func (s *Sim) Run() units.Seconds {
-	for s.queue.Len() > 0 {
-		e := heap.Pop(&s.queue).(event)
+	for len(s.queue) > 0 {
+		e := s.pop()
 		s.now = e.at
 		s.events++
-		e.fn()
+		if e.fn != nil {
+			e.fn()
+		} else {
+			e.h.Fire(e.a, e.b)
+		}
 	}
 	return s.now
 }

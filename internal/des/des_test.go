@@ -1,8 +1,10 @@
 package des
 
 import (
+	"sort"
 	"testing"
 
+	"repro/internal/detrand"
 	"repro/internal/units"
 )
 
@@ -100,5 +102,82 @@ func TestManyEventsStress(t *testing.T) {
 	end := s.Run()
 	if count != 100000 || end != 100000 {
 		t.Fatalf("count=%d end=%v", count, end)
+	}
+}
+
+// firing is one fired event: its index in scheduling order and the
+// clock when it fired.
+type firing struct {
+	id  int
+	now units.Seconds
+}
+
+// recordForm is the record form of the property test's events, posted
+// as (id, -id).
+type recordForm struct {
+	t    *testing.T
+	fire func(id int)
+}
+
+func (r recordForm) Fire(id, neg int) {
+	if neg != -id {
+		r.t.Errorf("record (%d, %d) fired, want (%d, %d)", id, neg, id, -id)
+	}
+	r.fire(id)
+}
+
+func TestCalendarOrderProperty(t *testing.T) {
+	// Delays come from a small set, so many events tie, and fired events
+	// schedule more: closures by delay or by time, and records. Every
+	// event must fire once, at its time, in (at, seq) order, which is
+	// the scheduling log stably sorted by time: a child fires no earlier
+	// than its parent, and on a tie it holds the later seq.
+	delays := []units.Seconds{0, 0.25, 1, 1, 2, 7}
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := detrand.New(seed)
+		pick := func(n int) int { return int(rng.Uint64() % uint64(n)) }
+		var s Sim
+		var at []units.Seconds // every event's time, in scheduling order
+		var fired []firing
+		var schedule func()
+		fire := func(id int) {
+			fired = append(fired, firing{id, s.Now()})
+			for k := pick(3); k > 0 && len(at) < 3000; k-- {
+				schedule()
+			}
+		}
+		rec := recordForm{t, fire}
+		schedule = func() {
+			id := len(at)
+			d := delays[pick(len(delays))]
+			at = append(at, s.Now()+d)
+			switch pick(3) {
+			case 0:
+				s.Schedule(d, func() { fire(id) })
+			case 1:
+				s.At(s.Now()+d, func() { fire(id) })
+			default:
+				s.Post(d, rec, id, -id)
+			}
+		}
+		for i := 0; i < 60; i++ {
+			schedule()
+		}
+		s.Run()
+
+		want := make([]int, len(at))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(i, j int) bool { return at[want[i]] < at[want[j]] })
+		if len(fired) != len(at) || s.Events() != uint64(len(at)) {
+			t.Fatalf("seed %d: %d events scheduled, %d fired, Events() = %d", seed, len(at), len(fired), s.Events())
+		}
+		for k, f := range fired {
+			if f.id != want[k] || f.now != at[f.id] {
+				t.Fatalf("seed %d: firing %d was event %d at %v, want event %d at %v",
+					seed, k, f.id, f.now, want[k], at[want[k]])
+			}
+		}
 	}
 }

@@ -168,6 +168,12 @@ func EstimateContext(ctx context.Context, app workload.App, p workload.Params, t
 			defer wg.Done()
 			for i := range idx {
 				tr := faults.PoissonTrace(trialSeed(opts.Seed, i), opts.HazardPerHour, ref.Instances, horizon)
+				if ev := tr.Events(); len(ev) == 0 || ev[0].At > ref.Makespan {
+					// Every failure finds the base run over: the trial is
+					// the base run (DESIGN §7).
+					trials[i] = trial{makespan: ref.Makespan, cost: ref.Cost, failures: tr.Len()}
+					continue
+				}
 				o := base
 				o.Trace = tr
 				res, err := cloudsim.Run(app, p, tuple, cat, o)
