@@ -17,15 +17,13 @@
 //     applications (sand);
 //   - task-granularity tail imbalance on heterogeneous clusters;
 //   - billing from provisioning (boot included) to teardown;
-//   - instance failures, injected from a faults.Trace, with per-plan
-//     recovery policies (bounded task re-dispatch, BSP
-//     checkpoint/restart, master failover, replacement provisioning)
-//     or the paper-faithful strict abort.
+//   - instance failures, injected from a faults.Trace and recovered per
+//     plan kind (bounded task re-dispatch, BSP checkpoint/restart,
+//     master failover).
 package cloudsim
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -54,26 +52,18 @@ type Options struct {
 	Seed    uint64
 	Boot    units.Seconds // VM provisioning latency (billed, not timed)
 	Network Network
-	// Startup overrides the per-application fixed startup; nil uses
-	// AppStartup's defaults.
-	Startup map[string]units.Seconds
-
-	// Stragglers maps instance indices (provisioning order) to
-	// slowdown factors > 1, modeling oversubscribed hosts.
-	Stragglers map[int]float64
 
 	// Trace injects instance failures: each event terminates one
 	// instance at a time measured from application launch, losing its
-	// in-flight work. What happens next is governed by Recovery.
+	// in-flight work. An event after the run completes changes nothing.
 	Trace faults.Trace
 
-	// Recovery selects the failure-handling policy. The zero value is
-	// faults.StrictAbort — the paper-faithful fault model: independent
-	// plans re-dispatch lost tasks without bound, while gang-scheduled
-	// BSP and master-anchored work-queue plans abort with an error at
-	// the first event that fires before they complete. Under strict
-	// abort the policy's other fields are ignored; an event after
-	// completion changes nothing under either mode.
+	// Recovery sets how each plan kind recovers from a failure: lost
+	// tasks are re-dispatched within MaxTaskRetries, BSP ranks restart
+	// from the last checkpoint, and a dead master is replaced after
+	// FailoverDetection. The zero value recovers with unbounded
+	// retries, no checkpoints and immediate failover. A run that loses
+	// every instance before it completes fails.
 	Recovery faults.Recovery
 }
 
@@ -118,36 +108,23 @@ func DefaultOptions() Options {
 	return Options{Seed: 1, Boot: 45, Network: DefaultNetwork()}
 }
 
-func (o Options) startup(appName string) units.Seconds {
-	if o.Startup != nil {
-		if s, ok := o.Startup[appName]; ok {
-			return s
-		}
-	}
-	return AppStartup(appName)
-}
-
 // Result reports one simulated run.
 type Result struct {
 	Makespan  units.Seconds // application launch → completion (what a user times)
 	Cost      units.USD     // billed: boot through completion (or failure), all instances
-	Instances int           // originally provisioned instances
+	Instances int           // provisioned instances
 	VCPUs     int
 	Tasks     int
 	Events    uint64
 	Failures  int // failure events applied to this run
-	Respawned int // replacement instances provisioned by the recovery policy
 }
 
 // Run executes the application's plan for p on a cluster provisioned
-// per the tuple.
+// per the tuple, under the failures in opts.Trace.
 //
-// Billing: every originally provisioned instance bills from the start
-// of its boot through the end of the run, capped at its failure time —
-// Boot + min(FailAt, Makespan) — for every event in the trace.
-// Replacement instances bill from the moment the failure that triggered
-// them fired (their boot happens inside the run) through the end of the
-// run.
+// Billing: every instance bills from the start of its boot through the
+// end of the run, capped at its failure time: Boot + min(FailAt,
+// Makespan).
 func Run(app workload.App, p workload.Params, tuple config.Tuple, cat *ec2.Catalog, opts Options) (Result, error) {
 	if tuple.Len() != cat.Len() {
 		return Result{}, fmt.Errorf("cloudsim: tuple arity %d vs catalog %d", tuple.Len(), cat.Len())
@@ -162,7 +139,7 @@ func Run(app workload.App, p workload.Params, tuple config.Tuple, cat *ec2.Catal
 	if err := opts.Recovery.Validate(); err != nil {
 		return Result{}, err
 	}
-	cluster := provision(tuple, cat, app, opts)
+	cluster := provision(tuple, cat, app, opts.Seed)
 	if err := opts.Trace.Validate(len(cluster)); err != nil {
 		return Result{}, err
 	}
@@ -171,22 +148,8 @@ func Run(app workload.App, p workload.Params, tuple config.Tuple, cat *ec2.Catal
 		app:     app,
 		plan:    plan,
 		opts:    opts,
-		rec:     opts.Recovery,
 		cluster: cluster,
-		orig:    len(cluster),
-		startup: opts.startup(app.Name()),
-	}
-	// The policy is decided here, once. Strict abort runs with no
-	// recovery machinery, and a plan that cannot lose an instance fails
-	// at the first event that fires before it completes.
-	if r.rec.Mode == faults.StrictAbort {
-		r.rec = faults.Recovery{}
-		switch plan.Kind {
-		case workload.BSP:
-			r.abort = errors.New("cloudsim: gang-scheduled BSP job aborts on instance failure")
-		case workload.MasterWorker:
-			r.abort = errors.New("cloudsim: work-queue job aborts when an instance fails (master-anchored)")
-		}
+		startup: AppStartup(app.Name()),
 	}
 
 	var span units.Seconds
@@ -207,18 +170,16 @@ func Run(app workload.App, p workload.Params, tuple config.Tuple, cat *ec2.Catal
 
 	res := Result{
 		Makespan:  span,
-		Instances: r.orig,
+		Instances: len(cluster),
 		Tasks:     tasks,
 		Events:    r.sim.Events(),
 		Failures:  opts.Trace.Len(),
-		Respawned: len(r.respawns),
 	}
 	failAt := make(map[int]units.Seconds, opts.Trace.Len())
 	for _, e := range opts.Trace.Events() {
 		failAt[e.Instance] = e.At
 	}
-	for i := 0; i < r.orig; i++ {
-		in := r.cluster[i]
+	for i, in := range cluster {
 		res.VCPUs += in.Type.VCPUs
 		billed := span
 		if at, ok := failAt[i]; ok && at < billed {
@@ -226,56 +187,34 @@ func Run(app workload.App, p workload.Params, tuple config.Tuple, cat *ec2.Catal
 		}
 		res.Cost += in.Type.Price.Over(opts.Boot + billed)
 	}
-	for _, rs := range r.respawns {
-		if rs.at < span {
-			res.Cost += rs.price.Over(span - rs.at)
-		}
-	}
 	return res, nil
 }
 
 // provision builds the cluster's instance list in tuple order.
-func provision(tuple config.Tuple, cat *ec2.Catalog, app workload.App, opts Options) []vm.Instance {
+func provision(tuple config.Tuple, cat *ec2.Catalog, app workload.App, seed uint64) []vm.Instance {
 	var out []vm.Instance
 	id := 0
 	for i := 0; i < tuple.Len(); i++ {
 		typ := cat.Type(i)
 		for k := 0; k < tuple.Count(i); k++ {
-			in := vm.Provision(id, typ, app, opts.Seed, opts.Boot)
-			if f, ok := opts.Stragglers[id]; ok {
-				in = in.Slowed(f)
-			}
-			out = append(out, in)
+			out = append(out, vm.Provision(id, typ, app, seed))
 			id++
 		}
 	}
 	return out
 }
 
-// respawn records one replacement provisioning for billing: the
-// replacement bills from the failure that ordered it through run end.
-type respawn struct {
-	at    units.Seconds
-	price units.USDPerHour
-}
-
 // runner carries the state shared by the per-plan schedulers: the
-// (growing) instance list, the recovery policy as Run decided it, and
-// the first fatal error.
+// cluster, the options with their recovery policy, and the first fatal
+// error.
 type runner struct {
 	sim     des.Sim
 	app     workload.App
 	plan    workload.Plan
 	opts    Options
-	rec     faults.Recovery // opts.Recovery, or the zero policy under strict abort
-	abort   error           // strict abort's error for plans that cannot lose an instance
-	cluster []vm.Instance   // originals, then replacements
-	orig    int
+	cluster []vm.Instance
 	startup units.Seconds
-
-	respawns []respawn
-	booting  int // replacements ordered but not yet booted
-	err      error
+	err     error
 }
 
 func (r *runner) fail(format string, args ...interface{}) {
@@ -287,36 +226,15 @@ func (r *runner) fail(format string, args ...interface{}) {
 // onFailures schedules every trace event; the plans call it after
 // scheduling their launch and before anything completes, so an event at
 // a completion's instant fires first. An event changes nothing once the
-// run is over or has failed. Otherwise it aborts a strict run, or calls
-// lose with the failed instance, orders a replacement under Respawn
-// (boot mounts it once it has booted, unless the run is over by then),
-// and calls resume.
-func (r *runner) onFailures(over func() bool, lose func(inst int), boot func(idx int), resume func()) {
+// run is over or has failed; otherwise it calls lose with the failed
+// instance.
+func (r *runner) onFailures(over func() bool, lose func(inst int)) {
 	for _, e := range r.opts.Trace.Events() {
 		inst := e.Instance
 		r.sim.At(e.At, func() {
-			if over() || r.err != nil {
-				return
+			if !over() && r.err == nil {
+				lose(inst)
 			}
-			if r.abort != nil {
-				r.err = r.abort
-				return
-			}
-			lose(inst)
-			if r.rec.Respawn {
-				idx := len(r.cluster)
-				repl := vm.Replacement(idx, r.cluster[inst], r.app, r.opts.Seed)
-				r.cluster = append(r.cluster, repl)
-				r.respawns = append(r.respawns, respawn{at: r.sim.Now(), price: repl.Type.Price})
-				r.booting++
-				r.sim.Schedule(r.opts.Boot, func() {
-					r.booting--
-					if !over() && r.err == nil {
-						boot(idx)
-					}
-				})
-			}
-			resume()
 		})
 	}
 }
@@ -370,30 +288,21 @@ type slot struct {
 	current int // task in flight, -1 when idle
 }
 
-// newWorkers mounts the provisioned cluster's vCPUs.
+// newWorkers makes one idle slot per vCPU of the cluster, in instance
+// order. Like clusterVCPUs, every slot loses the application's
+// network-processing share when the cluster has more than one instance.
 func (r *runner) newWorkers() *workers {
+	factor := networkFactor(len(r.cluster), r.app.Name())
 	p := &workers{r: r}
-	for i := range r.cluster {
-		p.mount(i, nil)
-	}
-	return p
-}
-
-// mount adds instance idx's vCPUs as idle slots, handing each new slot
-// to ready when it is non-nil. A replacement loses the same
-// network-processing share as the instance it replaces.
-func (p *workers) mount(idx int, ready func(w int)) {
-	in := p.r.cluster[idx]
-	factor := networkFactor(p.r.orig, p.r.app.Name())
-	for v := 0; v < in.Type.VCPUs; v++ {
-		p.slots = append(p.slots, slot{
-			vcpuRef: vcpuRef{inst: idx, rate: in.PerVCPURate() * units.Rate(factor)},
-			current: -1,
-		})
-		if ready != nil {
-			ready(len(p.slots) - 1)
+	for i, in := range r.cluster {
+		for v := 0; v < in.Type.VCPUs; v++ {
+			p.slots = append(p.slots, slot{
+				vcpuRef: vcpuRef{inst: i, rate: in.PerVCPURate() * units.Rate(factor)},
+				current: -1,
+			})
 		}
 	}
+	return p
 }
 
 // start runs task on slot w. Its completion is the record (w, the
@@ -443,7 +352,7 @@ func (p *workers) lost(task int) {
 		p.retries = map[int]int{}
 	}
 	p.retries[task]++
-	if budget := p.r.rec.MaxTaskRetries; budget > 0 && p.retries[task] > budget {
+	if budget := p.r.opts.Recovery.MaxTaskRetries; budget > 0 && p.retries[task] > budget {
 		p.r.fail("cloudsim: task %d exceeded its retry budget of %d re-dispatches", task, budget)
 		return
 	}
@@ -453,8 +362,7 @@ func (p *workers) lost(task int) {
 func (p *workers) done() bool { return p.completed >= p.r.plan.Tasks }
 
 // firstLive returns the lowest-indexed instance with a live vCPU, or -1.
-// Slots are mounted in instance order: replacements boot in the order
-// they were ordered.
+// Slots are in instance order.
 func (p *workers) firstLive() int {
 	for _, s := range p.slots {
 		if !s.dead {
@@ -478,11 +386,9 @@ func (p *workers) run(why string) units.Seconds {
 }
 
 // runIndependent schedules plan.Tasks independent tasks onto all vCPUs
-// via greedy pull (x264's clip farm), retried tasks first. Independent
-// tasks tolerate instance failure under either policy: in-flight work
-// of a failed instance is re-dispatched from scratch to surviving (or,
-// under Respawn, replacement) workers, without bound under StrictAbort
-// and within the retry budget under Recover.
+// via greedy pull (x264's clip farm), retried tasks first. In-flight
+// work of a failed instance is re-dispatched from scratch to surviving
+// workers, within the retry budget.
 func (r *runner) runIndependent() (units.Seconds, int) {
 	plan := r.plan
 	pool := r.newWorkers()
@@ -515,7 +421,10 @@ func (r *runner) runIndependent() (units.Seconds, int) {
 		started = true
 		wakeAll()
 	})
-	r.onFailures(pool.done, pool.kill, func(idx int) { pool.mount(idx, pull) }, wakeAll)
+	r.onFailures(pool.done, func(inst int) {
+		pool.kill(inst)
+		wakeAll()
+	})
 	return pool.run(" (no surviving workers)"), plan.Tasks
 }
 
@@ -523,62 +432,23 @@ func (r *runner) runIndependent() (units.Seconds, int) {
 // are partitioned across ranks (one per vCPU) proportionally to rank
 // speed, each step ends at the slowest rank plus the exchange.
 //
-// Under Recover, the job checkpoints every CheckpointEverySteps steps
-// (paying CheckpointCost of coordinated I/O). On an instance failure
-// the surviving ranks restart from the last checkpoint — paying
+// The job checkpoints every CheckpointEverySteps steps (paying
+// CheckpointCost of coordinated I/O). On an instance failure the
+// surviving ranks restart from the last checkpoint — paying
 // CheckpointCost once more to read it back — with the elements
-// repartitioned proportionally to surviving rank speed. Respawned
-// replacements join when the MPI world is next rebuilt: at a failure
-// restart or a checkpoint boundary.
+// repartitioned proportionally to surviving rank speed.
 func (r *runner) runBSP() (units.Seconds, int) {
 	sim := &r.sim
 	plan := r.plan
 	appName := r.app.Name()
-	ckptEvery, ckptCost := r.rec.CheckpointEverySteps, r.rec.CheckpointCost
+	ckptEvery, ckptCost := r.opts.Recovery.CheckpointEverySteps, r.opts.Recovery.CheckpointCost
 
 	alive := make([]bool, len(r.cluster))
 	for i := range alive {
 		alive[i] = true
 	}
-	booted := []int{} // replacements up but not yet in the MPI world
 
 	var slowest, comm units.Seconds
-	ranks := 0
-	// rebuild recomputes the rank set and per-step time from the
-	// instances currently in the world.
-	rebuild := func() {
-		var world []vm.Instance
-		for i, in := range r.cluster {
-			if i < len(alive) && alive[i] {
-				world = append(world, in)
-			}
-		}
-		vcpus := clusterVCPUs(world, appName)
-		ranks = len(vcpus)
-		if ranks == 0 {
-			slowest, comm = 0, 0
-			return
-		}
-		share := partitionProportional(plan.Elements, vcpus)
-		slowest = 0
-		for rk, elems := range share {
-			t := units.Time(units.Instructions(elems)*plan.InstrPerElement, vcpus[rk].rate)
-			if t > slowest {
-				slowest = t
-			}
-		}
-		comm = 0
-		if len(world) > 1 {
-			comm = units.Seconds(r.opts.Network.LatencySec + plan.CommBytesPerStep/r.opts.Network.BytesPerSec)
-		}
-	}
-	join := func() {
-		for _, idx := range booted {
-			alive[idx] = true
-		}
-		booted = booted[:0]
-	}
-
 	done, ckpt := 0, 0
 	epoch := 0
 	started := false
@@ -612,10 +482,6 @@ func (r *runner) runBSP() (units.Seconds, int) {
 						return // failure hit mid-checkpoint: it never completed
 					}
 					ckpt = done
-					if len(booted) > 0 {
-						join()
-						rebuild()
-					}
 					startStep()
 				})
 				return
@@ -624,16 +490,32 @@ func (r *runner) runBSP() (units.Seconds, int) {
 		})
 	}
 
-	// restart rolls the world back to the last checkpoint on the
-	// current membership (survivors plus booted replacements).
+	// restart partitions the elements over the surviving instances'
+	// ranks and resumes from the last checkpoint. The launch is a
+	// restart from step 0.
 	restart := func() {
-		join()
-		rebuild()
-		if ranks == 0 {
-			if r.booting == 0 {
-				r.fail("cloudsim: all BSP ranks failed")
+		var world []vm.Instance
+		for i, in := range r.cluster {
+			if alive[i] {
+				world = append(world, in)
 			}
-			return // wait for a replacement to boot
+		}
+		vcpus := clusterVCPUs(world, appName)
+		if len(vcpus) == 0 {
+			r.fail("cloudsim: all BSP ranks failed")
+			return
+		}
+		share := partitionProportional(plan.Elements, vcpus)
+		slowest = 0
+		for rk, elems := range share {
+			t := units.Time(units.Instructions(elems)*plan.InstrPerElement, vcpus[rk].rate)
+			if t > slowest {
+				slowest = t
+			}
+		}
+		comm = 0
+		if len(world) > 1 {
+			comm = units.Seconds(r.opts.Network.LatencySec + plan.CommBytesPerStep/r.opts.Network.BytesPerSec)
 		}
 		done = ckpt
 		if ckpt > 0 && ckptCost > 0 {
@@ -650,26 +532,11 @@ func (r *runner) runBSP() (units.Seconds, int) {
 
 	sim.At(r.startup, func() {
 		started = true
-		rebuild()
-		if ranks == 0 {
-			restart() // everything died during startup
-			return
-		}
-		startStep()
+		restart()
 	})
 	r.onFailures(func() bool { return finished }, func(inst int) {
 		alive[inst] = false
 		epoch++
-	}, func(idx int) {
-		for len(alive) < idx+1 {
-			alive = append(alive, false) // joins via booted at the next world rebuild
-		}
-		booted = append(booted, idx)
-		if started && ranks == 0 {
-			epoch++
-			restart()
-		}
-	}, func() {
 		if started {
 			restart()
 		}
@@ -732,11 +599,12 @@ func (a idleWorker) Less(b idleWorker) bool {
 // instance 0 serially dispatches tasks (compute + input shipping over
 // its network link); free workers pull dispatched tasks.
 //
-// Under Recover the plan survives failures: a dead worker's in-flight
-// and queued-but-unstarted tasks are re-dispatched (within the retry
-// budget), and when the master dies, the lowest-indexed surviving
-// instance is promoted after FailoverDetection — tasks whose inputs
-// were shipped but not started are re-shipped by the new master.
+// A dead worker's in-flight and queued-but-unstarted tasks are
+// re-dispatched (within the retry budget), and when the master dies,
+// the lowest-indexed surviving instance is promoted after
+// FailoverDetection — tasks whose inputs were shipped but not started
+// are re-shipped by the new master. The run fails if no instance is
+// left to promote.
 func (r *runner) runMasterWorker() (units.Seconds, int) {
 	sim := &r.sim
 	plan := r.plan
@@ -779,19 +647,17 @@ func (r *runner) runMasterWorker() (units.Seconds, int) {
 		}
 		return -1, false
 	}
-	// serve hands slot w the oldest dispatched task, or parks it idle.
-	serve := func(w int) {
+	// A freed slot takes the oldest dispatched task, or parks idle.
+	pool.free = func(w int) {
+		if pool.done() {
+			return
+		}
 		if len(readyTasks) > 0 {
 			task := readyTasks[0]
 			readyTasks = readyTasks[1:]
 			pool.start(w, task)
 		} else {
 			park(w)
-		}
-	}
-	pool.free = func(w int) {
-		if !pool.done() {
-			serve(w)
 		}
 	}
 	pool.requeue = func(task int) { redispatch = append(redispatch, task) }
@@ -846,12 +712,13 @@ func (r *runner) runMasterWorker() (units.Seconds, int) {
 	})
 
 	promote := func() {
-		if pool.done() || r.err != nil || masterAlive {
+		if pool.done() || r.err != nil {
 			return
 		}
 		best := pool.firstLive()
 		if best < 0 {
-			return // no candidate yet; a booting replacement will retry
+			r.fail("cloudsim: master and all workers failed")
+			return
 		}
 		masterInst = best
 		masterAlive = true
@@ -873,23 +740,10 @@ func (r *runner) runMasterWorker() (units.Seconds, int) {
 				pool.lost(task)
 			}
 			readyTasks = readyTasks[:0]
-			sim.Schedule(r.rec.FailoverDetection, promote)
+			sim.Schedule(r.opts.Recovery.FailoverDetection, promote)
 		}
-	}, func(idx int) {
-		pool.mount(idx, func(w int) {
-			if started {
-				serve(w)
-			}
-		})
-		if !masterAlive {
-			promote()
-		}
-	}, func() {
 		if masterAlive && started {
 			dispatch() // re-dispatch work lost with the workers
-		}
-		if !masterAlive && pool.firstLive() < 0 && r.booting == 0 {
-			r.fail("cloudsim: master and all workers failed")
 		}
 	})
 	return pool.run(""), plan.Tasks

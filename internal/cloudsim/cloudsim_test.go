@@ -32,22 +32,21 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestIndependentNearModelOnSingleInstance(t *testing.T) {
-	// On one instance with negligible startup, the simulator must
+	// On one instance, with the startup taken off, the simulator must
 	// approach the analytic model: same capacity law, only jitter and
 	// task-granularity tail differ.
 	cat := ec2.Oregon()
 	var app x264.App
 	p := workload.Params{N: 64, A: 20}
 	tuple := config.MustTuple(1, 0, 0, 0, 0, 0, 0, 0, 0)
-	opts := DefaultOptions()
-	opts.Startup = map[string]units.Seconds{"x264": 0}
-	res, err := Run(app, p, tuple, cat, opts)
+	res, err := Run(app, p, tuple, cat, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	compute := res.Makespan - AppStartup(app.Name())
 	pred := model.FromIPC(cat, app).Predict(app.Demand(p), tuple)
-	if e := stats.RelErr(float64(pred.Time), float64(res.Makespan)); e > 5 {
-		t.Fatalf("sim vs model differ %.1f%% (sim %v, model %v)", e, res.Makespan, pred.Time)
+	if e := stats.RelErr(float64(pred.Time), float64(compute)); e > 5 {
+		t.Fatalf("sim vs model differ %.1f%% (sim %v after startup, model %v)", e, compute, pred.Time)
 	}
 }
 
@@ -59,14 +58,12 @@ func TestIndependentTailImbalance(t *testing.T) {
 	var app x264.App
 	tuple := config.MustTuple(0, 0, 1, 0, 0, 0, 0, 0, 0) // 8 vCPUs
 	p := workload.Params{N: 9, A: 20}                    // 9 tasks on 8 vCPUs
-	opts := DefaultOptions()
-	opts.Startup = map[string]units.Seconds{"x264": 0}
-	res, err := Run(app, p, tuple, cat, opts)
+	res, err := Run(app, p, tuple, cat, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	taskTime := float64(x264.ClipDemand(20)) / (app.IPC(ec2.C4) * 2.9e9)
-	if got := float64(res.Makespan); got < 1.9*taskTime {
+	if got := float64(res.Makespan - AppStartup(app.Name())); got < 1.9*taskTime {
 		t.Fatalf("makespan %v < 2 waves (%v); tail imbalance not modeled", got, 2*taskTime)
 	}
 }
@@ -95,20 +92,18 @@ func TestBSPGalaxyMatchesModelShape(t *testing.T) {
 }
 
 func TestBSPSingleInstanceNoComm(t *testing.T) {
-	// Communication applies only across instances: a single-node run
-	// with zero startup should sit within jitter of the model.
+	// Communication applies only across instances: a single-node run,
+	// with the startup taken off, should sit within jitter of the model.
 	cat := ec2.Oregon()
 	var app galaxy.App
 	p := workload.Params{N: 2048, A: 20}
 	tuple := config.MustTuple(0, 0, 1, 0, 0, 0, 0, 0, 0)
-	opts := DefaultOptions()
-	opts.Startup = map[string]units.Seconds{"galaxy": 0}
-	res, err := Run(app, p, tuple, cat, opts)
+	res, err := Run(app, p, tuple, cat, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	pred := model.FromIPC(cat, app).Predict(app.Demand(p), tuple)
-	if e := stats.RelErr(float64(res.Makespan), float64(pred.Time)); e > 3.5 {
+	if e := stats.RelErr(float64(res.Makespan-AppStartup(app.Name())), float64(pred.Time)); e > 3.5 {
 		t.Fatalf("single-node BSP deviates %.1f%% from model", e)
 	}
 }
@@ -245,32 +240,6 @@ func TestMasterWorkerFewTasks(t *testing.T) {
 	}
 }
 
-func TestStragglerSlowsRun(t *testing.T) {
-	cat := ec2.Oregon()
-	var app galaxy.App
-	p := workload.Params{N: 2048, A: 10}
-	tuple := config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0)
-	base, err := Run(app, p, tuple, cat, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := DefaultOptions()
-	slow.Stragglers = map[int]float64{0: 2.0}
-	res, err := Run(app, p, tuple, cat, slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rate-proportional partitioning compensates the straggler with a
-	// smaller share, so the loss equals the capacity loss: one of two
-	// instances at half speed leaves 3/4 of the capacity → ~4/3 the
-	// makespan, not 2x.
-	ratio := float64(res.Makespan) / float64(base.Makespan)
-	if ratio < 1.15 || ratio > 1.45 {
-		t.Fatalf("2x straggler grew makespan %.2fx (%v -> %v), want ~1.33x",
-			ratio, base.Makespan, res.Makespan)
-	}
-}
-
 func TestFailureIndependentRecovers(t *testing.T) {
 	cat := ec2.Oregon()
 	var app x264.App
@@ -299,22 +268,6 @@ func TestFailureIndependentRecovers(t *testing.T) {
 	// The failed instance stops billing at the failure time.
 	if res.Cost >= base.Cost*2 {
 		t.Fatalf("failed run cost %v unreasonably high vs %v", res.Cost, base.Cost)
-	}
-}
-
-func TestFailureAbortsBSPAndMasterWorker(t *testing.T) {
-	// The event falls inside both runs: galaxy's startup ends at 0.75 s
-	// and its run takes ~3 s.
-	cat := ec2.Oregon()
-	opts := DefaultOptions()
-	opts.Trace = faults.NewTrace(faults.Event{Instance: 0, At: 1})
-	if _, err := Run(galaxy.App{}, workload.Params{N: 2048, A: 10},
-		config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0), cat, opts); err == nil {
-		t.Fatal("BSP survived an instance failure")
-	}
-	if _, err := Run(sand.App{}, workload.Params{N: 8e6, A: 0.32},
-		config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0), cat, opts); err == nil {
-		t.Fatal("master-worker survived an instance failure")
 	}
 }
 
@@ -356,9 +309,9 @@ func TestFailureWorkConservation(t *testing.T) {
 }
 
 func TestZeroEventTraceBitForBit(t *testing.T) {
-	// An explicitly empty trace under Recover (with checkpointing off)
-	// must follow the exact event sequence and float arithmetic of the
-	// default strict run: same makespan, same cost, to the last bit.
+	// An explicitly empty trace under a policy without checkpoints must
+	// follow the exact event sequence and float arithmetic of a run with
+	// no fault options: same makespan, same cost, to the last bit.
 	cat := ec2.Oregon()
 	cases := []struct {
 		app   workload.App
@@ -376,41 +329,18 @@ func TestZeroEventTraceBitForBit(t *testing.T) {
 		}
 		rec := DefaultOptions()
 		rec.Trace = faults.Trace{}
-		rec.Recovery = faults.Recovery{Mode: faults.Recover, MaxTaskRetries: 3, FailoverDetection: 10}
+		rec.Recovery = faults.Recovery{MaxTaskRetries: 3, FailoverDetection: 10}
 		got, err := Run(c.app, c.p, c.tuple, cat, rec)
 		if err != nil {
 			t.Fatalf("%s: %v", c.app.Name(), err)
 		}
 		if got.Makespan != base.Makespan || got.Cost != base.Cost || got.Events != base.Events {
-			t.Fatalf("%s: zero-event Recover run diverged: makespan %v vs %v, cost %v vs %v, events %d vs %d",
+			t.Fatalf("%s: zero-event run diverged: makespan %v vs %v, cost %v vs %v, events %d vs %d",
 				c.app.Name(), got.Makespan, base.Makespan, got.Cost, base.Cost, got.Events, base.Events)
 		}
-		if got.Failures != 0 || got.Respawned != 0 {
-			t.Fatalf("%s: zero-event run reports %d failures / %d respawns",
-				c.app.Name(), got.Failures, got.Respawned)
+		if got.Failures != 0 {
+			t.Fatalf("%s: zero-event run reports %d failures", c.app.Name(), got.Failures)
 		}
-	}
-}
-
-func TestStrictAbortTraceReproducesAborts(t *testing.T) {
-	// Multi-event traces under the zero-value (StrictAbort) policy must
-	// reproduce the exact legacy abort errors for gang-scheduled and
-	// master-anchored plans when their events fire before completion.
-	cat := ec2.Oregon()
-	opts := DefaultOptions()
-	opts.Trace = faults.NewTrace(
-		faults.Event{Instance: 0, At: 1},
-		faults.Event{Instance: 1, At: 2},
-	)
-	_, err := Run(galaxy.App{}, workload.Params{N: 2048, A: 10},
-		config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0), cat, opts)
-	if err == nil || err.Error() != "cloudsim: gang-scheduled BSP job aborts on instance failure" {
-		t.Fatalf("BSP strict abort error = %v", err)
-	}
-	_, err = Run(sand.App{}, workload.Params{N: 8e6, A: 0.32},
-		config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0), cat, opts)
-	if err == nil || err.Error() != "cloudsim: work-queue job aborts when an instance fails (master-anchored)" {
-		t.Fatalf("master-worker strict abort error = %v", err)
 	}
 }
 
@@ -427,7 +357,7 @@ func TestBSPCheckpointOverheadBilled(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.Recovery = faults.Recovery{Mode: faults.Recover, CheckpointEverySteps: 10, CheckpointCost: 5}
+	opts.Recovery = faults.Recovery{CheckpointEverySteps: 10, CheckpointCost: 5}
 	ck, err := Run(app, p, tuple, cat, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -450,7 +380,7 @@ func TestBSPCheckpointRestartCompletes(t *testing.T) {
 	var app galaxy.App
 	p := workload.Params{N: 4096, A: 50}
 	tuple := config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0)
-	rec := faults.Recovery{Mode: faults.Recover, CheckpointEverySteps: 5, CheckpointCost: 2}
+	rec := faults.Recovery{CheckpointEverySteps: 5, CheckpointCost: 2}
 
 	ckOnly := DefaultOptions()
 	ckOnly.Recovery = rec
@@ -477,7 +407,7 @@ func TestBSPCheckpointRestartCompletes(t *testing.T) {
 	}
 
 	noCkpt := DefaultOptions()
-	noCkpt.Recovery = faults.Recovery{Mode: faults.Recover}
+	noCkpt.Recovery = faults.Recovery{}
 	noCkpt.Trace = withFail.Trace
 	fromZero, err := Run(app, p, tuple, cat, noCkpt)
 	if err != nil {
@@ -492,7 +422,7 @@ func TestBSPCheckpointRestartCompletes(t *testing.T) {
 func TestBSPAllRanksFailedErrors(t *testing.T) {
 	cat := ec2.Oregon()
 	opts := DefaultOptions()
-	opts.Recovery = faults.Recovery{Mode: faults.Recover, CheckpointEverySteps: 5, CheckpointCost: 2}
+	opts.Recovery = faults.Recovery{CheckpointEverySteps: 5, CheckpointCost: 2}
 	opts.Trace = faults.NewTrace(
 		faults.Event{Instance: 0, At: 1},
 		faults.Event{Instance: 1, At: 2},
@@ -501,39 +431,6 @@ func TestBSPAllRanksFailedErrors(t *testing.T) {
 		config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0), cat, opts)
 	if err == nil {
 		t.Fatal("run with every rank dead completed")
-	}
-}
-
-func TestBSPRespawnRevivesDeadCluster(t *testing.T) {
-	// Sole instance dies mid-run; a respawned replacement boots, rejoins
-	// the (otherwise empty) world at the restart, and finishes the job.
-	cat := ec2.Oregon()
-	var app galaxy.App
-	p := workload.Params{N: 2048, A: 20}
-	tuple := config.MustTuple(1, 0, 0, 0, 0, 0, 0, 0, 0)
-	base, err := Run(app, p, tuple, cat, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Recovery = faults.Recovery{
-		Mode: faults.Recover, CheckpointEverySteps: 5, CheckpointCost: 2, Respawn: true,
-	}
-	opts.Trace = faults.NewTrace(faults.Event{Instance: 0, At: base.Makespan / 2})
-	res, err := Run(app, p, tuple, cat, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Respawned != 1 {
-		t.Fatalf("respawned = %d, want 1", res.Respawned)
-	}
-	// The replacement sits out the boot latency, then redoes the steps
-	// since the last checkpoint.
-	if res.Makespan <= base.Makespan/2+opts.Boot {
-		t.Fatalf("makespan %v finished before the replacement could boot", res.Makespan)
-	}
-	if res.Tasks != 20 {
-		t.Fatalf("steps = %d, want 20", res.Tasks)
 	}
 }
 
@@ -549,7 +446,7 @@ func TestMasterFailoverCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	opts.Recovery = faults.Recovery{Mode: faults.Recover, MaxTaskRetries: 5, FailoverDetection: 10}
+	opts.Recovery = faults.Recovery{MaxTaskRetries: 5, FailoverDetection: 10}
 	opts.Trace = faults.NewTrace(faults.Event{Instance: 0, At: base.Makespan / 2})
 	res, err := Run(app, p, tuple, cat, opts)
 	if err != nil {
@@ -570,7 +467,7 @@ func TestMasterFailoverCompletes(t *testing.T) {
 func TestMasterAndAllWorkersFailErrors(t *testing.T) {
 	cat := ec2.Oregon()
 	opts := DefaultOptions()
-	opts.Recovery = faults.Recovery{Mode: faults.Recover, FailoverDetection: 10}
+	opts.Recovery = faults.Recovery{FailoverDetection: 10}
 	opts.Trace = faults.NewTrace(
 		faults.Event{Instance: 0, At: 30},
 		faults.Event{Instance: 1, At: 31},
@@ -579,37 +476,6 @@ func TestMasterAndAllWorkersFailErrors(t *testing.T) {
 		config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0), cat, opts)
 	if err == nil {
 		t.Fatal("run with master and every worker dead completed")
-	}
-}
-
-func TestMasterWorkerRespawnRevivesDeadCluster(t *testing.T) {
-	// Both instances die; respawned replacements boot, one is promoted
-	// to master, and the queue drains to completion.
-	cat := ec2.Oregon()
-	var app sand.App
-	p := workload.Params{N: 64e6, A: 0.32}
-	tuple := config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0)
-	base, err := Run(app, p, tuple, cat, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Recovery = faults.Recovery{
-		Mode: faults.Recover, MaxTaskRetries: 5, FailoverDetection: 10, Respawn: true,
-	}
-	opts.Trace = faults.NewTrace(
-		faults.Event{Instance: 0, At: base.Makespan / 3},
-		faults.Event{Instance: 1, At: base.Makespan / 2},
-	)
-	res, err := Run(app, p, tuple, cat, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Respawned != 2 {
-		t.Fatalf("respawned = %d, want 2", res.Respawned)
-	}
-	if res.Makespan <= base.Makespan {
-		t.Fatalf("double failure did not slow the run: %v vs %v", res.Makespan, base.Makespan)
 	}
 }
 
@@ -648,74 +514,28 @@ func TestIndependentMultiFailureConservation(t *testing.T) {
 func TestIndependentRetryBudgetExceeded(t *testing.T) {
 	// A task lost twice under MaxTaskRetries=1 must fail the run: fail
 	// one instance mid-wave (its tasks are re-dispatched), then kill
-	// both survivors while the retried tasks are in flight.
+	// both survivors while the retried tasks are in flight. The wave
+	// starts when the startup ends.
 	cat := ec2.Oregon()
 	var app x264.App
 	p := workload.Params{N: 6, A: 20} // one task per vCPU: a single wave
 	tuple := config.MustTuple(3, 0, 0, 0, 0, 0, 0, 0, 0)
 	opts := DefaultOptions()
-	opts.Startup = map[string]units.Seconds{"x264": 0}
 	base, err := Run(app, p, tuple, cat, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wave := float64(base.Makespan)
-	opts.Recovery = faults.Recovery{Mode: faults.Recover, MaxTaskRetries: 1}
+	startup := AppStartup(app.Name())
+	wave := float64(base.Makespan - startup)
+	opts.Recovery = faults.Recovery{MaxTaskRetries: 1}
 	opts.Trace = faults.NewTrace(
-		faults.Event{Instance: 0, At: units.Seconds(0.5 * wave)},
-		faults.Event{Instance: 1, At: units.Seconds(1.3 * wave)},
-		faults.Event{Instance: 2, At: units.Seconds(1.35 * wave)},
+		faults.Event{Instance: 0, At: startup + units.Seconds(0.5*wave)},
+		faults.Event{Instance: 1, At: startup + units.Seconds(1.3*wave)},
+		faults.Event{Instance: 2, At: startup + units.Seconds(1.35*wave)},
 	)
 	_, err = Run(app, p, tuple, cat, opts)
 	if err == nil || !strings.Contains(err.Error(), "retry budget") {
 		t.Fatalf("exhausted retry budget not reported: %v", err)
-	}
-}
-
-func TestIndependentRespawnSpeedsRecoveryAndBills(t *testing.T) {
-	cat := ec2.Oregon()
-	var app x264.App
-	p := workload.Params{N: 64, A: 20}
-	tuple := config.MustTuple(2, 0, 0, 0, 0, 0, 0, 0, 0)
-	base, err := Run(app, p, tuple, cat, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace := faults.NewTrace(faults.Event{Instance: 1, At: units.Seconds(0.3 * float64(base.Makespan))})
-
-	noRespawn := DefaultOptions()
-	noRespawn.Recovery = faults.DefaultRecovery()
-	noRespawn.Trace = trace
-	plain, err := Run(app, p, tuple, cat, noRespawn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withRespawn := noRespawn
-	withRespawn.Recovery.Respawn = true
-	res, err := Run(app, p, tuple, cat, withRespawn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Respawned != 1 {
-		t.Fatalf("respawned = %d, want 1", res.Respawned)
-	}
-	if res.Makespan >= plain.Makespan {
-		t.Fatalf("replacement capacity did not speed the run: %v vs %v", res.Makespan, plain.Makespan)
-	}
-	// The replacement is billed from the failure through run end, so it
-	// cannot be free.
-	price, _ := cat.Lookup("c4.large")
-	replBill := float64(price.Price) / 3600 * (float64(res.Makespan) - 0.3*float64(base.Makespan))
-	if float64(res.Cost) <= float64(plain.Cost)-float64(plain.Makespan-res.Makespan)*2*float64(price.Price)/3600 {
-		t.Fatalf("respawn run cost %v does not include replacement billing (~%.4f USD)", res.Cost, replBill)
-	}
-	// Determinism with respawns in play.
-	again, err := Run(app, p, tuple, cat, withRespawn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Makespan != res.Makespan || again.Cost != res.Cost {
-		t.Fatal("respawn run not deterministic for equal options")
 	}
 }
 
@@ -747,9 +567,8 @@ func TestMultiEventBillingCaps(t *testing.T) {
 
 func TestFailureAfterCompletionBillsFullSpan(t *testing.T) {
 	// An event after the run already finished changes nothing, for every
-	// plan kind and under either policy: the instance bills through the
-	// makespan, exactly as without the event. A strict gang-scheduled or
-	// master-anchored run aborts only at an event before completion.
+	// plan kind, under the zero policy and DefaultRecovery(): the
+	// instance bills through the makespan, exactly as without the event.
 	cat := ec2.Oregon()
 	cases := []struct {
 		app   workload.App
@@ -762,21 +581,22 @@ func TestFailureAfterCompletionBillsFullSpan(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, rec := range []faults.Recovery{{}, faults.DefaultRecovery()} {
+			name := fmt.Sprintf("%s/%+v", c.app.Name(), rec)
 			base := DefaultOptions()
 			base.Recovery = rec
 			want, err := Run(c.app, c.p, c.tuple, cat, base)
 			if err != nil {
-				t.Fatalf("%s/%v: %v", c.app.Name(), rec.Mode, err)
+				t.Fatalf("%s: %v", name, err)
 			}
 			opts := base
 			opts.Trace = faults.NewTrace(faults.Event{Instance: 1, At: want.Makespan + 1e6})
 			res, err := Run(c.app, c.p, c.tuple, cat, opts)
 			if err != nil {
-				t.Fatalf("%s/%v: post-completion event failed the run: %v", c.app.Name(), rec.Mode, err)
+				t.Fatalf("%s: post-completion event failed the run: %v", name, err)
 			}
 			if res.Makespan != want.Makespan || res.Cost != want.Cost {
-				t.Fatalf("%s/%v: post-completion event altered the run: makespan %v vs %v, cost %v vs %v",
-					c.app.Name(), rec.Mode, res.Makespan, want.Makespan, res.Cost, want.Cost)
+				t.Fatalf("%s: post-completion event altered the run: makespan %v vs %v, cost %v vs %v",
+					name, res.Makespan, want.Makespan, res.Cost, want.Cost)
 			}
 		}
 	}
@@ -791,8 +611,6 @@ func TestFailureOneULPAfterCompletionIsFailureFree(t *testing.T) {
 	// makespan itself fire before the last completion and change the
 	// run, which is why the reuse test is strict.
 	cat := ec2.Oregon()
-	respawn := faults.DefaultRecovery()
-	respawn.Respawn = true
 	cases := []struct {
 		app   workload.App
 		p     workload.Params
@@ -810,8 +628,8 @@ func TestFailureOneULPAfterCompletionIsFailureFree(t *testing.T) {
 		return faults.NewTrace(evs...)
 	}
 	for _, c := range cases {
-		for _, rec := range []faults.Recovery{{}, faults.DefaultRecovery(), respawn} {
-			name := fmt.Sprintf("%s/%v/respawn=%t", c.app.Name(), rec.Mode, rec.Respawn)
+		for _, rec := range []faults.Recovery{{}, faults.DefaultRecovery()} {
+			name := fmt.Sprintf("%s/%+v", c.app.Name(), rec)
 			opts := DefaultOptions()
 			opts.Recovery = rec
 			want, err := Run(c.app, c.p, c.tuple, cat, opts)
@@ -828,8 +646,8 @@ func TestFailureOneULPAfterCompletionIsFailureFree(t *testing.T) {
 				t.Fatalf("%s: makespan %v cost %v, want the failure-free %v and %v",
 					name, got.Makespan, got.Cost, want.Makespan, want.Cost)
 			}
-			if got.Failures != want.Instances || got.Respawned != 0 {
-				t.Fatalf("%s: %d failures and %d respawns, want %d and 0", name, got.Failures, got.Respawned, want.Instances)
+			if got.Failures != want.Instances {
+				t.Fatalf("%s: %d failures, want %d", name, got.Failures, want.Instances)
 			}
 
 			opts.Trace = everyAt(want.Instances, want.Makespan)

@@ -1,25 +1,20 @@
 // Package faults is the failure model of the cloud substrate: ordered
-// multi-instance failure traces, seeded trace generators, and the
-// recovery policies the simulator applies per plan kind.
+// multi-instance failure traces, a seeded trace generator, and the
+// recovery policy the simulator applies per plan kind.
 //
 // CELIA targets on-demand EC2 precisely because interruptions make
 // deadline guarantees hard (paper's Related Work vs. Marathe's and
 // Gong's spot systems). Quantifying how a configuration's makespan and
 // cost degrade when instances die mid-run therefore needs a fault
-// model the simulator, the spot market, and the risk queries all
-// share:
+// model the simulator and the risk queries share:
 //
 //   - a Trace is the ground truth of one run: which instances die and
 //     when, measured from application launch;
 //   - PoissonTrace draws traces from a per-instance-hour hazard rate
 //     (the memoryless interruption model of the spot literature);
-//   - internal/spot derives traces from market price crossings, so the
-//     spot and on-demand stories use one fault representation;
-//   - Recovery selects what the simulator does when an event fires:
-//     the paper-faithful abort (StrictAbort, the Table IV validation
-//     path) or per-plan-kind recovery — bounded task re-dispatch,
-//     BSP checkpoint/restart, master failover — with optional
-//     replacement provisioning.
+//   - Recovery sets how the simulator recovers when an event fires:
+//     bounded task re-dispatch, BSP checkpoint/restart and master
+//     failover.
 package faults
 
 import (
@@ -42,9 +37,7 @@ func (e Event) String() string { return fmt.Sprintf("fail(vm-%d @ %v)", e.Instan
 
 // Trace is an ordered sequence of failure events for one run. The zero
 // value is the empty trace (no failures). Each instance fails at most
-// once: a terminated instance stays terminated, and replacement
-// instances provisioned by a recovery policy are never re-targeted by
-// the same trace.
+// once: a terminated instance stays terminated.
 type Trace struct {
 	events []Event
 }
@@ -132,42 +125,10 @@ func PoissonTrace(seed uint64, hazardPerInstanceHour float64, instances int, hor
 	return NewTrace(events...)
 }
 
-// Mode selects what the simulator does when a failure event fires.
-type Mode int
-
-const (
-	// StrictAbort is the paper-faithful fault model and the zero value:
-	// independent plans re-dispatch lost tasks without bound (x264's
-	// clip farm shrugs off node loss), while gang-scheduled BSP and
-	// master-anchored work-queue plans abort with an error at the first
-	// event that fires before they complete. An event after completion
-	// changes nothing. The Recovery fields other than Mode are ignored.
-	// This is the Table IV validation path.
-	StrictAbort Mode = iota
-	// Recover applies the per-plan-kind recovery policies below instead
-	// of aborting.
-	Recover
-)
-
-func (m Mode) String() string {
-	switch m {
-	case StrictAbort:
-		return "strict-abort"
-	case Recover:
-		return "recover"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
-// Recovery configures failure handling per plan kind. The zero value is
-// StrictAbort with no recovery machinery — exactly the pre-fault-model
-// simulator behavior. The fields below take effect under Recover only:
-// the simulator runs a StrictAbort policy as the zero value whatever
-// they hold.
+// Recovery configures failure handling per plan kind. The zero value
+// recovers with unbounded task retries, no checkpoints and immediate
+// master failover.
 type Recovery struct {
-	Mode Mode
-
 	// MaxTaskRetries bounds how many times one task may be re-dispatched
 	// after instance failures (independent and master-worker plans).
 	// When a task exceeds the budget the run fails; ≤ 0 means unbounded.
@@ -188,22 +149,13 @@ type Recovery struct {
 	// instance. Dispatch is paused in between; tasks whose inputs were
 	// shipped but not started are re-dispatched by the new master.
 	FailoverDetection units.Seconds
-
-	// Respawn provisions a replacement for every failed instance: the
-	// replacement boots for the cluster's boot latency and is billed
-	// from the moment the failure is detected (i.e. the failure time).
-	// BSP replacements join at the next checkpoint restart (the MPI
-	// world is rebuilt there); independent and master-worker
-	// replacements join as soon as they boot.
-	Respawn bool
 }
 
-// DefaultRecovery returns a tolerant policy: recover everywhere, three
-// re-dispatches per task, checkpoint every 10 BSP steps at 5 s of I/O,
-// 10 s master-failover detection, no replacement provisioning.
+// DefaultRecovery returns a tolerant policy: three re-dispatches per
+// task, a checkpoint every 10 BSP steps at 5 s of I/O, and 10 s
+// master-failover detection.
 func DefaultRecovery() Recovery {
 	return Recovery{
-		Mode:                 Recover,
 		MaxTaskRetries:       3,
 		CheckpointEverySteps: 10,
 		CheckpointCost:       5,
@@ -213,9 +165,6 @@ func DefaultRecovery() Recovery {
 
 // Validate rejects nonsensical policies.
 func (r Recovery) Validate() error {
-	if r.Mode != StrictAbort && r.Mode != Recover {
-		return fmt.Errorf("faults: unknown recovery mode %v", r.Mode)
-	}
 	if r.CheckpointEverySteps < 0 {
 		return fmt.Errorf("faults: negative checkpoint interval %d", r.CheckpointEverySteps)
 	}

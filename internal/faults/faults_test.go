@@ -113,15 +113,9 @@ func TestRecoveryValidate(t *testing.T) {
 	if err := (Recovery{FailoverDetection: -1}).Validate(); err == nil {
 		t.Fatal("negative failover detection accepted")
 	}
-	if err := (Recovery{Mode: Mode(9)}).Validate(); err == nil {
-		t.Fatal("unknown mode accepted")
-	}
 }
 
 func TestModeAndEventStrings(t *testing.T) {
-	if StrictAbort.String() != "strict-abort" || Recover.String() != "recover" {
-		t.Fatalf("mode strings: %v %v", StrictAbort, Recover)
-	}
 	if s := (Event{Instance: 3, At: 10}).String(); s == "" {
 		t.Fatal("empty event string")
 	}

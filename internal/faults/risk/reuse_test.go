@@ -84,14 +84,12 @@ func resultBits(r Result) []uint64 {
 }
 
 func TestReuseMatchesSimulatingEveryTrial(t *testing.T) {
-	// Each plan kind under three policies and three hazards: none (every
+	// Each plan kind under two policies and three hazards: none (every
 	// trial reused), about ln 2 expected failures per failure-free run
 	// (half reused), and 4 (nearly every trial simulated). The estimate
 	// must equal the oracle's, which simulates every trial, field by
 	// field and bit for bit.
 	cat := ec2.Oregon()
-	respawn := faults.DefaultRecovery()
-	respawn.Respawn = true
 	cases := []struct {
 		app   workload.App
 		p     workload.Params
@@ -109,9 +107,9 @@ func TestReuseMatchesSimulatingEveryTrial(t *testing.T) {
 		// Expected failures per failure-free run: hazard × instances × hours.
 		perRun := float64(free.Instances) * float64(free.Makespan.InHours())
 		mixed := 0
-		for _, rec := range []faults.Recovery{{}, faults.DefaultRecovery(), respawn} {
+		for _, rec := range []faults.Recovery{{}, faults.DefaultRecovery()} {
 			for _, expected := range []float64{0, math.Ln2, 4} {
-				name := fmt.Sprintf("%s/%v/respawn=%t/λ·run=%.2f", c.app.Name(), rec.Mode, rec.Respawn, expected)
+				name := fmt.Sprintf("%s/%+v/λ·run=%.2f", c.app.Name(), rec, expected)
 				opts := Options{
 					Trials:        40,
 					Seed:          11,

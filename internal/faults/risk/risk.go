@@ -51,8 +51,8 @@ type Options struct {
 	// the base run).
 	HazardPerHour float64
 	// Deadline is the paper's T′: a trial misses when its makespan
-	// exceeds it. Trials whose run errors out (aborts, exhausted retry
-	// budgets, dead clusters) always count as misses.
+	// exceeds it. Trials whose run errors out (an exhausted retry
+	// budget, a dead cluster) always count as misses.
 	Deadline units.Seconds
 	// Sim is the base simulator configuration; its Trace is
 	// overwritten per trial.

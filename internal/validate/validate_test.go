@@ -1,6 +1,9 @@
 package validate
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/profile"
@@ -77,6 +80,32 @@ func TestValidationErrorsWithinPaperBound(t *testing.T) {
 			t.Errorf("max error for %s = %.1f%%", app, e)
 		}
 	}
+	if got := tableIVDigest(rows); got != tableIVRowDigest {
+		t.Errorf("Table IV digest %#x, want %#x", got, tableIVRowDigest)
+	}
+}
+
+// tableIVRowDigest pins Table IV bit for bit. Its "actual" columns come
+// from cloudsim's failure-free runs at sizes no cloudsim golden covers.
+const tableIVRowDigest uint64 = 0x185a7ff956ec31b4
+
+// tableIVDigest is the FNV-1a digest of each row's predicted and
+// actual time and cost and its communication-aware time, by their
+// float64 bits, in row order.
+func tableIVDigest(rows []Row) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, r := range rows {
+		for _, v := range []float64{
+			float64(r.PredictedTime), float64(r.ActualTime),
+			float64(r.PredictedCost), float64(r.ActualCost),
+			float64(r.CommAwareTime),
+		} {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return h.Sum64()
 }
 
 func TestCommAwarePredictionsImproveSand(t *testing.T) {

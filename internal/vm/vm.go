@@ -1,8 +1,8 @@
 // Package vm models a single provisioned cloud instance: its vCPUs
 // (hyper-threads of the host's physical cores), the per-vCPU
-// instruction retirement rate an application achieves on it, boot
-// latency, and the run-to-run performance variation the paper
-// attributes to processor sharing on virtualized hosts [26].
+// instruction retirement rate an application achieves on it, and the
+// run-to-run performance variation the paper attributes to processor
+// sharing on virtualized hosts [26].
 package vm
 
 import (
@@ -21,9 +21,8 @@ const JitterAmplitude = 0.02
 
 // Instance is one provisioned VM.
 type Instance struct {
-	ID       int
-	Type     ec2.InstanceType
-	BootTime units.Seconds
+	ID   int
+	Type ec2.InstanceType
 	// perVCPU is the application's effective retirement rate per vCPU
 	// on this instance, including the host's jitter factor.
 	perVCPU units.Rate
@@ -32,41 +31,20 @@ type Instance struct {
 
 // Provision creates an instance of the given type for the application.
 // The seed and id make the instance's jitter deterministic.
-func Provision(id int, typ ec2.InstanceType, app workload.App, seed uint64, boot units.Seconds) Instance {
+func Provision(id int, typ ec2.InstanceType, app workload.App, seed uint64) Instance {
 	nominal := app.IPC(typ.Category) * typ.BaseGHz // GIPS per vCPU
 	h := apps.Hash01(seed*1_000_003 + uint64(id)*7919)
 	jitter := 1 + JitterAmplitude*(2*h-1)
 	return Instance{
-		ID:       id,
-		Type:     typ,
-		BootTime: boot,
-		perVCPU:  units.GIPS(nominal * jitter),
-		jitter:   jitter,
+		ID:      id,
+		Type:    typ,
+		perVCPU: units.GIPS(nominal * jitter),
+		jitter:  jitter,
 	}
-}
-
-// Replacement provisions a substitute for a failed instance: the same
-// type and boot latency, but a fresh id and therefore fresh jitter —
-// the replacement lands on a different host. Used by the simulator's
-// respawn-on-failure recovery policy.
-func Replacement(id int, failed Instance, app workload.App, seed uint64) Instance {
-	return Provision(id, failed.Type, app, seed, failed.BootTime)
 }
 
 // PerVCPURate reports the effective per-vCPU rate.
 func (in Instance) PerVCPURate() units.Rate { return in.perVCPU }
-
-// Slowed returns a copy of the instance degraded by the factor (> 1 =
-// slower), modeling a straggler placed on an oversubscribed host.
-func (in Instance) Slowed(factor float64) Instance {
-	if factor <= 0 {
-		factor = 1
-	}
-	out := in
-	out.perVCPU = in.perVCPU / units.Rate(factor)
-	out.jitter = in.jitter / factor
-	return out
-}
 
 // Rate reports the instance's aggregate rate with all vCPUs loaded.
 func (in Instance) Rate() units.Rate {

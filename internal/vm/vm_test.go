@@ -11,12 +11,12 @@ import (
 
 func TestProvisionDeterministic(t *testing.T) {
 	typ, _ := ec2.Oregon().Lookup("c4.large")
-	a := Provision(3, typ, galaxy.App{}, 42, 45)
-	b := Provision(3, typ, galaxy.App{}, 42, 45)
+	a := Provision(3, typ, galaxy.App{}, 42)
+	b := Provision(3, typ, galaxy.App{}, 42)
 	if a.PerVCPURate() != b.PerVCPURate() {
 		t.Fatal("provisioning not deterministic for equal seed/id")
 	}
-	c := Provision(4, typ, galaxy.App{}, 42, 45)
+	c := Provision(4, typ, galaxy.App{}, 42)
 	if a.PerVCPURate() == c.PerVCPURate() {
 		t.Fatal("different instances got identical jitter (suspicious)")
 	}
@@ -25,7 +25,7 @@ func TestProvisionDeterministic(t *testing.T) {
 func TestJitterBounded(t *testing.T) {
 	typ, _ := ec2.Oregon().Lookup("m4.xlarge")
 	for id := 0; id < 200; id++ {
-		in := Provision(id, typ, galaxy.App{}, 7, 45)
+		in := Provision(id, typ, galaxy.App{}, 7)
 		if j := in.Jitter(); j < 1-JitterAmplitude || j > 1+JitterAmplitude {
 			t.Fatalf("jitter %v outside ±%v", j, JitterAmplitude)
 		}
@@ -36,7 +36,7 @@ func TestRateNearNominal(t *testing.T) {
 	typ, _ := ec2.Oregon().Lookup("c4.large")
 	var app galaxy.App
 	nominal := app.IPC(ec2.C4) * typ.BaseGHz * float64(typ.VCPUs) // GIPS
-	in := Provision(0, typ, app, 1, 45)
+	in := Provision(0, typ, app, 1)
 	got := in.Rate().GIPSValue()
 	if math.Abs(got-nominal)/nominal > JitterAmplitude+1e-9 {
 		t.Fatalf("aggregate rate %v deviates > jitter from nominal %v", got, nominal)
@@ -45,7 +45,7 @@ func TestRateNearNominal(t *testing.T) {
 
 func TestExecTime(t *testing.T) {
 	typ, _ := ec2.Oregon().Lookup("c4.large")
-	in := Provision(0, typ, galaxy.App{}, 1, 45)
+	in := Provision(0, typ, galaxy.App{}, 1)
 	d := units.GI(10)
 	want := float64(d) / float64(in.PerVCPURate())
 	if got := float64(in.ExecTime(d)); math.Abs(got-want) > 1e-9 {
@@ -55,59 +55,17 @@ func TestExecTime(t *testing.T) {
 
 func TestStringMentionsType(t *testing.T) {
 	typ, _ := ec2.Oregon().Lookup("r3.2xlarge")
-	in := Provision(5, typ, galaxy.App{}, 1, 45)
+	in := Provision(5, typ, galaxy.App{}, 1)
 	if s := in.String(); s == "" || len(s) < 10 {
 		t.Fatalf("String = %q", s)
 	}
 }
 
-func TestSlowed(t *testing.T) {
-	typ, _ := ec2.Oregon().Lookup("c4.large")
-	in := Provision(0, typ, galaxy.App{}, 1, 45)
-	slow := in.Slowed(2)
-	if math.Abs(float64(slow.PerVCPURate())*2-float64(in.PerVCPURate())) > 1e-9 {
-		t.Fatalf("Slowed(2) rate = %v, want half of %v", slow.PerVCPURate(), in.PerVCPURate())
-	}
-	if slow.Jitter() >= in.Jitter() {
-		t.Fatal("Slowed did not reduce the jitter factor")
-	}
-	// Non-positive factors are ignored rather than dividing by zero.
-	same := in.Slowed(0)
-	if same.PerVCPURate() != in.PerVCPURate() {
-		t.Fatalf("Slowed(0) changed the rate")
-	}
-	neg := in.Slowed(-3)
-	if neg.PerVCPURate() != in.PerVCPURate() {
-		t.Fatalf("Slowed(-3) changed the rate")
-	}
-}
-
 func TestRateAggregatesVCPUs(t *testing.T) {
 	typ, _ := ec2.Oregon().Lookup("m4.2xlarge")
-	in := Provision(0, typ, galaxy.App{}, 1, 45)
+	in := Provision(0, typ, galaxy.App{}, 1)
 	want := float64(in.PerVCPURate()) * 8
 	if math.Abs(float64(in.Rate())-want) > 1e-9 {
 		t.Fatalf("Rate = %v, want %v", in.Rate(), want)
-	}
-}
-
-func TestReplacementFreshJitterSameType(t *testing.T) {
-	typ, _ := ec2.Oregon().Lookup("c4.xlarge")
-	orig := Provision(0, typ, galaxy.App{}, 7, 45)
-	repl := Replacement(10, orig, galaxy.App{}, 7)
-	if repl.ID != 10 {
-		t.Fatalf("replacement id %d, want 10", repl.ID)
-	}
-	if repl.Type.Name != orig.Type.Name || repl.BootTime != orig.BootTime {
-		t.Fatal("replacement changed type or boot latency")
-	}
-	// Fresh id → fresh host → independent jitter draw.
-	if repl.Jitter() == orig.Jitter() {
-		t.Fatal("replacement inherited the failed host's jitter")
-	}
-	// Deterministic for (id, seed).
-	again := Replacement(10, orig, galaxy.App{}, 7)
-	if again.PerVCPURate() != repl.PerVCPURate() {
-		t.Fatal("replacement not deterministic")
 	}
 }
