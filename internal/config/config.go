@@ -9,6 +9,7 @@ package config
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"strings"
 	"sync"
@@ -125,17 +126,24 @@ type Space struct {
 // NewSpace builds a space with the given per-type limits. At least one
 // limit must be positive: with every type capped at zero nodes the
 // space holds no configuration (S = 0), and no search has anything to
-// return.
+// return. Π(m_i,max + 1) must fit in a uint64, since configuration
+// indexes and the frontier index's order keys are mixed-radix numbers
+// below it.
 func NewSpace(maxPerType []int) (*Space, error) {
 	if len(maxPerType) == 0 || len(maxPerType) > MaxTypes {
 		return nil, fmt.Errorf("config: %d types outside [1, %d]", len(maxPerType), MaxTypes)
 	}
 	nonEmpty := false
+	product := uint64(1)
 	for i, m := range maxPerType {
 		if m < 0 || m > 255 {
 			return nil, fmt.Errorf("config: m_%d,max = %d outside [0, 255]", i, m)
 		}
 		nonEmpty = nonEmpty || m > 0
+		var hi uint64
+		if hi, product = bits.Mul64(product, uint64(m+1)); hi != 0 {
+			return nil, fmt.Errorf("config: Π(m_i,max + 1) over %v overflows 64 bits", maxPerType)
+		}
 	}
 	if !nonEmpty {
 		return nil, fmt.Errorf("config: every m_i,max is 0, so the space holds no configuration")

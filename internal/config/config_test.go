@@ -295,6 +295,31 @@ func TestSpaceWithNoConfigurationRejected(t *testing.T) {
 	}
 }
 
+// TestSpaceSizeMustFitUint64: Size and every mixed-radix number over a
+// space (AtIndex's index, the frontier index's order key) assume
+// Π(m_i,max + 1) fits in a uint64, so a space past that is refused where
+// it is built instead of wrapping. 256⁹ = 2⁷² and 21¹⁶ ≈ 1.4e21 do not
+// fit; 15¹⁶ ≈ 6.6e18 does, and so does the paper's 6⁹.
+func TestSpaceSizeMustFitUint64(t *testing.T) {
+	for _, c := range []struct{ types, maxNodes int }{{9, 255}, {16, 20}, {8, 255}} {
+		if s, err := Uniform(c.types, c.maxNodes); err == nil {
+			t.Errorf("Uniform(%d, %d) accepted: Size() = %d", c.types, c.maxNodes, s.Size())
+		}
+	}
+	for _, c := range []struct {
+		types, maxNodes int
+		size            uint64
+	}{{16, 14, 6568408355712890624}, {9, 5, 10077695}, {7, 255, 1<<56 - 1}} {
+		s, err := Uniform(c.types, c.maxNodes)
+		if err != nil {
+			t.Fatalf("Uniform(%d, %d) rejected: %v", c.types, c.maxNodes, err)
+		}
+		if s.Size() != c.size {
+			t.Errorf("Uniform(%d, %d).Size() = %d, want %d", c.types, c.maxNodes, s.Size(), c.size)
+		}
+	}
+}
+
 // Property: index round trip holds for random small spaces.
 func TestIndexRoundTripProperty(t *testing.T) {
 	f := func(a, b, c uint8, pick uint16) bool {

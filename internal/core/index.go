@@ -30,6 +30,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -51,20 +52,21 @@ import (
 // multi-million-configuration catalog.
 var maxIndexPairs = int64(4 << 20)
 
-// idxPair aggregates every configuration sharing one exact
-// (capacity, unit cost) value pair. Exact duplicates are common in real
-// catalogs — within a family, k small nodes and k/2 double-size nodes
-// produce bit-identical sums — so each pair carries everything the tie
-// breaks need: the population count, the smallest configuration index
-// (Stream2D keeps the first-inserted point on exact frontier ties, and
-// the scan inserts in ascending index order), and the lessTupleFast-
-// minimal member (the argmin queries break value ties lexicographically).
+// idxPair aggregates every configuration of one span sharing one exact
+// unit cost, so one exact (capacity, unit cost) value pair; the capacity
+// is the span's. Exact duplicates are common in real catalogs — within
+// a family, k small nodes and k/2 double-size nodes produce bit-identical
+// sums — so each pair carries everything the tie breaks need: the
+// population count, the smallest configuration index (Stream2D keeps the
+// first-inserted point on exact frontier ties, and the scan inserts in
+// ascending index order), and the order key of the lessTupleFast-minimal
+// member (the argmin queries break value ties lexicographically; see
+// tupleOrder). 32 bytes.
 type idxPair struct {
-	u       units.Rate
-	cu      units.USDPerHour
-	count   uint64
-	minIdx  uint64
-	lessMin config.Tuple
+	cu     units.USDPerHour
+	count  uint64
+	minIdx uint64
+	key    uint64
 }
 
 // idxSpan is one run of pairs sharing an exact capacity U, as
@@ -126,11 +128,13 @@ type FrontierIndex struct {
 	blocks  []int
 	entries []blockEntry
 	// stair is the (capacity ↑, unit cost ↓) Pareto staircase in
-	// descending-capacity order, as pair indexes: each step is a span's
+	// descending-capacity order, as span indexes: each step is a span's
 	// cheapest pair, kept only when its unit cost undercuts every
-	// higher-capacity span.
+	// higher-capacity span. cands holds the same steps as Candidates,
+	// their representatives decoded once.
 	stair     []int
-	total     uint64
+	cands     []Candidate
+	order     *tupleOrder
 	buildWall time.Duration
 }
 
@@ -200,9 +204,9 @@ func lessDecimal(ca, cb uint8, lastA, lastB bool) bool {
 // lessTupleFast is the deterministic tie-break on equal objective
 // values: a sorts before b exactly when a.String() < b.String() (the
 // bracket notation's byte order), decided without building the strings.
-// The scans call it on every value tie, the index build once per state
-// it merges into another, and finishIndex once per pair. The string
-// order is its property-tested oracle (index_test.go).
+// The scans call it on every value tie, and newTupleOrder ranks each
+// position's counts with it. The string order is its property-tested
+// oracle (index_test.go).
 func lessTupleFast(a, b config.Tuple) bool {
 	ma, mb := a.Len(), b.Len()
 	m := ma
@@ -219,82 +223,179 @@ func lessTupleFast(a, b config.Tuple) bool {
 	return ma > mb
 }
 
-// buildFrontierIndex builds the exact (U, c_u) pair table level by
-// level (buildPairs) and derives the span table, the block table and
-// the staircase. Returns nil when the pair table exceeds maxIndexPairs
-// (the catalog does not compress).
+// tupleOrder names each configuration of one space by its order key, a
+// mixed-radix number over the space's limits with type 0 as the most
+// significant digit. Digit i is the rank of count c_i in the order
+// lessTupleFast uses at position i: shorter decimal first mid-tuple
+// (1 < 10 < 2, since ',' sorts below every digit) and last at the final
+// position (10 < 1, since ']' sorts above). Tuples of one space share
+// their arity, so lessTupleFast decides at their first differing
+// position, which is the most significant differing digit: integer
+// order of keys is lessTupleFast order. Count 0 ranks first at every
+// position ("0" sorts below every other count's first digit), so the
+// empty configuration is key 0 and a key composes position by position
+// the way a configuration index does.
+type tupleOrder struct {
+	space *config.Space
+	// place[i] is digit i's weight, Π over j > i of (m_j + 1); rank[i][c]
+	// is count c's digit at position i, and count[i][r] the count whose
+	// digit is r.
+	place []uint64
+	rank  [][]uint8
+	count [][]uint8
+}
+
+func newTupleOrder(space *config.Space) *tupleOrder {
+	n := space.Types()
+	o := &tupleOrder{space: space, place: make([]uint64, n), rank: make([][]uint8, n), count: make([][]uint8, n)}
+	place := uint64(1)
+	for i := n - 1; i >= 0; i-- {
+		m := space.Max(i)
+		o.place[i] = place
+		place *= uint64(m + 1)
+		last := i == n-1
+		byRank := make([]uint8, m+1)
+		for c := range byRank {
+			byRank[c] = uint8(c)
+		}
+		slices.SortFunc(byRank, func(a, b uint8) int {
+			switch {
+			case a == b:
+				return 0
+			case lessDecimal(a, b, last, last):
+				return -1
+			}
+			return 1
+		})
+		o.count[i] = byRank
+		o.rank[i] = make([]uint8, m+1)
+		for r, c := range byRank {
+			o.rank[i][c] = uint8(r)
+		}
+	}
+	return o
+}
+
+// tuple decodes an order key below Π(m_i + 1) to its configuration.
+func (o *tupleOrder) tuple(key uint64) config.Tuple {
+	var counts [config.MaxTypes]byte
+	for i := len(o.count) - 1; i >= 0; i-- {
+		radix := uint64(len(o.count[i]))
+		counts[i] = o.count[i][key%radix]
+		key /= radix
+	}
+	// NewSpace bounds the arity, so no error.
+	t, _ := config.TupleFromBytes(counts[:len(o.count)])
+	return t
+}
+
+// buildFrontierIndex builds the exact (U, c_u) pair table and its spans
+// level by level (buildPairs) and derives the block table and the
+// staircase. Returns nil when the pair table exceeds maxIndexPairs (the
+// catalog does not compress).
 func buildFrontierIndex(e *Engine) *FrontierIndex {
 	start := time.Now()
-	pairs := buildPairs(e)
+	pairs, spans := buildPairs(e)
 	if pairs == nil {
 		return nil
 	}
-	x := finishIndex(pairs, e.space.Size())
+	x := finishIndex(pairs, spans, e.space)
 	x.buildWall = time.Since(start)
 	return x
 }
 
-// buildPairs computes the (u asc, cu asc) pair table without evaluating
-// every configuration. model.Sums adds each type's contribution in
-// catalog order (model.AddNodes), so the partial sums over the first k
-// types depend only on those k counts, and two configurations that
-// share a level-k state (u, cu) and their remaining counts share their
-// final pair. Level k+1 is therefore level k extended by every count of
-// type k, deduplicated again, and the last level is the pair table.
+// levelState is one state of the level build: a pair and the capacity
+// the merge keys on. 40 bytes.
+type levelState struct {
+	u units.Rate
+	idxPair
+}
+
+// buildPairs computes the (u asc, cu asc) pair table and its spans
+// without evaluating every configuration. model.Sums adds each type's
+// contribution in catalog order (model.AddNodes), so the partial sums
+// over the first k types depend only on those k counts, and two
+// configurations that share a level-k state (u, cu) and their remaining
+// counts share their final pair. Level k+1 is therefore level k extended
+// by every count of type k, deduplicated again, and the last level packs
+// into the pair table.
 //
-// The tie metadata composes. Counts add. The configuration index is
-// linear in the counts, so a state's minIdx (kept as the mixed-radix
-// value Σ m_i·radix_i during the build, one more than the index) is the
-// minimum over its members plus the extension's term. Members are kept
-// as full-arity tuples, zero past the level; two completions with one
-// suffix first differ inside the prefix, at a position a ',' follows,
-// where lessTupleFast orders the zero-padded tuples as it orders the
-// completions.
+// The tie metadata composes. Counts add. The configuration index and
+// the order key are both linear in the counts, zero past the level, so a
+// state's minIdx (kept as the mixed-radix value Σ m_i·radix_i during the
+// build, one more than the index) and key are the minima over its
+// members plus the extension's term, m·radix_k and rank_k[m]·place_k.
+// Two completions of one suffix differ in key by exactly what their
+// prefixes differ by, so the least padded prefix is the least
+// completion.
 //
 // The empty configuration is the (0, 0) state, alone there at every
 // level (capacities and prices are positive), and is dropped at the
 // end. Every other level-k state is itself a final pair (zero nodes of
 // the later types), so a level past maxIndexPairs + 1 states aborts the
 // build on the exact distinct count. Returns nil on abort.
-func buildPairs(e *Engine) []idxPair {
+func buildPairs(e *Engine) ([]idxPair, []idxSpan) {
 	w, nodeCost := e.caps.NodeArrays()
+	order := newTupleOrder(e.space)
 	limit := maxIndexPairs + 1 // the empty state rides along
-	// The empty configuration; NewSpace bounds the arity, so no error.
-	zero, _ := config.TupleFromBytes(make([]byte, e.space.Types()))
-	level := []idxPair{{count: 1, lessMin: zero}}
+	level := []levelState{{idxPair: idxPair{count: 1}}}
 	radix := uint64(1)
 	for k := 0; k < e.space.Types(); k++ {
 		if m := e.space.Max(k); m > 0 {
-			level = extendLevel(level, levelStep{k: k, maxNodes: m, w: w[k], c: nodeCost[k], radix: radix}, limit)
+			level = extendLevel(level, levelStep{maxNodes: m, w: w[k], c: nodeCost[k], radix: radix, rank: order.rank[k], place: order.place[k]}, limit)
 			if level == nil {
-				return nil
+				return nil, nil
 			}
 		}
 		radix *= uint64(e.space.Max(k) + 1)
 	}
-	// The last merge sized its output for every shifted state; an
-	// exact-length copy drops that dead capacity for the index's life.
-	pairs := make([]idxPair, len(level)-1)
-	copy(pairs, level[1:])
-	for i := range pairs {
-		pairs[i].minIdx-- // mixed-radix value → AtIndex's index
+	return packLevel(level[1:])
+}
+
+// packLevel packs the last level into an exact-length pair table, since
+// the last merge sized its output for every shifted state and an index
+// keeps its pair table for the life of the process, and closes each
+// equal-u run into a span.
+func packLevel(level []levelState) ([]idxPair, []idxSpan) {
+	opens := func(i int) bool {
+		//lint:allow floateq span grouping needs exact capacity identity: equal floats predict bit-equal times
+		return i == 0 || level[i].u != level[i-1].u
 	}
-	return pairs
+	nspans := 0
+	for i := range level {
+		if opens(i) {
+			nspans++
+		}
+	}
+	pairs := make([]idxPair, len(level))
+	spans := make([]idxSpan, 0, nspans)
+	for i := range level {
+		pairs[i] = level[i].idxPair
+		pairs[i].minIdx-- // mixed-radix value → AtIndex's index
+		if opens(i) {
+			spans = append(spans, idxSpan{u: level[i].u, start: i})
+		}
+		spans[len(spans)-1].end = i + 1
+	}
+	return pairs, spans
 }
 
 // levelStep is one catalog type's extension of a level: counts 0 to
-// maxNodes of type k, of per-node capacity w and cost c, each adding
-// m·radix to the mixed-radix value.
+// maxNodes of type k, of per-node capacity w and cost c, each count m
+// adding m·radix to the mixed-radix value and rank[m]·place to the order
+// key.
 type levelStep struct {
-	k, maxNodes int
-	w           units.Rate
-	c           units.USDPerHour
-	radix       uint64
+	maxNodes int
+	w        units.Rate
+	c        units.USDPerHour
+	radix    uint64
+	rank     []uint8
+	place    uint64
 }
 
-// key is the level-k state at in[i] extended by m nodes of the step's
+// sums is the level-k state at in[i] extended by m nodes of the step's
 // type: model.AddNodes, the very step model.Sums takes.
-func (s levelStep) key(in []idxPair, i, m int) (units.Rate, units.USDPerHour) {
+func (s levelStep) sums(in []levelState, i, m int) (units.Rate, units.USDPerHour) {
 	return model.AddNodes(in[i].u, in[i].cu, m, s.w, s.c)
 }
 
@@ -304,23 +405,28 @@ func (s levelStep) key(in []idxPair, i, m int) (units.Rate, units.USDPerHour) {
 // so the maxNodes+1 copies merge in u order through a heap (O(log
 // copies) per state), and each finished equal-u run goes through
 // finishRun.
-func extendLevel(in []idxPair, s levelStep, limit int64) []idxPair {
+func extendLevel(in []levelState, s levelStep, limit int64) []levelState {
 	h := make(mergeHeap, 0, s.maxNodes+1)
 	for m := 0; m <= s.maxNodes; m++ {
-		u, cu := s.key(in, 0, m)
+		u, cu := s.sums(in, 0, m)
 		h = append(h, mergeHead{u: u, cu: cu, m: m})
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.down(i)
 	}
-	out := make([]idxPair, 0, min(int64(len(in)*len(h)), limit+1))
+	out := make([]levelState, 0, min(int64(len(in)*len(h)), limit+1))
 	runStart := 0
 	for len(h) > 0 {
 		hd := &h[0]
 		src := &in[hd.i]
-		st := idxPair{u: hd.u, cu: hd.cu, count: src.count, minIdx: src.minIdx + uint64(hd.m)*s.radix, lessMin: src.lessMin.WithCount(s.k, uint8(hd.m))}
+		st := levelState{u: hd.u, idxPair: idxPair{
+			cu:     hd.cu,
+			count:  src.count,
+			minIdx: src.minIdx + uint64(hd.m)*s.radix,
+			key:    src.key + uint64(s.rank[hd.m])*s.place,
+		}}
 		if hd.i++; hd.i < len(in) {
-			hd.u, hd.cu = s.key(in, hd.i, hd.m)
+			hd.u, hd.cu = s.sums(in, hd.i, hd.m)
 		} else {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
@@ -343,7 +449,7 @@ func extendLevel(in []idxPair, s levelStep, limit int64) []idxPair {
 }
 
 // mergeHead is one shifted copy's cursor in extendLevel's merge: the
-// key of the copy's next state in[i].
+// (u, cu) of the copy's next state in[i].
 type mergeHead struct {
 	u    units.Rate
 	cu   units.USDPerHour
@@ -376,17 +482,17 @@ func (h mergeHeap) down(i int) {
 }
 
 // finishRun puts the equal-u run out[start:] in cu order and aggregates
-// equal keys. The heap pops each copy's states in (u, cu) order, so the
-// run is sorted unless distinct input capacities rounded to one sum:
-// then one copy's cu order can break, and the run is sorted by cu.
-func finishRun(out []idxPair, start int) []idxPair {
+// equal unit costs. The heap pops each copy's states in (u, cu) order,
+// so the run is sorted unless distinct input capacities rounded to one
+// sum: then one copy's cu order can break, and the run is sorted by cu.
+func finishRun(out []levelState, start int) []levelState {
 	run := out[start:]
 	if len(run) < 2 {
 		return out
 	}
 	for i := 1; i < len(run); i++ {
 		if run[i].cu < run[i-1].cu {
-			slices.SortFunc(run, func(a, b idxPair) int { return cmp.Compare(a.cu, b.cu) })
+			slices.SortFunc(run, func(a, b levelState) int { return cmp.Compare(a.cu, b.cu) })
 			break
 		}
 	}
@@ -394,7 +500,7 @@ func finishRun(out []idxPair, start int) []idxPair {
 	for i := 1; i < len(run); i++ {
 		//lint:allow floateq aggregation is keyed by exact float identity: equal floats are one pair
 		if run[i].cu == run[w].cu {
-			run[w].absorb(&run[i])
+			run[w].absorb(&run[i].idxPair)
 			continue
 		}
 		w++
@@ -404,56 +510,28 @@ func finishRun(out []idxPair, start int) []idxPair {
 }
 
 // absorb aggregates q's configurations into p, which holds the same
-// (u, cu) key.
+// (u, cu) pair.
 func (p *idxPair) absorb(q *idxPair) {
 	p.count += q.count
-	if q.minIdx < p.minIdx {
-		p.minIdx = q.minIdx
-	}
-	if lessTupleFast(q.lessMin, p.lessMin) {
-		p.lessMin = q.lessMin
-	}
+	p.minIdx = min(p.minIdx, q.minIdx)
+	p.key = min(p.key, q.key)
 }
 
-// finishIndex derives every secondary table — spans, blocks and the
-// staircase — from a (u asc, cu asc)-sorted pair table. Shared by the
-// level build above and the snapshot decoder (index_codec.go): both
+// finishIndex derives the block table and the staircase from a
+// (u asc, cu asc)-sorted pair table and its spans over space. Shared by
+// the level build above and the snapshot decoder (index_codec.go): both
 // produce the derived state through this one code path, so a decoded
 // index is structurally identical to the freshly built one it was
 // encoded from.
-func finishIndex(pairs []idxPair, total uint64) *FrontierIndex {
-	x := &FrontierIndex{pairs: pairs, total: total}
+func finishIndex(pairs []idxPair, spans []idxSpan, space *config.Space) *FrontierIndex {
+	x := &FrontierIndex{pairs: pairs, spans: spans, order: newTupleOrder(space)}
 
-	// One pass per chunk of about equal pair count derives the chunk's
-	// spans. Each chunk boundary moves forward to the next span start, so
-	// no span straddles two chunks and the result does not depend on the
-	// chunk count (property-tested in index_test.go). A restore pays this
-	// pass like the build does, so it runs on every core.
-	workers := chunkWorkers(len(x.pairs))
-	bounds := make([]int, workers+1)
-	for w := 1; w < workers; w++ {
-		b := max(w*len(x.pairs)/workers, bounds[w-1])
-		//lint:allow floateq span grouping needs exact capacity identity: equal floats predict bit-equal times
-		for b > 0 && b < len(x.pairs) && x.pairs[b].u == x.pairs[b-1].u {
-			b++
-		}
-		bounds[w] = b
-	}
-	bounds[workers] = len(x.pairs)
-	spans := make([][]idxSpan, workers)
-	forChunks(workers, workers, func(_, lo, hi int) {
-		for w := lo; w < hi; w++ {
-			spans[w] = x.spanChunk(bounds[w], bounds[w+1])
-		}
-	})
-	x.spans = slices.Concat(spans...)
-
-	// Blocks are cut in one serial pass over the spans, so they too do
-	// not depend on the chunk count; each block's entries then derive on
-	// their own, on every core.
+	// Blocks are cut in one serial pass over the spans; each block's
+	// entries then derive on their own, on every core. A restore pays
+	// this like the build does.
 	x.blocks = blockRuns(x.spans)
 	x.entries = make([]blockEntry, len(x.spans))
-	forChunks(len(x.blocks)-1, workers, func(_, lo, hi int) {
+	forChunks(len(x.blocks)-1, chunkWorkers(len(x.pairs)), func(_, lo, hi int) {
 		for b := lo; b < hi; b++ {
 			x.deriveBlock(x.blocks[b], x.blocks[b+1])
 		}
@@ -467,28 +545,13 @@ func finishIndex(pairs []idxPair, total uint64) *FrontierIndex {
 	haveBest := false
 	for si := len(x.spans) - 1; si >= 0; si-- {
 		sp := x.spans[si]
-		if cheapest := x.pairs[sp.start].cu; !haveBest || cheapest < bestCu {
-			x.stair = append(x.stair, sp.start)
-			bestCu, haveBest = cheapest, true
+		if cheapest := x.pairs[sp.start]; !haveBest || cheapest.cu < bestCu {
+			x.stair = append(x.stair, si)
+			x.cands = append(x.cands, Candidate{Config: x.order.tuple(cheapest.key), U: sp.u, Cu: cheapest.cu})
+			bestCu, haveBest = cheapest.cu, true
 		}
 	}
 	return x
-}
-
-// spanChunk returns the spans of pairs[lo:hi], which starts at a span
-// start and ends at a span end.
-func (x *FrontierIndex) spanChunk(lo, hi int) []idxSpan {
-	var spans []idxSpan
-	for i := lo; i < hi; {
-		j := i
-		//lint:allow floateq span grouping needs exact capacity identity: equal floats predict bit-equal times
-		for j < hi && x.pairs[j].u == x.pairs[i].u {
-			j++
-		}
-		spans = append(spans, idxSpan{u: x.pairs[i].u, start: i, end: j})
-		i = j
-	}
-	return spans
 }
 
 // blockRuns cuts the capacity-sorted spans into blocks and returns each
@@ -630,9 +693,10 @@ func (x *FrontierIndex) census(e *Engine, d units.Instructions, cons Constraints
 	// (time, cost) values (see the package comment's monotonicity
 	// argument), so streaming it reproduces the scan's frontier values.
 	var stream pareto.Stream2D
-	for _, pi := range x.stair {
-		pr := &x.pairs[pi]
-		T := units.Time(d, pr.u)
+	for _, si := range x.stair {
+		sp := &x.spans[si]
+		pr := &x.pairs[sp.start]
+		T := units.Time(d, sp.u)
 		C := model.Bill(T, pr.cu, e.billing)
 		if T >= deadline || C >= budget {
 			continue
@@ -667,33 +731,25 @@ func (x *FrontierIndex) census(e *Engine, d units.Instructions, cons Constraints
 	return feasible, front
 }
 
-// leastTuple is a running lessTupleFast minimum over the argmin's
-// achievers.
-type leastTuple struct {
-	t    config.Tuple
-	have bool
-}
-
-func (m *leastTuple) take(t config.Tuple) {
-	if !m.have || lessTupleFast(t, m.t) {
-		m.t, m.have = t, true
-	}
-}
-
-// takeAtMost folds into m the lessTupleFast-minimal members of span
+// leastKeyAtMost returns the least of best and the order keys of span
 // si's pairs billed at most limit at the span's own time: a prefix of
 // its cost-ordered pairs.
-func (m *leastTuple) takeAtMost(x *FrontierIndex, e *Engine, d units.Instructions, si int, limit units.USD) {
+func (x *FrontierIndex) leastKeyAtMost(e *Engine, d units.Instructions, si int, limit units.USD, best uint64) uint64 {
 	sp := x.spans[si]
 	T := units.Time(d, sp.u)
 	for i := sp.start; i < sp.end && model.Bill(T, x.pairs[i].cu, e.billing) <= limit; i++ {
-		m.take(x.pairs[i].lessMin)
+		best = min(best, x.pairs[i].key)
 	}
+	return best
 }
+
+// noKey starts a running minimum of order keys; every key is below it.
+const noKey uint64 = math.MaxUint64
 
 // minSearch answers the argmin queries from the index with the scan's
 // exact semantics: minimal objective under both constraints, ties
-// broken by the lexicographically least tuple.
+// broken by the lexicographically least tuple, which is the least order
+// key.
 func (x *FrontierIndex) minSearch(e *Engine, d units.Instructions, cons Constraints, obj objective) (model.Prediction, bool) {
 	deadline, budget := cons.deadlineOrInf(), cons.budgetOrInf()
 	if obj == objectiveTime {
@@ -706,38 +762,38 @@ func (x *FrontierIndex) minSearch(e *Engine, d units.Instructions, cons Constrai
 		// gathered from the budget-feasible prefix of every span that
 		// predicts exactly the winning time (the collapse class), not
 		// just the step's own span.
-		for _, pi := range x.stair {
-			pr := &x.pairs[pi]
-			T := units.Time(d, pr.u)
-			C := model.Bill(T, pr.cu, e.billing)
+		for _, si := range x.stair {
+			sp := &x.spans[si]
+			T := units.Time(d, sp.u)
+			C := model.Bill(T, x.pairs[sp.start].cu, e.billing)
 			if T >= deadline || C >= budget {
 				continue
 			}
 			lo, hi := x.spanRange(d, T)
-			var best leastTuple
+			best := noKey
 			for si := lo; si < hi; si++ {
 				sp := x.spans[si]
 				for i := sp.start; i < sp.end && model.Bill(T, x.pairs[i].cu, e.billing) < budget; i++ {
-					best.take(x.pairs[i].lessMin)
+					best = min(best, x.pairs[i].key)
 				}
 			}
-			return e.caps.PredictBilled(d, best.t, e.billing), true
+			return e.caps.PredictBilled(d, x.order.tuple(best), e.billing), true
 		}
 		return model.Prediction{}, false
 	}
 	// Minimal cost: the staircase holds the optimal value — every
 	// time-feasible pair is weakly dominated by a time-feasible step
 	// costing no more — but the scan's tie-break runs over every
-	// achiever, so a second pass gathers the lexicographically least
-	// tuple from the pairs costing exactly the optimum in every
-	// time-feasible span. No time-feasible pair costs less, so those are
-	// the pairs costing at most bestC.
+	// achiever, so a second pass gathers the least order key from the
+	// pairs costing exactly the optimum in every time-feasible span. No
+	// time-feasible pair costs less, so those are the pairs costing at
+	// most bestC.
 	bestC := units.USD(0)
 	found := false
-	for _, pi := range x.stair {
-		pr := &x.pairs[pi]
-		T := units.Time(d, pr.u)
-		C := model.Bill(T, pr.cu, e.billing)
+	for _, si := range x.stair {
+		sp := &x.spans[si]
+		T := units.Time(d, sp.u)
+		C := model.Bill(T, x.pairs[sp.start].cu, e.billing)
 		if T >= deadline || C >= budget {
 			continue
 		}
@@ -754,19 +810,19 @@ func (x *FrontierIndex) minSearch(e *Engine, d units.Instructions, cons Constrai
 	// remaining pair at tb costs more than bestC and skips each span whose
 	// own cheapest pair does.
 	lo, b0 := x.timeCut(d, deadline)
-	var best leastTuple
+	best := noKey
 	for si := lo; si < x.blocks[b0]; si++ {
-		best.takeAtMost(x, e, d, si, bestC)
+		best = x.leastKeyAtMost(e, d, si, bestC, best)
 	}
 	for b := b0; b+1 < len(x.blocks); b++ {
 		_, tb, blk := x.block(d, b)
 		for k := 0; k < len(blk) && model.Bill(tb, blk[k].sufLo, e.billing) <= bestC; k++ {
 			if model.Bill(tb, blk[k].lo, e.billing) <= bestC {
-				best.takeAtMost(x, e, d, blk[k].span, bestC)
+				best = x.leastKeyAtMost(e, d, blk[k].span, bestC, best)
 			}
 		}
 	}
-	return e.caps.PredictBilled(d, best.t, e.billing), true
+	return e.caps.PredictBilled(d, x.order.tuple(best), e.billing), true
 }
 
 // Candidate is one staircase step of the demand-invariant frontier:
@@ -786,12 +842,7 @@ type Candidate struct {
 // Candidates returns the staircase in descending-capacity order. The
 // slice is freshly allocated; the index itself stays immutable.
 func (x *FrontierIndex) Candidates() []Candidate {
-	out := make([]Candidate, len(x.stair))
-	for i, pi := range x.stair {
-		pr := &x.pairs[pi]
-		out[i] = Candidate{Config: pr.lessMin, U: pr.u, Cu: pr.cu}
-	}
-	return out
+	return slices.Clone(x.cands)
 }
 
 // FrontierCandidates returns the staircase candidates of the engine's
@@ -852,20 +903,36 @@ func (e *Engine) ensureIndex() *FrontierIndex {
 // In-flight queries keep the pointer they already loaded; new queries
 // under a certified billing policy answer from the installed index
 // immediately. The index must cover exactly this engine's configuration
-// space; callers are responsible for matching the catalog itself
-// (internal/snapshot pins it with a fingerprint).
+// space, per-type limits included: two spaces of one size decode order
+// keys differently unless their limits agree. Callers are responsible
+// for matching the catalog itself (internal/snapshot pins it with a
+// fingerprint).
 func (e *Engine) InstallIndex(x *FrontierIndex) error {
 	if x == nil {
 		return fmt.Errorf("core: install of nil index")
 	}
-	if x.total != e.space.Size() {
-		return fmt.Errorf("core: index covers %d configurations, space has %d", x.total, e.space.Size())
+	if !sameLimits(x.order.space, e.space) {
+		return fmt.Errorf("core: index covers a %d-configuration space whose per-type limits differ from the engine's %d-configuration space",
+			x.order.space.Size(), e.space.Size())
 	}
 	e.idxMu.Lock()
 	defer e.idxMu.Unlock()
 	e.idx.Store(x)
 	e.idxTried.Store(true)
 	return nil
+}
+
+// sameLimits reports whether two spaces have equal per-type limits.
+func sameLimits(a, b *config.Space) bool {
+	if a.Types() != b.Types() {
+		return false
+	}
+	for i := 0; i < a.Types(); i++ {
+		if a.Max(i) != b.Max(i) {
+			return false
+		}
+	}
+	return true
 }
 
 // RebuildIndex publishes the engine's frontier index through the same

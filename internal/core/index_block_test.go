@@ -114,8 +114,8 @@ func spanWalkCount(x *FrontierIndex, e *Engine, d units.Instructions, cons Const
 
 // spanWalkMinCost is the min-cost argmin by the same walk: the least
 // cost over every time- and budget-feasible span's cheapest pair, and the
-// lessTupleFast-least member over every time-feasible pair costing at
-// most that.
+// member with the least order key over every time-feasible pair costing
+// at most that.
 func spanWalkMinCost(x *FrontierIndex, e *Engine, d units.Instructions, cons Constraints) (config.Tuple, units.USD, bool) {
 	deadline, budget := cons.deadlineOrInf(), cons.budgetOrInf()
 	lo := sort.Search(len(x.spans), func(i int) bool { return units.Time(d, x.spans[i].u) < deadline })
@@ -129,7 +129,7 @@ func spanWalkMinCost(x *FrontierIndex, e *Engine, d units.Instructions, cons Con
 	if !found {
 		return config.Tuple{}, 0, false
 	}
-	var best leastTuple
+	best := noKey
 	for si := lo; si < len(x.spans); si++ {
 		sp := x.spans[si]
 		T := units.Time(d, sp.u)
@@ -137,10 +137,10 @@ func spanWalkMinCost(x *FrontierIndex, e *Engine, d units.Instructions, cons Con
 			return model.Bill(T, x.pairs[sp.start+i].cu, e.billing) > bestC
 		})
 		for i := sp.start; i < sp.start+ub; i++ {
-			best.take(x.pairs[i].lessMin)
+			best = min(best, x.pairs[i].key)
 		}
 	}
-	return best.t, bestC, true
+	return x.order.tuple(best), bestC, true
 }
 
 // requireBlocksMatchSpanWalk asserts that eng's index answers d under

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/apps/galaxy"
 	"repro/internal/apps/sand"
@@ -20,26 +21,55 @@ import (
 	"repro/internal/workload"
 )
 
+// oraclePair is one exact (u, cu) pair as the enumeration oracle
+// aggregates it: its population, its least and largest configuration
+// index, and its lessTupleFast-least and -greatest members. The largest
+// index and the greatest member feed only the mutation controls.
+type oraclePair struct {
+	u               units.Rate
+	cu              units.USDPerHour
+	count           uint64
+	minIdx, maxIdx  uint64
+	least, greatest config.Tuple
+}
+
+// merge aggregates q's configurations into p, which holds the same pair.
+func (p *oraclePair) merge(q *oraclePair) {
+	p.count += q.count
+	p.minIdx = min(p.minIdx, q.minIdx)
+	p.maxIdx = max(p.maxIdx, q.maxIdx)
+	if lessTupleFast(q.least, p.least) {
+		p.least = q.least
+	}
+	if lessTupleFast(p.greatest, q.greatest) {
+		p.greatest = q.greatest
+	}
+}
+
 // enumeratedPairs recounts the pair table of x, eng's level-built
 // index, by exhaustive enumeration: one model.Sums per configuration,
-// aggregated per worker into the slot of its exact (u, cu) key and
-// merged. x supplies only the key → slot map, which keeps the paper
-// spaces cheap enough under -race; a configuration whose key x lacks,
-// or a pair of x that no configuration reaches, fails the test.
-func enumeratedPairs(t *testing.T, label string, eng *Engine, x *FrontierIndex) []idxPair {
+// aggregated per worker into the slot of its exact (u, cu) pair and
+// merged. Members are compared with lessTupleFast, so the oracle does
+// not depend on the order key. x supplies only the pair → slot map,
+// which keeps the paper spaces cheap enough under -race; a
+// configuration whose pair x lacks, or a pair of x that no configuration
+// reaches, fails the test.
+func enumeratedPairs(t *testing.T, label string, eng *Engine, x *FrontierIndex) []oraclePair {
 	t.Helper()
 	type pairKey struct {
 		u  units.Rate
 		cu units.USDPerHour
 	}
 	slot := make(map[pairKey]int, len(x.pairs))
-	for i, p := range x.pairs {
-		slot[pairKey{p.u, p.cu}] = i
+	for _, sp := range x.spans {
+		for i := sp.start; i < sp.end; i++ {
+			slot[pairKey{sp.u, x.pairs[i].cu}] = i
+		}
 	}
 	w, nodeCost := eng.caps.NodeArrays()
-	shards := make([][]idxPair, runtime.GOMAXPROCS(0))
+	shards := make([][]oraclePair, runtime.GOMAXPROCS(0))
 	for i := range shards {
-		shards[i] = make([]idxPair, len(x.pairs))
+		shards[i] = make([]oraclePair, len(x.pairs))
 	}
 	var stray atomic.Int64
 	eng.space.ForEachParallelIndexed(len(shards), func(worker int, k uint64, tp config.Tuple) {
@@ -49,15 +79,13 @@ func enumeratedPairs(t *testing.T, label string, eng *Engine, x *FrontierIndex) 
 			stray.Add(1)
 			return
 		}
+		// Chunks walk ascending indices, so the first sighting in a shard
+		// is that shard's least index for the pair, and the latest its
+		// largest.
 		if agg := &shards[worker][i]; agg.count == 0 {
-			// Chunks walk ascending indices, so the first sighting in a
-			// shard is that shard's minimal index for the pair.
-			*agg = idxPair{u: u, cu: cu, count: 1, minIdx: k, lessMin: tp}
+			*agg = oraclePair{u: u, cu: cu, count: 1, minIdx: k, maxIdx: k, least: tp, greatest: tp}
 		} else {
-			agg.count++
-			if lessTupleFast(tp, agg.lessMin) {
-				agg.lessMin = tp
-			}
+			agg.merge(&oraclePair{count: 1, minIdx: k, maxIdx: k, least: tp, greatest: tp})
 		}
 	})
 	if n := stray.Load(); n > 0 {
@@ -71,7 +99,7 @@ func enumeratedPairs(t *testing.T, label string, eng *Engine, x *FrontierIndex) 
 			case pairs[i].count == 0:
 				pairs[i] = sh[i]
 			default:
-				pairs[i].absorb(&sh[i])
+				pairs[i].merge(&sh[i])
 			}
 		}
 	}
@@ -83,28 +111,64 @@ func enumeratedPairs(t *testing.T, label string, eng *Engine, x *FrontierIndex) 
 	return pairs
 }
 
+// pairsMismatch returns the first field of x's pair table that differs
+// from the enumeration oracle's pairs, or nil: the spans' capacities in
+// strictly ascending order and each span's unit costs too, then every
+// pair's capacity, unit cost, count and least index, and its order key
+// decoded against the oracle's least member.
+func pairsMismatch(x *FrontierIndex, oracle []oraclePair) error {
+	if len(x.pairs) != len(oracle) {
+		return fmt.Errorf("%d pairs, enumeration has %d", len(x.pairs), len(oracle))
+	}
+	for si, sp := range x.spans {
+		if si > 0 && !(x.spans[si-1].u < sp.u) {
+			return fmt.Errorf("spans %d and %d out of capacity order", si-1, si)
+		}
+		for i := sp.start; i < sp.end; i++ {
+			pr, want := x.pairs[i], oracle[i]
+			if i > sp.start && !(x.pairs[i-1].cu < pr.cu) {
+				return fmt.Errorf("pairs %d and %d out of unit-cost order", i-1, i)
+			}
+			if sp.u != want.u || pr.cu != want.cu || pr.count != want.count || pr.minIdx != want.minIdx {
+				return fmt.Errorf("pair %d = (%v, %+v), enumeration has %+v", i, sp.u, pr, want)
+			}
+			if got := x.order.tuple(pr.key); got != want.least {
+				return fmt.Errorf("pair %d's key %d names %v, enumeration's least member is %v", i, pr.key, got, want.least)
+			}
+		}
+	}
+	return nil
+}
+
 // requirePairsMatchEnumeration asserts that every field of every pair
 // of x, eng's level-built index, equals the enumeration oracle's, and
 // returns the oracle's pair table.
-func requirePairsMatchEnumeration(t *testing.T, label string, eng *Engine, x *FrontierIndex) []idxPair {
+func requirePairsMatchEnumeration(t *testing.T, label string, eng *Engine, x *FrontierIndex) []oraclePair {
 	t.Helper()
 	if x == nil {
 		t.Fatalf("%s: level build aborted", label)
 	}
-	// Strictly ascending keys make x's slot order the oracle's sorted
-	// order, with no key twice.
-	for i := 1; i < len(x.pairs); i++ {
-		if p, q := x.pairs[i-1], x.pairs[i]; !(p.u < q.u || (p.u == q.u && p.cu < q.cu)) {
-			t.Fatalf("%s: pairs %d and %d out of (u, cu) order: %+v, %+v", label, i-1, i, p, q)
-		}
+	oracle := enumeratedPairs(t, label, eng, x)
+	if err := pairsMismatch(x, oracle); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-	pairs := enumeratedPairs(t, label, eng, x)
-	for i := range x.pairs {
-		if got, want := x.pairs[i], pairs[i]; got != want {
-			t.Fatalf("%s: pair %d = %+v, enumeration has %+v", label, i, got, want)
+	return oracle
+}
+
+// oracleIndex finishes the oracle's pair table into an index: the pair
+// table with each least member's key, spans cut at every capacity change.
+func oracleIndex(space *config.Space, oracle []oraclePair) *FrontierIndex {
+	order := newTupleOrder(space)
+	pairs := make([]idxPair, len(oracle))
+	var spans []idxSpan
+	for i, o := range oracle {
+		pairs[i] = idxPair{cu: o.cu, count: o.count, minIdx: o.minIdx, key: order.key(o.least)}
+		if i == 0 || o.u != oracle[i-1].u {
+			spans = append(spans, idxSpan{u: o.u, start: i})
 		}
+		spans[len(spans)-1].end = i + 1
 	}
-	return pairs
+	return finishIndex(pairs, spans, space)
 }
 
 // requireLevelBuildMatchesEnumeration asserts that x, eng's level-built
@@ -113,14 +177,14 @@ func requirePairsMatchEnumeration(t *testing.T, label string, eng *Engine, x *Fr
 // its buildWall bytes.
 func requireLevelBuildMatchesEnumeration(t *testing.T, label string, eng *Engine, x *FrontierIndex) {
 	t.Helper()
-	oracle := finishIndex(requirePairsMatchEnumeration(t, label, eng, x), eng.space.Size())
+	oracle := oracleIndex(eng.space, requirePairsMatchEnumeration(t, label, eng, x))
 	// reflect.DeepEqual walks each element through reflection, which
 	// under -race tripled this test's time, so the long tables compare
 	// typed and DeepEqual takes the rest, any field added later included.
 	built, want := *x, *oracle
-	if !slices.Equal(built.spans, want.spans) || !slices.Equal(built.blocks, want.blocks) ||
-		!slices.Equal(built.entries, want.entries) {
-		t.Fatalf("%s: derived tables differ from the enumeration's", label)
+	if !slices.Equal(built.pairs, want.pairs) || !slices.Equal(built.spans, want.spans) ||
+		!slices.Equal(built.blocks, want.blocks) || !slices.Equal(built.entries, want.entries) {
+		t.Fatalf("%s: pair, span or block tables differ from the enumeration's", label)
 	}
 	requireBlockTable(t, label, x)
 	built.pairs, built.spans, built.blocks, built.entries, built.buildWall = nil, nil, nil, nil, 0
@@ -210,6 +274,34 @@ func TestPaperPairTableExactSize(t *testing.T) {
 		if x := paperIndex(app); cap(x.pairs) != len(x.pairs) {
 			t.Errorf("%s: pair table holds %d pairs in %d slots", app.Name(), len(x.pairs), cap(x.pairs))
 		}
+	}
+}
+
+// TestIndexRecordSizes pins the layouts the index heap is made of: a
+// pair is cu, count, minIdx and the order key, 32 bytes; a level-build
+// state adds the capacity, 40 bytes.
+func TestIndexRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(idxPair{}); n != 32 {
+		t.Errorf("idxPair is %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(levelState{}); n != 40 {
+		t.Errorf("levelState is %d bytes, want 40", n)
+	}
+}
+
+// TestPaperPayloadLength pins the galaxy paper index's snapshot payload:
+// the header with its nine limits, 12 bytes for each of 85,266 spans and
+// 32 for each of 657,394 pairs.
+func TestPaperPayloadLength(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-space build in -short mode")
+	}
+	x := paperIndex(galaxy.App{})
+	if len(x.spans) != 85266 || len(x.pairs) != 657394 {
+		t.Fatalf("galaxy index has %d spans and %d pairs, want 85266 and 657394", len(x.spans), len(x.pairs))
+	}
+	if got, want := len(x.EncodeBinary()), codecHeaderLen+9+85266*spanRecordLen+657394*pairRecordLen; got != want {
+		t.Errorf("galaxy payload is %d bytes, want %d", got, want)
 	}
 }
 

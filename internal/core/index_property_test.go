@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/config"
@@ -41,12 +42,13 @@ func scanTwin(t *testing.T, eng *Engine) *Engine {
 	return twin
 }
 
-// requireIndexMatchesScan asserts that eng's published index answers p
-// under cons exactly as the exhaustive scan does, under eng's billing:
-// the Analyze census against scan (eng's scan twin), and both argmins
-// through minSearch against scanSearch — same floats, same tie winners.
-// It returns the argmin winners, for callers that check their footing.
-func requireIndexMatchesScan(t *testing.T, label string, eng, scan *Engine, p workload.Params, cons Constraints) (winners []config.Tuple) {
+// indexScanMismatch compares eng's published index against the
+// exhaustive scan on p under cons, under eng's billing: the Analyze
+// census against scan (eng's scan twin), and both argmins through
+// minSearch against scanSearch — same floats, same tie winners. It
+// returns the argmin winners, for callers that check their footing, and
+// the first mismatch, or nil.
+func indexScanMismatch(t *testing.T, eng, scan *Engine, p workload.Params, cons Constraints) (winners []config.Tuple, mismatch error) {
 	t.Helper()
 	scanAn, err := scan.Analyze(p, cons, Options{})
 	if err != nil {
@@ -57,11 +59,11 @@ func requireIndexMatchesScan(t *testing.T, label string, eng, scan *Engine, p wo
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(idxAn, scanAn) {
-		t.Fatalf("%s: indexed Analysis %+v != scan %+v", label, idxAn, scanAn)
+		return nil, fmt.Errorf("indexed Analysis %+v != scan %+v", idxAn, scanAn)
 	}
 	idx := eng.indexFor()
 	if idx == nil {
-		t.Fatalf("%s: index not serving under %s billing", label, eng.billing)
+		t.Fatalf("index not serving under %s billing", eng.billing)
 	}
 	dem, err := eng.Demand(p)
 	if err != nil {
@@ -74,12 +76,22 @@ func requireIndexMatchesScan(t *testing.T, label string, eng, scan *Engine, p wo
 			t.Fatal(err)
 		}
 		if okG != okW || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s obj %d: indexed (%+v, %v) != scan (%+v, %v)",
-				label, obj, got, okG, want, okW)
+			return nil, fmt.Errorf("obj %d: indexed (%+v, %v) != scan (%+v, %v)", obj, got, okG, want, okW)
 		}
 		if okW {
 			winners = append(winners, want.Config)
 		}
+	}
+	return winners, nil
+}
+
+// requireIndexMatchesScan is indexScanMismatch that fails the test on a
+// mismatch.
+func requireIndexMatchesScan(t *testing.T, label string, eng, scan *Engine, p workload.Params, cons Constraints) []config.Tuple {
+	t.Helper()
+	winners, err := indexScanMismatch(t, eng, scan, p, cons)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 	return winners
 }
@@ -241,6 +253,38 @@ func twoDigitEngine(t *testing.T) *Engine {
 	return eng
 }
 
+// twoDigitGrid runs indexScanMismatch over TestIndexEqualsScanTwoDigitCounts'
+// grid on eng, a twoDigitEngine with an index published: demands for a
+// run of 1 and 2.5 hours at full capacity, under both billings, at every
+// deadline × budget pair. Deadlines scale that time; budgets scale the
+// cheapest per-second cost, of bb.0 alone at 10.4 GIPS per $/h. It
+// returns every argmin winner and the first mismatch, or nil.
+func twoDigitGrid(t *testing.T, eng *Engine) (winners []config.Tuple, mismatch error) {
+	t.Helper()
+	scan := scanTwin(t, eng)
+	uMax := float64(eng.Capacities().Capacity(config.MustTuple(12, 10, 11, 3)))
+	for _, hours := range []float64{1, 2.5} {
+		d := uMax * 3600 * hours
+		p := workload.Params{N: d, A: 1}
+		cheapest := d / 3600 / 10.4e9
+		for _, b := range []model.Billing{model.PerSecond, model.PerHour} {
+			eng.SetBilling(b)
+			scan.SetBilling(b)
+			for _, dl := range []float64{0, 1.05, 1.3, 1.7, 2.2, 3.1, 6} {
+				for _, bu := range []float64{0, 1.01, 1.04, 1.1, 1.5, 3} {
+					cons := Constraints{Deadline: units.Seconds(3600 * hours * dl), Budget: units.USD(cheapest * bu)}
+					w, err := indexScanMismatch(t, eng, scan, p, cons)
+					if err != nil {
+						return winners, fmt.Errorf("%gh run, %s, deadline %g×, budget %g×: %w", hours, b, dl, bu, err)
+					}
+					winners = append(winners, w...)
+				}
+			}
+		}
+	}
+	return winners, nil
+}
+
 // TestIndexEqualsScanTwoDigitCounts is the fixed-catalog trial beside
 // the randomized harness. Its type limits reach 10–12 nodes, so the
 // index's tie-breaks compare two-digit counts, which the random
@@ -259,14 +303,6 @@ func TestIndexEqualsScanTwoDigitCounts(t *testing.T) {
 		if !ok {
 			t.Fatal("fixed catalog did not index")
 		}
-		twoDigit := func(tp config.Tuple) bool {
-			for i := 0; i < tp.Len(); i++ {
-				if tp.Count(i) >= 10 {
-					return true
-				}
-			}
-			return false
-		}
 		// Footing: the trial only bites if aggregated pairs carry winners
 		// with two-digit counts.
 		type pairKey struct {
@@ -275,14 +311,16 @@ func TestIndexEqualsScanTwoDigitCounts(t *testing.T) {
 		}
 		shared := make(map[pairKey]bool)
 		multi, multiTwoDigit := 0, 0
-		for _, pr := range x.pairs {
-			if pr.count < 2 {
-				continue
-			}
-			shared[pairKey{pr.u, pr.cu}] = true
-			multi++
-			if twoDigit(pr.lessMin) {
-				multiTwoDigit++
+		for _, sp := range x.spans {
+			for _, pr := range x.pairs[sp.start:sp.end] {
+				if pr.count < 2 {
+					continue
+				}
+				shared[pairKey{sp.u, pr.cu}] = true
+				multi++
+				if twoDigit(x.order.tuple(pr.key)) {
+					multiTwoDigit++
+				}
 			}
 		}
 		if len(x.pairs) != 503 || multi != 468 || multiTwoDigit != 247 {
@@ -290,36 +328,75 @@ func TestIndexEqualsScanTwoDigitCounts(t *testing.T) {
 				len(x.pairs), multi, multiTwoDigit)
 		}
 
-		scan := scanTwin(t, eng)
-		// Demands for a run of 1 and 2.5 hours at full capacity. Deadlines
-		// scale that time; budgets scale the cheapest per-second cost, of
-		// bb.0 alone at 10.4 GIPS per $/h.
-		uMax := float64(caps.Capacity(config.MustTuple(12, 10, 11, 3)))
+		winners, err := twoDigitGrid(t, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tiedWinners := 0
-		for _, hours := range []float64{1, 2.5} {
-			d := uMax * 3600 * hours
-			p := workload.Params{N: d, A: 1}
-			cheapest := d / 3600 / 10.4e9
-			for _, b := range []model.Billing{model.PerSecond, model.PerHour} {
-				eng.SetBilling(b)
-				scan.SetBilling(b)
-				for _, dl := range []float64{0, 1.05, 1.3, 1.7, 2.2, 3.1, 6} {
-					for _, bu := range []float64{0, 1.01, 1.04, 1.1, 1.5, 3} {
-						cons := Constraints{Deadline: units.Seconds(3600 * hours * dl), Budget: units.USD(cheapest * bu)}
-						label := fmt.Sprintf("%gh run, %s, deadline %g×, budget %g×", hours, b, dl, bu)
-						for _, w := range requireIndexMatchesScan(t, label, eng, scan, p, cons) {
-							if shared[pairKey{caps.Capacity(w), caps.UnitCost(w)}] && twoDigit(w) {
-								tiedWinners++
-							}
-						}
-					}
-				}
+		for _, w := range winners {
+			if shared[pairKey{caps.Capacity(w), caps.UnitCost(w)}] && twoDigit(w) {
+				tiedWinners++
 			}
 		}
 		if tiedWinners == 0 {
 			t.Fatal("no argmin winner came from an aggregated pair with a two-digit count; the trial lost its footing")
 		}
 	})
+}
+
+// twoDigit reports whether some count of tp has two digits.
+func twoDigit(tp config.Tuple) bool {
+	for i := 0; i < tp.Len(); i++ {
+		if tp.Count(i) >= 10 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDroppedTieBreakFailsHarness is the mutation control of the two
+// tie-breaks an aggregated pair carries. Two mutants of the two-digit
+// catalog's index give every pair that aggregates several
+// configurations the wrong member: its lessTupleFast-greatest member's
+// order key, or its largest configuration index as minIdx, both supplied
+// by the enumeration oracle. The level-build oracle must reject each,
+// and the index-vs-scan grid of TestIndexEqualsScanTwoDigitCounts must
+// report a mismatch on each, so a build that dropped either tie-break
+// could not pass the harness.
+func TestDroppedTieBreakFailsHarness(t *testing.T) {
+	eng := twoDigitEngine(t)
+	x, ok := eng.Frontier()
+	if !ok {
+		t.Fatal("fixed catalog did not index")
+	}
+	oracle := requirePairsMatchEnumeration(t, "two-digit catalog", eng, x)
+	for _, m := range []struct {
+		name   string
+		mutate func(pr *idxPair, o *oraclePair)
+	}{
+		{"greatest member's key", func(pr *idxPair, o *oraclePair) { pr.key = x.order.key(o.greatest) }},
+		{"largest member's minIdx", func(pr *idxPair, o *oraclePair) { pr.minIdx = o.maxIdx }},
+	} {
+		pairs := slices.Clone(x.pairs)
+		changed := 0
+		for i := range pairs {
+			if pairs[i].count >= 2 {
+				m.mutate(&pairs[i], &oracle[i])
+				changed++
+			}
+		}
+		mutant := finishIndex(pairs, x.spans, eng.space)
+		if err := pairsMismatch(mutant, enumeratedPairs(t, m.name, eng, mutant)); err == nil {
+			t.Errorf("%s: the level-build oracle accepts the mutant (%d pairs changed)", m.name, changed)
+		}
+		host := twoDigitEngine(t)
+		if err := host.InstallIndex(mutant); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := twoDigitGrid(t, host); err == nil {
+			t.Errorf("%s: the index-vs-scan grid finds no mismatch (%d pairs changed)", m.name, changed)
+		}
+	}
 }
 
 // TestIndexPerHourPairCapFallsBack keeps the scan-fallback contract

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -578,41 +580,43 @@ func TestIndexBypassReason(t *testing.T) {
 }
 
 // TestParallelDerivationMatchesSerial pins chunk-count invariance of
-// the one decode/derive path: the chunked parse and span fill must
-// produce identical indexes, and reject corruption identically, at
-// GOMAXPROCS 1 (one chunk) and 4 (three, one per parallelCodecMin
-// pairs). GOMAXPROCS is toggled explicitly so both chunkings run
-// regardless of the host's core count, over a synthetic pair table big
-// enough (> 2·parallelCodecMin) to split, with multi-pair spans so the
-// running minima actually accumulate.
+// the one decode/derive path: the parse of whole-span chunks and the
+// block derivation must produce identical indexes, and reject
+// corruption identically, at GOMAXPROCS 1 (one chunk) and 4 (three, one
+// per parallelCodecMin pairs). GOMAXPROCS is toggled explicitly so both
+// chunkings run regardless of the host's core count, over a synthetic
+// pair table big enough (> 2·parallelCodecMin) to split, with multi-pair
+// spans.
 func TestParallelDerivationMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(424242))
 	const n = 40000
+	space, err := config.Uniform(9, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := space.Size()
 	pairs := make([]idxPair, n)
-	var total uint64
+	var spans []idxSpan
+	var population uint64
 	u := units.Rate(1)
 	cu := units.USDPerHour(1)
 	for i := range pairs {
 		if rng.Intn(3) == 0 || i == 0 {
 			u += units.Rate(rng.Float64() + 0.001) // new capacity span
 			cu = units.USDPerHour(rng.Float64())
+			spans = append(spans, idxSpan{u: u, start: i})
 		} else {
 			cu += units.USDPerHour(rng.Float64() + 0.001) // same span, costlier
 		}
-		counts := make([]int, 9)
-		for k := range counts {
-			counts[k] = rng.Intn(256)
+		spans[len(spans)-1].end = i + 1
+		count := uint64(1 + rng.Intn(7))
+		if i == n-1 {
+			count = total - population // the population must sum to the space
 		}
-		pairs[i] = idxPair{
-			u:       u,
-			cu:      cu,
-			count:   uint64(1 + rng.Intn(7)),
-			minIdx:  uint64(i),
-			lessMin: config.MustTuple(counts...),
-		}
-		total += pairs[i].count
+		population += count
+		pairs[i] = idxPair{cu: cu, count: count, minIdx: rng.Uint64() % total, key: 1 + rng.Uint64()%total}
 	}
-	payload := (&FrontierIndex{pairs: pairs, total: total}).EncodeBinary()
+	payload := (&FrontierIndex{pairs: pairs, spans: spans, order: newTupleOrder(space)}).EncodeBinary()
 
 	decodeAt := func(procs int) *FrontierIndex {
 		prev := runtime.GOMAXPROCS(procs)
@@ -633,7 +637,7 @@ func TestParallelDerivationMatchesSerial(t *testing.T) {
 	}
 
 	// Corruption must be rejected identically at both chunkings.
-	for _, flip := range []int{codecHeaderLen + 17, len(payload) / 2, len(payload) - 3} {
+	for _, flip := range []int{codecHeaderLen + 9 + 17, len(payload) / 2, len(payload) - 3} {
 		bad := append([]byte(nil), payload...)
 		bad[flip] ^= 0x40
 		prev := runtime.GOMAXPROCS(1)
@@ -647,52 +651,118 @@ func TestParallelDerivationMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestDerivationSpanCrossesChunks pins finishIndex's span-aligned chunk
-// boundaries. The first span holds three quarters of the pairs, so at
-// GOMAXPROCS 4 the first two boundaries move past it and leave empty
-// chunks; the spans must still equal a plain one-walk derivation, the
-// block table must hold its invariants, and the index must equal the
-// one the one-chunk derivation gives.
-func TestDerivationSpanCrossesChunks(t *testing.T) {
+// TestBlockDerivationUnevenBlocks pins finishIndex's block derivation,
+// which runs blocks on up to GOMAXPROCS workers, on blocks of very
+// different sizes: the first blockSpans spans sit within the growth cut
+// and fill one block with three quarters of the pairs, and every later
+// span grows its capacity 1% past the one before, so each is a block of
+// its own. The index must be the same at GOMAXPROCS 1 and 4, and the
+// block table must hold its invariants.
+func TestBlockDerivationUnevenBlocks(t *testing.T) {
 	const n = 4 * parallelCodecMin
-	pairs := make([]idxPair, n)
-	var total uint64
-	for i := range pairs {
-		u, cu := units.Rate(1), units.USDPerHour(i+1)
-		if i >= 3*n/4 {
-			u = units.Rate(2 + (i-3*n/4)/2) // two-pair spans
-		}
-		pairs[i] = idxPair{
-			u:       u,
-			cu:      cu,
-			count:   uint64(1 + i%5),
-			minIdx:  uint64(i * 7919 % n),
-			lessMin: config.MustTuple(i%256, i/256%256, i%7),
-		}
-		total += pairs[i].count
+	space, err := config.Uniform(3, 255)
+	if err != nil {
+		t.Fatal(err)
 	}
-
+	pairs := make([]idxPair, n)
+	var spans []idxSpan
+	perBig := 3 * n / 4 / blockSpans
+	for i := range pairs {
+		switch {
+		case i < blockSpans*perBig && i%perBig == 0:
+			spans = append(spans, idxSpan{u: units.Rate(1 + float64(i/perBig)*1e-6), start: i})
+		case i >= blockSpans*perBig && (i-blockSpans*perBig)%2 == 0:
+			spans = append(spans, idxSpan{u: spans[len(spans)-1].u * 1.01, start: i})
+		}
+		spans[len(spans)-1].end = i + 1
+		pairs[i] = idxPair{cu: units.USDPerHour(i - spans[len(spans)-1].start + 1), count: uint64(1 + i%5), minIdx: uint64(i), key: uint64(1 + i*7919%(1<<24-1))}
+	}
 	derive := func(procs int) *FrontierIndex {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
-		return finishIndex(pairs, total)
+		return finishIndex(pairs, spans, space)
 	}
 	oneChunk, chunked := derive(1), derive(4)
 	if !reflect.DeepEqual(oneChunk, chunked) {
 		t.Fatal("derivation differs between one chunk and four")
 	}
-	if got, want := len(chunked.spans), 1+n/8; got != want {
-		t.Fatalf("%d spans, want %d", got, want)
+	if got, want := len(chunked.blocks)-1, 1+(n-blockSpans*perBig)/2; got != want {
+		t.Fatalf("%d blocks, want %d", got, want)
 	}
-	var spans []idxSpan
-	for i, pr := range pairs {
-		if i == 0 || pr.u != pairs[i-1].u {
-			spans = append(spans, idxSpan{u: pr.u, start: i})
+	requireBlockTable(t, "uneven blocks", chunked)
+}
+
+// TestDecodeRejectsMalformedPayload edits one field of a valid payload
+// at a time; the strict decoder must refuse each edit with its own
+// reason.
+func TestDecodeRejectsMalformedPayload(t *testing.T) {
+	eng := indexedEngine(t, galaxy.App{}, 2)
+	x, _ := eng.Frontier()
+	valid := x.EncodeBinary()
+	if _, err := DecodeFrontierIndex(valid); err != nil {
+		t.Fatal(err)
+	}
+	total := eng.space.Size()
+	le := binary.LittleEndian
+	span := func(si int) int { return codecHeaderLen + 9 + si*spanRecordLen }
+	pair := func(i int) int { return span(len(x.spans)) + i*pairRecordLen }
+	run := func(b []byte, si int) uint32 { return le.Uint32(b[span(si)+8:]) }
+	long := 0 // a span of several pairs
+	for run(valid, long) < 2 {
+		long++
+	}
+	for _, c := range []struct {
+		name, want string
+		edit       func(b []byte)
+	}{
+		{"order key 0, the empty configuration", "order key", func(b []byte) { le.PutUint64(b[pair(3)+24:], 0) }},
+		{"order key Π(m_i + 1)", "order key", func(b []byte) { le.PutUint64(b[pair(3)+24:], total+1) }},
+		{"order key past every space", "order key", func(b []byte) { le.PutUint64(b[pair(3)+24:], math.MaxUint64) }},
+		{"empty span", "holds no pairs", func(b []byte) {
+			le.PutUint32(b[span(2)+8:], run(b, 1)+run(b, 2))
+			le.PutUint32(b[span(1)+8:], 0)
+		}},
+		{"span capacities out of order", "unsorted", func(b []byte) {
+			var tmp [8]byte
+			copy(tmp[:], b[span(1):span(1)+8])
+			copy(b[span(1):span(1)+8], b[span(2):span(2)+8])
+			copy(b[span(2):span(2)+8], tmp[:])
+		}},
+		{"runs short of npairs", "cover", func(b []byte) { le.PutUint32(b[span(long)+8:], run(b, long)-1) }},
+		{"runs past npairs", "exceed", func(b []byte) { le.PutUint32(b[span(0)+8:], run(b, 0)+1) }},
+		{"limits that miss total", "hold", func(b []byte) { b[codecHeaderLen+4]++ }},
+		{"total that misses the limits", "hold", func(b []byte) { le.PutUint64(b[0:], total-1) }},
+		{"limits past 64 bits", "overflows", func(b []byte) {
+			for i := 0; i < 9; i++ {
+				b[codecHeaderLen+i] = 255
+			}
+		}},
+	} {
+		bad := bytes.Clone(valid)
+		c.edit(bad)
+		if _, err := DecodeFrontierIndex(bad); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming %q", c.name, err, c.want)
 		}
-		spans[len(spans)-1].end = i + 1
 	}
-	if !reflect.DeepEqual(chunked.spans, spans) {
-		t.Fatal("chunked spans differ from a one-walk derivation")
+}
+
+// TestInstallIndexRequiresEqualLimits: limits [5,1,0,…] and [1,5,0,…]
+// give spaces of one size that decode order keys differently, so an
+// index installs only into an engine whose per-type limits equal its
+// own.
+func TestInstallIndexRequiresEqualLimits(t *testing.T) {
+	x, ok := limitsEngine(t, 5, 1, 0, 0, 0, 0, 0, 0, 0).Frontier()
+	if !ok {
+		t.Fatal("catalog did not index")
 	}
-	requireBlockTable(t, "chunked", chunked)
+	other := limitsEngine(t, 1, 5, 0, 0, 0, 0, 0, 0, 0)
+	if other.space.Size() != x.order.space.Size() {
+		t.Fatalf("spaces of %d and %d configurations; the test needs equal sizes", other.space.Size(), x.order.space.Size())
+	}
+	if err := other.InstallIndex(x); err == nil || other.FrontierBuilt() {
+		t.Fatalf("an index over limits [5,1,0,…] installed into limits [1,5,0,…]: %v", err)
+	}
+	if err := limitsEngine(t, 5, 1, 0, 0, 0, 0, 0, 0, 0).InstallIndex(x); err != nil {
+		t.Fatal(err)
+	}
 }

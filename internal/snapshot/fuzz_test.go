@@ -32,8 +32,9 @@ func fuzzEngine(f *testing.F) *core.Engine {
 
 // FuzzDecode feeds arbitrary bytes to the snapshot decoder, seeded with
 // the shapes a real failure produces: a valid artifact, truncations,
-// bit flips, and a version-skewed forgery whose checksum is intact
-// (mirroring internal/store's FuzzLoad discipline). The decoder must
+// bit flips, and version-skewed forgeries whose checksum is intact, one
+// claiming the next version and one the previous (mirroring
+// internal/store's FuzzLoad discipline). The decoder must
 // never panic, and anything it accepts must be the canonical artifact:
 // re-encoding the decoded index reproduces the input byte-for-byte, so
 // no corrupted variant can smuggle in a different index.
@@ -63,6 +64,7 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("CELIAIDX"))
+	f.Add(forgeVersion(valid, FormatVersion-1))
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		x, err := Decode(blob, fingerprint)

@@ -183,6 +183,22 @@ func TestVersionSkewRejected(t *testing.T) {
 	}
 }
 
+// TestPreviousVersionRejected: a version-2 artifact, whose payload
+// held tuples where version 3 holds order keys, is refused as version
+// skew even with a valid checksum, so its app takes the start-up build.
+func TestPreviousVersionRejected(t *testing.T) {
+	eng := testEngine(t, galaxy.App{}, 2)
+	x, _ := eng.Frontier()
+	blob, err := Encode(eng, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Decode(forgeVersion(blob, 2), eng.IndexFingerprint())
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("version-2 artifact: got %v, want a version error", err)
+	}
+}
+
 // TestKillDuringWrite simulates a writer dying at every interesting
 // instant. The canonical path only ever transitions old→new via
 // rename, so (a) stray temp files from a dead writer never shadow the
